@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from .domain import BallSpec, CorridorSpec
 from .errors import ConfigError, DomainError
 from .reaction import SpeciesParams
-
-MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
+from .system import MODEL_KINDS
 
 
 @dataclass

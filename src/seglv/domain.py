@@ -101,12 +101,6 @@ class GridDomain:
 
     # -- coordinates -------------------------------------------------------
 
-    def node_x(self, ix):
-        return self.origin[0] + np.asarray(ix) * self.h
-
-    def node_y(self, iy):
-        return self.origin[1] + np.asarray(iy) * self.h
-
     def coords(self):
         """Meshgrid arrays (X, Y) with the same [iy, ix] layout as fields."""
         x = self.origin[0] + self.h * np.arange(self.nx)
@@ -136,10 +130,11 @@ class GridDomain:
         """Interior nodes of a grid array as a flat vector (C order)."""
         return np.asarray(values)[self.interior_mask]
 
-    def insert(self, vec):
-        """Flat interior vector back to a full grid array (zero outside)."""
+    def insert(self, vec, region=None):
+        """Flat vector over `region` (default: the interior mask) back to a
+        full grid array, zero elsewhere."""
         out = np.zeros((self.ny, self.nx))
-        out[self.interior_mask] = vec
+        out[self.interior_mask if region is None else region] = vec
         return out
 
     # -- discrete Laplacian ------------------------------------------------

@@ -2,11 +2,13 @@
 nondegeneracy margin of baseline states.
 
 The scalar problem  -Lap u = f(u)  on a node subset R (a single ball, or
-the whole connected domain for the global profile) is solved by damped
-Newton: each step solves the linearized system  (A - diag(f'(u))) s = -r
-with a sparse direct factorization, and steps are halved until the
-residual norm decreases.  The positive branch is reliably selected by
-seeding with half the principal Dirichlet eigenfield.
+the whole connected domain for the global profile) is solved by the damped
+Newton kernel of ``newton``: each step solves the linearized system
+(A - diag(f'(u))) s = -r with a sparse LU under a minimum-degree ordering
+of the symmetric pattern, and steps are halved until the residual norm
+decreases.  The two polish steps after convergence are chord steps that
+reuse the last Newton factorization.  The positive branch is reliably
+selected by seeding with half the principal Dirichlet eigenfield.
 
 The principal eigenvalue of -Lap on R comes from inverse power iteration
 with conjugate-gradient inner solves.  The nondegeneracy margin of a
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .domain import GridDomain
 from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
+from .newton import damped_newton, factorize
 from .operators import ScalarField, norm, solve_spd
 from .reaction import SpeciesParams, f_eval, f_prime
 
@@ -78,83 +80,31 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     mask = _resolve_region(domain, region)
     A, _ = domain.laplacian(mask)
     h = domain.h
-    u = guess.values[mask].astype(float)
 
     def residual(vec):
         return A @ vec - f_eval(sp_params, vec)
 
-    r = residual(u)
-    rnorm = h * float(np.linalg.norm(r))
-    history = [rnorm]
-    iterations = 0
+    def jacobian(vec):
+        return A - sp.diags(f_prime(sp_params, vec))
 
-    def target(vec):
-        return newton_tol * max(1.0, h * float(np.linalg.norm(f_eval(sp_params, vec))))
+    def l2(vec):
+        return h * float(np.linalg.norm(vec))
 
-    while rnorm > target(u):
-        if iterations >= max_newton:
-            raise NonlinearSolveError(
-                f"newton budget exhausted at residual {rnorm:.3e}",
-                last_iterate=ScalarField(domain, domain_insert(domain, mask, u)),
-                residual_history=history)
-        J = A - sp.diags(f_prime(sp_params, u))
-        try:
-            step = splu(J.tocsc()).solve(-r)
-        except RuntimeError as exc:
-            raise NonlinearSolveError(
-                f"singular linearization: {exc}",
-                last_iterate=ScalarField(domain, domain_insert(domain, mask, u)),
-                residual_history=history) from exc
-        t = 1.0
-        accepted = False
-        for _ in range(max_backtracks + 1):
-            trial = u + t * step
-            rt = residual(trial)
-            rtnorm = h * float(np.linalg.norm(rt))
-            if rtnorm <= (1.0 - 1e-4 * t) * rnorm:
-                u, r, rnorm = trial, rt, rtnorm
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise NonlinearSolveError(
-                f"newton stalled at residual {rnorm:.3e}",
-                last_iterate=ScalarField(domain, domain_insert(domain, mask, u)),
-                residual_history=history)
-        history.append(rnorm)
-        iterations += 1
+    def target(vec, _):
+        return newton_tol * max(1.0, l2(f_eval(sp_params, vec)))
 
-    # polish: quadratic convergence usually drops the residual far below the
-    # tolerance, which the nodewise inequality diagnostics rely on
-    for _ in range(2):
-        J = A - sp.diags(f_prime(sp_params, u))
-        try:
-            step = splu(J.tocsc()).solve(-r)
-        except RuntimeError:
-            break
-        trial = u + step
-        rt = residual(trial)
-        rtnorm = h * float(np.linalg.norm(rt))
-        if rtnorm < rnorm:
-            u, r, rnorm = trial, rt, rtnorm
-            history.append(rnorm)
-            iterations += 1
-        else:
-            break
+    def as_field(vec):
+        return ScalarField(domain, domain.insert(vec, mask))
 
+    u, rnorm, iterations = damped_newton(
+        guess.values[mask].astype(float), residual, jacobian, l2, target,
+        max_newton=max_newton, max_backtracks=max_backtracks,
+        as_iterate=as_field)
     if float(np.max(np.abs(u))) <= 1e3 * newton_tol:
         u = np.zeros_like(u)
-        r = residual(u)
-        rnorm = h * float(np.linalg.norm(r))
-    field = ScalarField(domain, domain_insert(domain, mask, u))
+        rnorm = l2(residual(u))
     positive = bool(np.min(u) > 0.0)
-    return ScalarSolveReport(field, iterations, rnorm, positive)
-
-
-def domain_insert(domain: GridDomain, mask, vec):
-    out = np.zeros((domain.ny, domain.nx))
-    out[mask] = vec
-    return out
+    return ScalarSolveReport(as_field(u), iterations, rnorm, positive)
 
 
 def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8,
@@ -179,7 +129,7 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8,
     lam = float(v @ (A @ v)) / float(v @ v)
     warm = None
     for it in range(1, max_iter + 1):
-        rhs = ScalarField(domain, domain_insert(domain, mask, v))
+        rhs = ScalarField(domain, domain.insert(v, mask))
         w = solve_spd(rhs, 0.0, region=mask, cg_tol=cg_tol, x0=warm).values[mask]
         wnorm = h * float(np.linalg.norm(w))
         if wnorm == 0.0:
@@ -197,7 +147,7 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8,
         if done:
             v = np.maximum(v, 0.0)  # M-matrix inverse keeps signs; clip cg dust
             v /= h * float(np.linalg.norm(v))
-            field = ScalarField(domain, domain_insert(domain, mask, v))
+            field = ScalarField(domain, domain.insert(v, mask))
             return lam, field
     raise EigenSolveError(
         f"inverse iteration stagnated after {max_iter} iterations")
@@ -215,7 +165,7 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
     A, _ = domain.laplacian(mask)
     lam1, _ = principal_eigenvalue(mask, domain, eig_tol=eig_tol)
     sigma = float(np.max(np.maximum(0.0, -c))) / lam1
-    lu = splu(A.tocsc())
+    lu = factorize(A)
 
     v = np.ones(c.size)
     Av = A @ v

@@ -14,10 +14,10 @@ Three model variants share one solver:
   - kappa [u_i + u_i^0]^+ sum_j [u_j + u_j^0]^+, the reformulation whose
   solutions obey the lower bound u_i >= -u_i^0.
 
-All sums run over j != i.  Solves use damped semismooth Newton on the full
-block system (positive parts get generalized derivative 1 at ties) with a
-sparse direct factorization per step, falling back to nonlinear
-Gauss-Seidel sweeps when Newton stalls.
+All sums run over j != i.  Solves use the damped semismooth Newton kernel
+of ``newton`` on the full block system (positive parts get generalized
+derivative 1 at ties), with one sparse LU per Newton step and chord polish
+steps that reuse the last one.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .errors import DomainMismatchError, NonlinearSolveError
+from .errors import DomainMismatchError
+from .newton import damped_newton
 from .operators import ScalarField, StateField
 from .reaction import f_eval, f_prime, f_truncated_eval, f_truncated_prime
 
@@ -104,8 +104,13 @@ class _System:
             return f_truncated_prime(self.species[i], s, self.caps[i])
         return f_prime(self.species[i], s)
 
-    def residual(self, u):
-        """Residual vectors A u_i - RHS_i for the stacked state u (list of k)."""
+    def split(self, x):
+        """Per-species views of the stacked interior vector x."""
+        return np.split(x, self.k)
+
+    def residual(self, x):
+        """Stacked residual A u_i - RHS_i at the stacked state x."""
+        u = self.split(x)
         k, kap = self.k, self.kappa
         res = []
         if self.model.kind == "barrier":
@@ -123,21 +128,22 @@ class _System:
                 s_i = P[i] - self.u0[i]
                 coupling = kap * P[i] * (totP - P[i])
                 res.append(self.A @ u[i] - self._f(i, s_i) + coupling)
-        return res
+        return np.concatenate(res)
 
-    def rhs_norm(self, u, res):
-        """Root-sum-square L2 norm of the model right-hand sides at u."""
+    def rhs_norm(self, x, r):
+        """Root-sum-square L2 norm of the model right-hand sides at x."""
         acc = 0.0
-        for i in range(self.k):
-            rhs = self.A @ u[i] - res[i]
+        for u_i, r_i in zip(self.split(x), self.split(r)):
+            rhs = self.A @ u_i - r_i
             acc += float(rhs @ rhs)
         return self.h * math.sqrt(acc)
 
-    def res_norm(self, res):
-        return self.h * math.sqrt(sum(float(r @ r) for r in res))
+    def res_norm(self, r):
+        return self.h * math.sqrt(sum(float(r_i @ r_i) for r_i in self.split(r)))
 
-    def jacobian(self, u):
-        """Block Jacobian of the residual at the stacked state u."""
+    def jacobian(self, x):
+        """Block Jacobian of the residual at the stacked state x."""
+        u = self.split(x)
         k, kap = self.k, self.kappa
         blocks = [[None] * k for _ in range(k)]
         if self.model.kind == "barrier":
@@ -165,135 +171,43 @@ class _System:
                         blocks[i][j] = sp.diags(kap * P[i] * H[j])
         return sp.bmat(blocks, format="csc")
 
-    def species_residual(self, i, u):
-        return self.residual(u)[i]
+    def stack(self, U: StateField):
+        """Stacked interior vector of the state U."""
+        mask = self.domain.interior_mask
+        return np.concatenate([u.values[mask] for u in U])
 
-    def species_jacobian(self, i, u):
-        k, kap = self.k, self.kappa
-        if self.model.kind == "barrier":
-            su = sum(u[j] for j in range(k) if j != i)
-            su0 = sum(self.u0[j] for j in range(k) if j != i)
-            return self.A + sp.diags(-self._fp(i, u[i]) + kap * (su + su0))
-        P = [np.maximum(u[j] + self.u0[j], 0.0) for j in range(k)]
-        H_i = (u[i] + self.u0[i] >= 0.0).astype(float)
-        s_i = P[i] - self.u0[i]
-        sp_other = sum(P[j] for j in range(k) if j != i)
-        return self.A + sp.diags(-self._fp(i, s_i) * H_i + kap * H_i * sp_other)
+    def unstack(self, x) -> StateField:
+        return StateField([ScalarField.from_interior(self.domain, v)
+                           for v in self.split(x)])
 
 
 def residual(U: StateField, species, model: ModelKind, kappa) -> StateField:
     """Model residual A u_i - RHS_i(U, kappa) as a state on the same grid."""
     system = _System(U.domain, species, model, kappa)
-    mask = U.domain.interior_mask
-    vecs = system.residual([u.values[mask] for u in U])
-    return StateField([ScalarField.from_interior(U.domain, r) for r in vecs])
+    return system.unstack(system.residual(system.stack(U)))
 
 
 def solve_system(guess: StateField, species, model: ModelKind, kappa,
-                 tol=1e-10, *, max_newton=200, max_backtracks=30,
-                 gs_sweeps=50) -> tuple[StateField, int]:
+                 tol=1e-10, *, max_newton=200,
+                 max_backtracks=30) -> tuple[StateField, int]:
     """Solve the selected model at fixed kappa by damped Newton.
 
     Returns (state, iterations) with the root-sum-square residual norm at
     or below tol * max(1, ||RHS||).  A step is accepted when the residual
-    norm decreases by the Armijo-style factor (1 - 1e-4 t); after
-    `max_backtracks` halvings the solver switches to nonlinear Gauss-Seidel
-    sweeps before raising NonlinearSolveError.
+    norm decreases by the Armijo-style factor (1 - 1e-4 t).  Raises
+    NonlinearSolveError when a step cannot reduce the residual after
+    `max_backtracks` halvings, a linearization is singular, or the budget
+    of `max_newton` steps runs out.
     """
     if len(species) != guess.k:
         raise ValueError("species list and state size disagree")
-    domain = guess.domain
-    system = _System(domain, species, model, kappa)
-    mask = domain.interior_mask
-    u = [f.values[mask].astype(float) for f in guess]
-    res = system.residual(u)
-    rnorm = system.res_norm(res)
-    history = [rnorm]
-    iterations = 0
+    system = _System(guess.domain, species, model, kappa)
 
-    def wrap(vecs):
-        return StateField([ScalarField.from_interior(domain, v) for v in vecs])
+    def target(x, r):
+        return tol * max(1.0, system.rhs_norm(x, r))
 
-    def target():
-        return tol * max(1.0, system.rhs_norm(u, res))
-
-    def newton_step():
-        nonlocal u, res, rnorm, iterations
-        J = system.jacobian(u)
-        try:
-            step = splu(J).solve(-np.concatenate(res))
-        except RuntimeError as exc:
-            raise NonlinearSolveError(
-                f"singular system linearization: {exc}",
-                last_iterate=wrap(u), residual_history=history) from exc
-        n = res[0].size
-        parts = [step[i * n:(i + 1) * n] for i in range(system.k)]
-        t = 1.0
-        for _ in range(max_backtracks + 1):
-            trial = [u[i] + t * parts[i] for i in range(system.k)]
-            res_t = system.residual(trial)
-            rt = system.res_norm(res_t)
-            if rt <= (1.0 - 1e-4 * t) * rnorm:
-                u, res, rnorm = trial, res_t, rt
-                iterations += 1
-                history.append(rnorm)
-                return True
-            t *= 0.5
-        return False
-
-    while rnorm > target():
-        if iterations >= max_newton:
-            raise NonlinearSolveError(
-                f"newton budget exhausted at residual {rnorm:.3e}",
-                last_iterate=wrap(u), residual_history=history)
-        if newton_step():
-            continue
-        # Newton stalled: nonlinear Gauss-Seidel sweeps, one species at a time
-        converged = False
-        for _ in range(gs_sweeps):
-            for i in range(system.k):
-                ri = system.species_residual(i, u)
-                ri_norm = system.h * float(np.linalg.norm(ri))
-                goal = 0.25 * ri_norm
-                for _ in range(8):
-                    if system.h * float(np.linalg.norm(ri)) <= goal:
-                        break
-                    Ji = system.species_jacobian(i, u)
-                    try:
-                        s = splu(Ji.tocsc()).solve(-ri)
-                    except RuntimeError:
-                        break
-                    u[i] = u[i] + s
-                    ri = system.species_residual(i, u)
-            res = system.residual(u)
-            rnorm = system.res_norm(res)
-            history.append(rnorm)
-            iterations += 1
-            if rnorm <= target():
-                converged = True
-                break
-        if not converged:
-            raise NonlinearSolveError(
-                f"gauss-seidel fallback stalled at residual {rnorm:.3e}",
-                last_iterate=wrap(u), residual_history=history)
-        break
-
-    # polish toward machine-level nodewise residuals (see diagnostics tolerances)
-    for _ in range(2):
-        J = system.jacobian(u)
-        try:
-            step = splu(J).solve(-np.concatenate(res))
-        except RuntimeError:
-            break
-        n = res[0].size
-        trial = [u[i] + step[i * n:(i + 1) * n] for i in range(system.k)]
-        res_t = system.residual(trial)
-        rt = system.res_norm(res_t)
-        if rt < rnorm:
-            u, res, rnorm = trial, res_t, rt
-            history.append(rnorm)
-            iterations += 1
-        else:
-            break
-
-    return wrap(u), iterations
+    x, _, iterations = damped_newton(
+        system.stack(guess), system.residual, system.jacobian,
+        system.res_norm, target, max_newton=max_newton,
+        max_backtracks=max_backtracks, as_iterate=system.unstack)
+    return system.unstack(x), iterations

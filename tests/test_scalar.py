@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import seglv as sg
-from seglv import (EigenSolveError, PhiUnavailable, ScalarField, SpeciesParams,
-                   nd_margin, norm, positive_branch_guess, principal_eigenvalue,
-                   solve_ball, supersolution_phi)
+from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
+                   ScalarField, SpeciesParams, nd_margin, norm,
+                   positive_branch_guess, principal_eigenvalue, solve_ball,
+                   supersolution_phi)
 
 
 def test_single_node_eigenvalue(tiny3):
@@ -69,6 +70,19 @@ def test_ball_solve_positive_branch(ball16):
     assert norm(resid, "L2") <= 1e-10 * max(1.0, norm(rhs, "L2"))
     # stencil vs sparse-matvec round-off bounds the recomputation gap
     assert norm(resid, "L2") == pytest.approx(report.final_residual, abs=1e-12)
+
+
+def test_ball_solve_budget_failure_carries_history(ball16):
+    region = ball16.species_ball_mask(0)
+    guess, lam1 = positive_branch_guess(ball16, region)
+    sp = SpeciesParams(lam=2 * lam1, p=2.0)
+    with pytest.raises(NonlinearSolveError) as err:
+        solve_ball(sp, region, ball16, guess, max_newton=1)
+    assert err.value.residual_history
+    last = err.value.last_iterate
+    assert last.domain is ball16
+    assert last.values.shape == (ball16.ny, ball16.nx)
+    assert not last.values[~region].any()
 
 
 def test_ball_solve_below_threshold_trivial(ball16):

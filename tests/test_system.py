@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import seglv as sg
+from seglv import newton
 from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_system)
 
@@ -142,6 +143,23 @@ def test_solver_failure_carries_history(dumbbell2_setup):
     with pytest.raises(NonlinearSolveError) as err:
         solve_system(setup["baseline"], setup["species"],
                      ModelKind.barrier(setup["baseline"]), 1e4, 1e-10,
-                     max_newton=1, max_backtracks=0, gs_sweeps=1)
+                     max_newton=1, max_backtracks=0)
     assert err.value.residual_history
     assert err.value.last_iterate is not None
+
+
+def test_polish_reuses_last_newton_factor(dumbbell2_setup, monkeypatch):
+    setup = dumbbell2_setup
+    U0 = setup["baseline"]
+    factorizations = 0
+    splu = newton.splu
+
+    def counting_splu(*args, **kwargs):
+        nonlocal factorizations
+        factorizations += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", counting_splu)
+    _, iterations = solve_system(U0, setup["species"], ModelKind.barrier(U0),
+                                 1024.0, 1e-10)
+    assert 0 < factorizations < iterations
