@@ -17,8 +17,7 @@ from .diagnostics import (DiagnosticsReport, FreeBoundary, UniquenessReport,
 from .domain import (BallSpec, CorridorSpec, GridDomain, build_domain,
                      region_membership, unit_square_domain)
 from .errors import (ConfigError, DomainError, DomainMismatchError, EigenSolveError,
-                     LinearSolveError, NDFailure, NonlinearSolveError, PhiUnavailable,
-                     PipelineError)
+                     NDFailure, NonlinearSolveError, PhiUnavailable, PipelineError)
 from .fileio import emit_field, emit_image, read_field, read_field_values
 from .operators import (ScalarField, StateField, apply_laplacian, inner, norm,
                         solve_spd, state_h1_norm)
@@ -33,7 +32,7 @@ __all__ = [
     "BallSpec", "ConfigError", "ContinuationSchedule", "ContinuationStep",
     "ContinuationTrace", "CorridorSpec", "DiagnosticsReport", "DomainError",
     "DomainMismatchError", "EigenSolveError", "FreeBoundary", "GridDomain",
-    "LinearSolveError", "ModelKind", "NDFailure", "NDReport", "NonlinearSolveError",
+    "ModelKind", "NDFailure", "NDReport", "NonlinearSolveError",
     "PhiUnavailable", "PipelineError", "RunConfig", "RunSummary", "ScalarField",
     "ScalarSolveReport", "SpeciesParams", "StateField", "UniquenessReport",
     "ViolationStats", "apply_laplacian", "box_violation_count", "build_domain",

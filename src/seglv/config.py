@@ -35,7 +35,6 @@ class ScheduleConfig:
 @dataclass
 class SolverConfig:
     newton_tol: float = 1e-10
-    cg_tol: float = 1e-10
     eig_tol: float = 1e-8
     max_newton: int = 200
     max_backtracks: int = 30
@@ -172,12 +171,11 @@ def parse_config(text: str) -> RunConfig:
     sol = _section(doc, "solver")
     solver = SolverConfig(
         newton_tol=_take(sol, "solver", "newton_tol", default=1e-10, kind=float),
-        cg_tol=_take(sol, "solver", "cg_tol", default=1e-10, kind=float),
         eig_tol=_take(sol, "solver", "eig_tol", default=1e-8, kind=float),
         max_newton=_take(sol, "solver", "max_newton", default=200, kind=int),
         max_backtracks=_take(sol, "solver", "max_backtracks", default=30, kind=int),
     )
-    for name in ("newton_tol", "cg_tol", "eig_tol"):
+    for name in ("newton_tol", "eig_tol"):
         if not getattr(solver, name) > 0:
             raise ConfigError(f"solver.{name} must be positive")
     if solver.max_newton < 1 or solver.max_backtracks < 0:

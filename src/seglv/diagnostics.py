@@ -213,7 +213,7 @@ def seeded_perturbation(domain, k, delta, seed) -> StateField:
     for _ in range(k):
         noise = np.zeros((domain.ny, domain.nx))
         noise[domain.interior_mask] = rng.uniform(-1.0, 1.0, domain.n_interior)
-        comps.append(solve_spd(ScalarField(domain, noise), 0.0))
+        comps.append(solve_spd(ScalarField(domain, noise)))
     W = StateField(comps)
     size = state_h1_norm(W)
     if size == 0.0:

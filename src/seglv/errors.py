@@ -13,15 +13,6 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
-class LinearSolveError(RuntimeError):
-    """Conjugate-gradient solve failed to reach the requested residual."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
 class NonlinearSolveError(RuntimeError):
     """Newton iteration failed; carries the last iterate and residual history."""
 
@@ -32,7 +23,7 @@ class NonlinearSolveError(RuntimeError):
 
 
 class EigenSolveError(RuntimeError):
-    """Eigenvalue iteration stagnated before reaching tolerance."""
+    """Eigenvalue solve did not reach the requested residual."""
 
 
 class PhiUnavailable(RuntimeError):

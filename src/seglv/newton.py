@@ -11,7 +11,8 @@ every factorization:
   on the pattern of J^T + J with diagonal pivots preferred (SuperLU's
   symmetric mode).  The 5-point Laplacian and the Jacobians built on it are
   structurally symmetric, so this ordering keeps the fill of L and U far
-  below the default column ordering's.
+  below the default column ordering's.  It is the package's only linear
+  solver: Poisson solves, eigen-solves and margins factor through it too.
 * After convergence up to two polish steps drive the residual toward
   machine level, which the nodewise inequality diagnostics rely on.  They
   are chord steps: they reuse the LU of the last Newton step instead of

@@ -9,8 +9,10 @@ the same domain the summation-by-parts identity
     inner(u, apply_laplacian(u)) == norm(u, "H1_seminorm")**2
 
 holds to round-off, and apply_laplacian is symmetric positive definite on
-nonzero interior data.  All reductions use numpy's fixed C-order summation,
-so repeated runs produce identical scalars.
+nonzero interior data.  Poisson solves go through the same sparse LU as
+every other linear solve in the package (``newton.factorize``).  All
+reductions use numpy's fixed C-order summation, so repeated runs produce
+identical scalars.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import GridDomain
-from .errors import DomainMismatchError, LinearSolveError
+from .errors import DomainMismatchError
+from .newton import factorize
 
 NORM_KINDS = ("L2", "H1_seminorm", "H1", "Linf")
 
@@ -181,73 +183,12 @@ def state_h1_norm(U: StateField) -> float:
     return float(math.sqrt(sum(norm(u, "H1") ** 2 for u in U)))
 
 
-def _jacobi_pcg(A, b, diag, tol, maxiter, x0=None):
-    """Jacobi-preconditioned conjugate gradients on interior vectors.
+def solve_spd(rhs: ScalarField) -> ScalarField:
+    """Solve A u = rhs with homogeneous Dirichlet data.
 
-    Returns (x, relres, iterations); convergence is on the Euclidean
-    residual relative to ||b|| (the h^2 weight of the L2 norm cancels).
-    """
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0, 0
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - A @ x
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
-    relres = float(np.linalg.norm(r)) / bnorm
-    it = 0
-    while relres > tol and it < maxiter:
-        Ap = A @ p
-        alpha = rz / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        relres = float(np.linalg.norm(r)) / bnorm
-        z = r / diag
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        it += 1
-    return x, relres, it
-
-
-def solve_spd(rhs: ScalarField, shift=0.0, *, region=None, cg_tol=1e-10,
-              max_iter=None, x0=None) -> ScalarField:
-    """Solve (A + diag(shift)) u = rhs with homogeneous Dirichlet data.
-
-    A is the 5-point -Laplace matrix on `region` (default: all interior
-    nodes); `shift` is a nonnegative nodal coefficient (ScalarField or
-    scalar), so the system is symmetric positive definite and conjugate
-    gradients converge.  Raises LinearSolveError with the achieved residual
-    if the iteration does not reach `cg_tol` within `max_iter` iterations
-    (default 50*sqrt(nx*ny)).
+    A is the 5-point -Laplace matrix on the interior nodes, factored by the
+    sparse LU of ``newton.factorize``.
     """
     domain = rhs.domain
-    A, index_map = domain.laplacian(region)
-    mask = domain.interior_mask if region is None else np.asarray(region, dtype=bool)
-    b = rhs.values[mask]
-    if isinstance(shift, ScalarField):
-        if shift.domain is not domain:
-            raise DomainMismatchError("shift field lives on a different domain")
-        s = shift.values[mask]
-    else:
-        s = np.full(b.shape, float(shift))
-    if np.any(s < 0):
-        raise ValueError("shift must be nonnegative nodewise")
-    if max_iter is None:
-        max_iter = int(50 * math.sqrt(domain.nx * domain.ny))
-    diag = 4.0 / domain.h ** 2 + s
-    M = A + sp.diags(s) if s.any() else A
-    guess = None if x0 is None else np.asarray(x0, dtype=float)
-    x, relres, it = _jacobi_pcg(M, b, diag, cg_tol, max_iter, x0=guess)
-    if relres > cg_tol:
-        raise LinearSolveError(
-            f"cg stalled at relative residual {relres:.3e} after {it} iterations",
-            residual=relres, iterations=it)
-    out = np.zeros((domain.ny, domain.nx))
-    out[mask] = x
-    return ScalarField(domain, out)
+    A, _ = domain.laplacian()
+    return ScalarField.from_interior(domain, factorize(A).solve(rhs.interior()))

@@ -223,7 +223,7 @@ _STAGE_FUNCS = {
 }
 
 
-def convergence_study(hs=(1 / 32, 1 / 64, 1 / 128), cg_tol=1e-10):
+def convergence_study(hs=(1 / 32, 1 / 64, 1 / 128)):
     """Manufactured-solution refinement study for the Poisson kernel.
 
     Solves A u = 2 pi^2 sin(pi x) sin(pi y) on the unit square at each
@@ -238,7 +238,7 @@ def convergence_study(hs=(1 / 32, 1 / 64, 1 / 128), cg_tol=1e-10):
         exact = np.sin(np.pi * X) * np.sin(np.pi * Y)
         exact[~domain.interior_mask] = 0.0
         rhs = ScalarField(domain, 2.0 * np.pi ** 2 * exact)
-        solved = solve_spd(rhs, 0.0, cg_tol=cg_tol)
+        solved = solve_spd(rhs)
         diff = ScalarField(domain, solved.values - exact)
         errors.append(norm(diff, "L2"))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]

@@ -7,12 +7,13 @@ Newton kernel of ``newton``: each step solves the linearized system
 (A - diag(f'(u))) s = -r with a sparse LU under a minimum-degree ordering
 of the symmetric pattern, and steps are halved until the residual norm
 decreases.  The two polish steps after convergence are chord steps that
-reuse the last Newton factorization.  The positive branch is reliably
-selected by seeding with half the principal Dirichlet eigenfield.
+reuse the last Newton factorization.  On a ball the positive branch is
+reliably selected by seeding with half the principal Dirichlet eigenfield;
+the global profile starts from the supersolution u = 1.
 
-The principal eigenvalue of -Lap on R comes from inverse power iteration
-with conjugate-gradient inner solves.  The nondegeneracy margin of a
-state u0 is
+The principal eigenvalue of -Lap on R comes from shift-invert Lanczos on
+a sparse LU of the same kind, which resolves the clustered low spectrum of
+balls joined by thin corridors.  The nondegeneracy margin of a state u0 is
 
     margin = 1 - nu_max,   nu_max = sup_w (w, f'(u0) w) / (w, A w),
 
@@ -30,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .domain import GridDomain
 from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
 from .newton import damped_newton, factorize
-from .operators import ScalarField, norm, solve_spd
+from .operators import ScalarField, norm
 from .reaction import SpeciesParams, f_eval, f_prime
 
 
@@ -107,50 +109,42 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     return ScalarSolveReport(as_field(u), iterations, rnorm, positive)
 
 
-def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8,
-                         cg_tol=1e-10, max_iter=500, require_residual=True):
+def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8):
     """Smallest Dirichlet eigenvalue of -Lap on `region` and its eigenfield.
 
-    Inverse power iteration; each application of A^{-1} is a solve_spd call
-    warm-started from the previous iterate.  The eigenfield comes back
-    L2-normalized with nonnegative sign, and by default the pair satisfies
-    ||A e - lam e||_L2 <= eig_tol * lam.  With require_residual=False the
-    iteration instead stops when the eigenvalue stagnates to eig_tol, which
-    is the only affordable criterion on multi-ball domains whose lowest
-    eigenvalues cluster within the corridor coupling (the returned field is
-    then a nonnegative cluster mixture).  Raises EigenSolveError on
-    stagnation.
+    Shift-invert Lanczos (ARPACK) about 0 on one sparse LU of A, started
+    from the constant vector so that runs are reproducible.  Regions with
+    fewer than 3 nodes, which ARPACK cannot take, use a dense eigensolve.
+    The eigenfield comes back L2-normalized and nonnegative.  Raises
+    EigenSolveError unless the pair satisfies
+    ||A e - lam e||_L2 <= eig_tol * lam.
     """
     mask = _resolve_region(domain, region)
     A, _ = domain.laplacian(mask)
     h = domain.h
-    n = int(mask.sum())
-    v = np.ones(n) / (h * math.sqrt(n))
-    lam = float(v @ (A @ v)) / float(v @ v)
-    warm = None
-    for it in range(1, max_iter + 1):
-        rhs = ScalarField(domain, domain.insert(v, mask))
-        w = solve_spd(rhs, 0.0, region=mask, cg_tol=cg_tol, x0=warm).values[mask]
-        wnorm = h * float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            raise EigenSolveError("inverse iteration collapsed to zero")
-        v = w / wnorm
-        Av = A @ v
-        lam_new = float(v @ Av) / float(v @ v)
-        if require_residual:
-            resid = h * float(np.linalg.norm(Av - lam_new * v))
-            done = resid <= eig_tol * lam_new
-        else:
-            done = abs(lam_new - lam) <= eig_tol * abs(lam_new) and it >= 2
-        lam = lam_new
-        warm = v / lam
-        if done:
-            v = np.maximum(v, 0.0)  # M-matrix inverse keeps signs; clip cg dust
-            v /= h * float(np.linalg.norm(v))
-            field = ScalarField(domain, domain.insert(v, mask))
-            return lam, field
-    raise EigenSolveError(
-        f"inverse iteration stagnated after {max_iter} iterations")
+    n = A.shape[0]
+    if n < 3:
+        lams, vecs = np.linalg.eigh(A.toarray())
+    else:
+        lu = factorize(A)
+        try:
+            lams, vecs = eigsh(A, k=1, sigma=0.0,
+                               OPinv=LinearOperator(A.shape, matvec=lu.solve,
+                                                   dtype=float),
+                               v0=np.ones(n))
+        except ArpackNoConvergence as exc:
+            raise EigenSolveError(f"shift-invert lanczos: {exc}") from exc
+    lam = float(lams[0])
+    # on disconnected regions a repeated eigenvalue can come back as a
+    # sign-changing mix of per-component eigenfields, whose modulus is an
+    # eigenfield too; elsewhere abs only fixes the sign and round-off dust
+    v = np.abs(vecs[:, 0])
+    v /= h * float(np.linalg.norm(v))
+    resid = h * float(np.linalg.norm(A @ v - lam * v))
+    if not resid <= eig_tol * lam:
+        raise EigenSolveError(
+            f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
+    return lam, ScalarField(domain, domain.insert(v, mask))
 
 
 def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
@@ -187,39 +181,34 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
         f"rayleigh iteration stagnated after {max_iter} iterations")
 
 
-def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=1e-8,
-                          require_residual=True):
+def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=1e-8):
     """Half the max-normalized principal eigenfield, plus the eigenvalue.
 
     The standard seed for selecting the positive logistic branch.
     """
-    lam1, eigfield = principal_eigenvalue(region, domain, eig_tol=eig_tol,
-                                          require_residual=require_residual)
+    lam1, eigfield = principal_eigenvalue(region, domain, eig_tol=eig_tol)
     peak = norm(eigfield, "Linf")
     return eigfield * (0.5 / peak), lam1
 
 
 def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
-                      newton_tol=1e-10, eig_tol=1e-4) -> ScalarField:
+                      newton_tol=1e-10, eig_tol=1e-8) -> ScalarField:
     """Positive profile of -Lap u = f(u) on the whole interior.
 
     Caps every later system solution from above (truncation barrier).
     Raises PhiUnavailable when lambda <= lambda_1 of the domain, where only
     the trivial state exists.
 
-    The eigenvalue tolerance is deliberately loose and the stagnation
-    stopping rule is used: on multi-ball domains with thin corridors the
-    lowest eigenvalues cluster within the corridor coupling, which power
-    iteration cannot split cheaply, and the seed and threshold test only
-    need a coarse value.
+    Newton starts from u = 1 on the interior: f(1) = 0, so it is a discrete
+    supersolution, and the iteration descends to the positive profile.
     """
-    guess, lam1 = positive_branch_guess(domain, None, eig_tol=eig_tol,
-                                        require_residual=False)
+    lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)
     if sp_params.lam <= lam1:
         raise PhiUnavailable(
             f"lambda {sp_params.lam:.6g} <= lambda_1 {lam1:.6g}; "
             "no positive global profile")
-    report = solve_ball(sp_params, domain.interior_mask, domain, guess,
+    one = ScalarField(domain, domain.interior_mask.astype(float))
+    report = solve_ball(sp_params, domain.interior_mask, domain, one,
                         newton_tol=newton_tol)
     if not report.positive:
         raise NonlinearSolveError(

@@ -21,10 +21,16 @@ def test_minimal_config_defaults():
     cfg = parse_config(json.dumps(MINIMAL))
     assert cfg.model.kind == "barrier" and cfg.model.truncation is False
     assert cfg.schedule.kappa_start == 1.0 and cfg.schedule.steps == 18
-    assert cfg.solver.newton_tol == 1e-10 and cfg.solver.cg_tol == 1e-10
+    assert cfg.solver.newton_tol == 1e-10
     assert cfg.solver.eig_tol == 1e-8
     assert cfg.uniqueness is None
     assert cfg.output.directory == "out" and cfg.output.emit_fields
+
+
+def test_unknown_solver_key_ignored():
+    doc = dict(MINIMAL, solver={"newton_tol": 1e-9, "cg_tol": 1e-10})
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.solver.newton_tol == 1e-9 and not hasattr(cfg.solver, "cg_tol")
 
 
 def test_species_ball_count_mismatch():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import seglv as sg
-from seglv import (LinearSolveError, ScalarField, StateField, apply_laplacian,
-                   inner, norm, solve_spd)
+from seglv import (ScalarField, StateField, apply_laplacian, inner, norm,
+                   solve_spd)
 from conftest import random_field
 
 
@@ -74,13 +74,13 @@ def test_domain_mismatch_rejected(tiny3, square16):
 
 
 def test_solve_spd_zero_rhs(square16):
-    out = solve_spd(ScalarField.zeros(square16), 0.0)
+    out = solve_spd(ScalarField.zeros(square16))
     assert norm(out, "Linf") == 0.0
 
 
 def test_solve_spd_single_node(tiny3):
     rhs = field_on(tiny3, 4.0)
-    assert solve_spd(rhs, 0.0).values[1, 1] == pytest.approx(1.0)
+    assert solve_spd(rhs).values[1, 1] == pytest.approx(1.0)
 
 
 def test_solve_spd_manufactured_convergence():
@@ -91,35 +91,18 @@ def test_solve_spd_manufactured_convergence():
         exact = np.sin(np.pi * X) * np.sin(np.pi * Y)
         exact[~dom.interior_mask] = 0.0
         rhs = ScalarField(dom, 2 * np.pi ** 2 * exact)
-        u = solve_spd(rhs, 0.0)
+        u = solve_spd(rhs)
         errs.append(norm(ScalarField(dom, u.values - exact), "L2"))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
 
-def test_solve_spd_with_shift_residual(square16):
+def test_solve_spd_residual(dumbbell2):
     rng = np.random.default_rng(5)
-    rhs = random_field(square16, rng)
-    shift_vals = np.zeros((square16.ny, square16.nx))
-    shift_vals[square16.interior_mask] = rng.uniform(0, 50, square16.n_interior)
-    shift = ScalarField(square16, shift_vals)
-    u = solve_spd(rhs, shift, cg_tol=1e-12)
-    resid = apply_laplacian(u).values + shift.values * u.values - rhs.values
-    resid = ScalarField(square16, np.where(square16.interior_mask, resid, 0.0))
-    assert norm(resid, "L2") <= 1e-10 * norm(rhs, "L2")
-
-
-def test_solve_spd_negative_shift_rejected(square16):
-    with pytest.raises(ValueError, match="nonnegative"):
-        solve_spd(field_on(square16, 1.0), -1.0)
-
-
-def test_solve_spd_nonconvergence_raises(square16):
-    rng = np.random.default_rng(11)
-    rhs = random_field(square16, rng)
-    with pytest.raises(LinearSolveError) as err:
-        solve_spd(rhs, 0.0, max_iter=2, cg_tol=1e-14)
-    assert err.value.residual is not None and err.value.residual > 0
+    rhs = random_field(dumbbell2, rng)
+    u = solve_spd(rhs)
+    resid = apply_laplacian(u).values - rhs.values
+    assert norm(ScalarField(dumbbell2, resid), "L2") <= 1e-12 * norm(rhs, "L2")
 
 
 def test_laplacian_symmetry_and_definiteness(dumbbell2):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import seglv as sg
 from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
@@ -40,9 +41,42 @@ def test_eigenvalue_domain_monotonicity(ball16):
     assert lam_small > lam_full
 
 
-def test_eigen_stagnation_raises(ball16):
-    with pytest.raises(EigenSolveError):
-        principal_eigenvalue(None, ball16, max_iter=1)
+@pytest.fixture(scope="module")
+def chain3_domain():
+    """Three unit balls joined by width-0.2 corridors at h = 1/32."""
+    balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((3.0, 0.0), 1.0, 1),
+             sg.BallSpec((6.0, 0.0), 1.0, 2)]
+    corridors = [sg.CorridorSpec(0, 1, 0.2), sg.CorridorSpec(1, 2, 0.2)]
+    return sg.build_domain(balls, corridors, (-1.25, -1.25, 7.25, 1.25), 1 / 32)
+
+
+def test_eigenvalue_resolves_clustered_spectrum(chain3_domain):
+    # the lowest three eigenvalues sit at 5.631, 5.650, 5.650
+    lam, e = principal_eigenvalue(None, chain3_domain)
+    A, _ = chain3_domain.laplacian()
+    reference = float(eigsh(A.tocsc(), k=1, sigma=0)[0][0])
+    assert lam == pytest.approx(reference, rel=1e-8)
+    assert lam == pytest.approx(5.63141991579, rel=1e-10)
+    assert e.values.min() >= 0.0
+
+
+def test_eigenfield_spans_disconnected_domain():
+    # two identical disks: lambda_1 is repeated, one eigenfield per disk
+    balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((3.0, 0.0), 1.0, 1)]
+    dom = sg.build_domain(balls, [], (-1.4, -1.4, 4.4, 1.4), 1 / 8)
+    lam, e = principal_eigenvalue(None, dom)
+    lam0, _ = principal_eigenvalue(dom.species_ball_mask(0), dom)
+    assert lam == pytest.approx(lam0, rel=1e-10)
+    assert e.values[dom.interior_mask].min() > 0
+    resid = sg.apply_laplacian(e).values - lam * e.values
+    resid = ScalarField(dom, np.where(dom.interior_mask, resid, 0.0))
+    assert norm(resid, "L2") <= 1e-8 * lam
+
+
+def test_eigen_residual_failure_raises(ball16):
+    # the residual check cannot reach 1e-16 relative in floating point
+    with pytest.raises(EigenSolveError, match="residual"):
+        principal_eigenvalue(None, ball16, eig_tol=1e-16)
 
 
 def test_eigenpair_residual_contract(ball16):
@@ -160,6 +194,24 @@ def test_supersolution_positive_and_caps_solutions(dumbbell2_setup):
     # baseline states stay below the global profile
     for u in dumbbell2_setup["baseline"]:
         assert np.all(u.values <= phi.values + 1e-9)
+
+
+def test_supersolution_just_above_clustered_threshold(chain3_domain):
+    # lambda = 5.64 lies above lambda_1 = 5.6314 of the chain
+    phi = supersolution_phi(SpeciesParams(lam=5.64, p=2.0), chain3_domain)
+    assert phi.values[chain3_domain.interior_mask].min() > 0
+    assert norm(phi, "Linf") == pytest.approx(2.1e-3, rel=0.05)
+
+
+def test_supersolution_at_runner_eigen_tolerance(chain3_domain):
+    sp = SpeciesParams(lam=11.3394, p=2.0)
+    phi = supersolution_phi(sp, chain3_domain, eig_tol=1e-8)
+    mask = chain3_domain.interior_mask
+    assert phi.values[mask].min() > 0
+    resid = sg.apply_laplacian(phi).values - sg.f_eval(sp, phi.values)
+    resid = ScalarField(chain3_domain, np.where(mask, resid, 0.0))
+    rhs = ScalarField(chain3_domain, np.where(mask, sg.f_eval(sp, phi.values), 0.0))
+    assert norm(resid, "L2") <= 1e-10 * max(1.0, norm(rhs, "L2"))
 
 
 def test_supersolution_unavailable_below_threshold(ball16):
