@@ -26,7 +26,7 @@ from .reaction import (SpeciesParams, f_eval, f_prime, f_truncated_eval,
 from .runner import RunSummary, convergence_study, run
 from .scalar import (NDReport, ScalarSolveReport, nd_margin, positive_branch_guess,
                      principal_eigenvalue, solve_ball, supersolution_phi)
-from .system import ModelKind, residual, solve_system
+from .system import ModelKind, residual, solve_near, solve_system
 
 __all__ = [
     "BallSpec", "ConfigError", "ContinuationSchedule", "ContinuationStep",
@@ -42,7 +42,7 @@ __all__ = [
     "inequality_check", "inner", "load_config", "nd_margin", "noninvasion", "norm",
     "overlap", "parse_config", "positive_branch_guess", "potential_eval",
     "principal_eigenvalue", "read_field", "read_field_values", "region_membership",
-    "residual", "run", "seeded_perturbation", "solve_ball", "solve_spd",
-    "solve_system", "state_h1_norm", "supersolution_phi", "uniqueness_probe",
+    "residual", "run", "seeded_perturbation", "solve_ball", "solve_near",
+    "solve_spd", "solve_system", "state_h1_norm", "supersolution_phi", "uniqueness_probe",
     "unit_square_domain",
 ]

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonlinearSolveError
+from .newton import factorize
 from .operators import (ScalarField, StateField, apply_laplacian, inner, norm,
-                        solve_spd, state_h1_norm)
+                        state_h1_norm)
 from .reaction import f_eval, hat_rhs, hat_transform, potential_eval
-from .system import ModelKind, solve_system
+from .system import ModelKind, solve_near
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,7 @@ class UniquenessReport:
     trials: int
     max_pairwise_h1_distance: float
     all_converged: bool
+    converged: int
 
 
 def overlap(U: StateField) -> np.ndarray:
@@ -203,18 +205,20 @@ def compute_diagnostics(U: StateField, species, tol, baseline=None,
 def seeded_perturbation(domain, k, delta, seed) -> StateField:
     """Reproducible smooth random state of H1 size exactly delta.
 
-    Per-node uniform noise is smoothed by one Poisson solve (raw noise has
-    enormous H1 norm) and the tuple is rescaled to the requested size.
+    Per-node uniform noise, drawn component after component from
+    default_rng(seed), is smoothed by a Poisson solve (raw noise has
+    enormous H1 norm): one LU of the Laplacian serves all k components in a
+    single multi-column solve.  The tuple is rescaled to the requested size.
     """
     rng = np.random.default_rng(seed)
     if delta == 0:
         return StateField.zeros(domain, k)
-    comps = []
-    for _ in range(k):
-        noise = np.zeros((domain.ny, domain.nx))
-        noise[domain.interior_mask] = rng.uniform(-1.0, 1.0, domain.n_interior)
-        comps.append(solve_spd(ScalarField(domain, noise)))
-    W = StateField(comps)
+    noise = np.column_stack([rng.uniform(-1.0, 1.0, domain.n_interior)
+                             for _ in range(k)])
+    A, _ = domain.laplacian()
+    smooth = factorize(A).solve(noise)
+    W = StateField([ScalarField.from_interior(domain, smooth[:, i])
+                    for i in range(k)])
     size = state_h1_norm(W)
     if size == 0.0:
         return StateField.zeros(domain, k)
@@ -223,26 +227,26 @@ def seeded_perturbation(domain, k, delta, seed) -> StateField:
 
 def uniqueness_probe(domain, species, model: ModelKind, kappa_final,
                      center: StateField, delta, trials, seed, *,
-                     tol=1e-10) -> UniquenessReport:
+                     tol=1e-10, max_newton=200,
+                     max_backtracks=30) -> UniquenessReport:
     """Multistart collapse test around a converged state.
 
     Re-solves from `trials` seeded perturbations of the center (H1 size
     delta, per-trial seed = seed + trial) and reports the largest pairwise
-    H1 distance among the converged results.  Non-convergent trials are
-    flagged, not fatal.
+    H1 distance among the converged results.  The trials share one
+    factorization of the Jacobian at the center (``system.solve_near``) and
+    run on the Newton budget `max_newton` / `max_backtracks`.
+    Non-convergent trials are counted and flagged, not fatal.
     """
-    results = []
-    all_converged = True
-    for t in range(trials):
-        start = center + seeded_perturbation(domain, center.k, delta, seed + t)
-        try:
-            solution, _ = solve_system(start, species, model, kappa_final, tol)
-            results.append(solution)
-        except NonlinearSolveError:
-            all_converged = False
+    starts = [center + seeded_perturbation(domain, center.k, delta, seed + t)
+              for t in range(trials)]
+    outcomes = solve_near(center, starts, species, model, kappa_final, tol,
+                          max_newton=max_newton, max_backtracks=max_backtracks)
+    results = [u for u in outcomes if not isinstance(u, NonlinearSolveError)]
     max_dist = 0.0
     for a in range(len(results)):
         for b in range(a + 1, len(results)):
             max_dist = max(max_dist, h1_distance(results[a], results[b]))
     return UniquenessReport(trials=trials, max_pairwise_h1_distance=max_dist,
-                            all_converged=all_converged)
+                            all_converged=len(results) == trials,
+                            converged=len(results))

@@ -18,8 +18,18 @@ every factorization:
   are chord steps: they reuse the LU of the last Newton step instead of
   factoring again, and contract superlinearly that close to the solution.
   Only a start that is already converged gets a factorization of its own.
-* At most one LU is alive at a time; the previous one is dropped before
-  the next is built, which bounds peak memory at a single factor.
+* A caller solving many nearby problems may hand in the LU of a nearby
+  Jacobian (``lu=``).  Steps then start as full chord steps on that
+  factor, each accepted while it at least halves the residual norm; the
+  first that does not drops the factor for the rest of the solve, and
+  ordinary damped Newton goes on from the current iterate (Kelley's
+  chord / Shamanskii rule, *Solving Nonlinear Equations with Newton's
+  Method*, SIAM 2003, section 5.4).  A solve that converges on chord steps
+  alone polishes on the same factor and builds none of its own.
+* The kernel keeps at most one LU of its own alive; the previous one is
+  dropped before the next is built, which bounds peak memory at a single
+  factor.  A handed-in factor belongs to the caller and outlives the
+  solve, so while a solve falls back from it two factors are alive.
 """
 
 from __future__ import annotations
@@ -36,11 +46,13 @@ def factorize(J):
 
 
 def damped_newton(x, residual, jacobian, norm, target, *, max_newton,
-                  max_backtracks, as_iterate):
+                  max_backtracks, as_iterate, lu=None):
     """Solve residual(x) = 0 from the flat start vector x.
 
     Iterates until norm(r) <= target(x, r).  Returns (x, norm(r),
-    iterations); accepted polish steps count as iterations.  Raises
+    iterations); accepted chord and polish steps count as iterations.
+    `lu`, when given, is a factorization of a nearby Jacobian that the
+    first steps reuse as chord steps (see the module docstring).  Raises
     NonlinearSolveError when the budget of `max_newton` steps runs out, a
     linearization is singular, or a step cannot reduce the residual after
     `max_backtracks` halvings; its last_iterate is as_iterate(x) and its
@@ -50,7 +62,7 @@ def damped_newton(x, residual, jacobian, norm, target, *, max_newton,
     rnorm = norm(r)
     history = [rnorm]
     iterations = 0
-    lu = None
+    chord = lu is not None
 
     def failure(message):
         return NonlinearSolveError(message, last_iterate=as_iterate(x),
@@ -59,6 +71,16 @@ def damped_newton(x, residual, jacobian, norm, target, *, max_newton,
     while rnorm > target(x, r):
         if iterations >= max_newton:
             raise failure(f"newton budget exhausted at residual {rnorm:.3e}")
+        if chord:
+            trial = x + lu.solve(-r)
+            rt = residual(trial)
+            rtnorm = norm(rt)
+            if rtnorm <= 0.5 * rnorm:
+                x, r, rnorm = trial, rt, rtnorm
+                history.append(rnorm)
+                iterations += 1
+                continue
+            chord = False
         lu = None
         try:
             lu = factorize(jacobian(x))

@@ -205,11 +205,14 @@ def _stage_uniqueness(config, state, summary, outdir):
                                         caps=state.get("caps")),
                               trace.steps[-1].kappa, trace.final_state(),
                               probe.delta, probe.trials, probe.seed,
-                              tol=config.solver.newton_tol)
+                              tol=config.solver.newton_tol,
+                              max_newton=config.solver.max_newton,
+                              max_backtracks=config.solver.max_backtracks)
     summary.uniqueness = {
         "trials": report.trials,
         "max_pairwise_h1_distance": report.max_pairwise_h1_distance,
         "all_converged": report.all_converged,
+        "converged": report.converged,
     }
 
 

@@ -121,12 +121,16 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8):
     """
     mask = _resolve_region(domain, region)
     A, _ = domain.laplacian(mask)
-    h = domain.h
+    lam, v = _eigenpair(A, factorize(A), domain.h, eig_tol)
+    return lam, ScalarField(domain, domain.insert(v, mask))
+
+
+def _eigenpair(A, lu, h, eig_tol):
+    """Principal eigenpair of A given its LU; see ``principal_eigenvalue``."""
     n = A.shape[0]
     if n < 3:
         lams, vecs = np.linalg.eigh(A.toarray())
     else:
-        lu = factorize(A)
         try:
             lams, vecs = eigsh(A, k=1, sigma=0.0,
                                OPinv=LinearOperator(A.shape, matvec=lu.solve,
@@ -144,7 +148,7 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8):
     if not resid <= eig_tol * lam:
         raise EigenSolveError(
             f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
-    return lam, ScalarField(domain, domain.insert(v, mask))
+    return lam, v
 
 
 def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
@@ -157,9 +161,9 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
     if not np.any(c):
         return NDReport(margin=1.0, rayleigh_iterations=0)
     A, _ = domain.laplacian(mask)
-    lam1, _ = principal_eigenvalue(mask, domain, eig_tol=eig_tol)
-    sigma = float(np.max(np.maximum(0.0, -c))) / lam1
     lu = factorize(A)
+    lam1, _ = _eigenpair(A, lu, domain.h, eig_tol)
+    sigma = float(np.max(np.maximum(0.0, -c))) / lam1
 
     v = np.ones(c.size)
     Av = A @ v

@@ -18,6 +18,11 @@ All sums run over j != i.  Solves use the damped semismooth Newton kernel
 of ``newton`` on the full block system (positive parts get generalized
 derivative 1 at ties), with one sparse LU per Newton step and chord polish
 steps that reuse the last one.
+
+Many solves of one problem from nearby starts (the multistart uniqueness
+probe) go through ``solve_near``: it factors the block Jacobian once at a
+converged center and runs every start as chord steps on that LU, so a
+start builds a factorization of its own only when a chord step stalls.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainMismatchError
-from .newton import damped_newton
+from .errors import DomainMismatchError, NonlinearSolveError
+from .newton import damped_newton, factorize
 from .operators import ScalarField, StateField
 from .reaction import f_eval, f_prime, f_truncated_eval, f_truncated_prime
 
@@ -180,6 +185,20 @@ class _System:
         return StateField([ScalarField.from_interior(self.domain, v)
                            for v in self.split(x)])
 
+    def solve(self, guess: StateField, tol, *, max_newton, max_backtracks,
+              lu=None) -> tuple[StateField, int]:
+        """Damped Newton from `guess`; see ``solve_system``.  `lu` is the
+        kernel's handed-in chord factor."""
+
+        def target(x, r):
+            return tol * max(1.0, self.rhs_norm(x, r))
+
+        x, _, iterations = damped_newton(
+            self.stack(guess), self.residual, self.jacobian, self.res_norm,
+            target, max_newton=max_newton, max_backtracks=max_backtracks,
+            as_iterate=self.unstack, lu=lu)
+        return self.unstack(x), iterations
+
 
 def residual(U: StateField, species, model: ModelKind, kappa) -> StateField:
     """Model residual A u_i - RHS_i(U, kappa) as a state on the same grid."""
@@ -201,13 +220,38 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     """
     if len(species) != guess.k:
         raise ValueError("species list and state size disagree")
-    system = _System(guess.domain, species, model, kappa)
+    return _System(guess.domain, species, model, kappa).solve(
+        guess, tol, max_newton=max_newton, max_backtracks=max_backtracks)
 
-    def target(x, r):
-        return tol * max(1.0, system.rhs_norm(x, r))
 
-    x, _, iterations = damped_newton(
-        system.stack(guess), system.residual, system.jacobian,
-        system.res_norm, target, max_newton=max_newton,
-        max_backtracks=max_backtracks, as_iterate=system.unstack)
-    return system.unstack(x), iterations
+def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
+               tol=1e-10, *, max_newton=200, max_backtracks=30) -> list:
+    """Solve the model at fixed kappa from every start near `center`.
+
+    Factors the block Jacobian at `center` once; each start then runs the
+    Newton kernel with that factor handed in, as chord steps that must at
+    least halve the residual norm, and falls back to ordinary damped Newton
+    (its own factorizations) from the first that does not.  Convergence,
+    budget and failures are those of ``solve_system``.
+
+    Returns a list with one entry per start: the solved state, or the
+    NonlinearSolveError that ended that start.  Raises NonlinearSolveError
+    when the Jacobian at the center cannot be factored.
+    """
+    if len(species) != center.k:
+        raise ValueError("species list and state size disagree")
+    system = _System(center.domain, species, model, kappa)
+    try:
+        lu = factorize(system.jacobian(system.stack(center)))
+    except RuntimeError as exc:
+        raise NonlinearSolveError(f"singular linearization at the center: {exc}",
+                                  last_iterate=center) from exc
+    results = []
+    for start in starts:
+        try:
+            state, _ = system.solve(start, tol, max_newton=max_newton,
+                                    max_backtracks=max_backtracks, lu=lu)
+            results.append(state)
+        except NonlinearSolveError as exc:
+            results.append(exc)
+    return results

@@ -58,6 +58,7 @@ def test_cli_full_run_and_outputs(tmp_path):
     assert summary["stages_completed"][-1] == "uniqueness"
     assert len(summary["continuation"]) == 5
     assert summary["uniqueness"]["all_converged"] is True
+    assert summary["uniqueness"]["converged"] == 3
     # per-kappa artifacts
     assert (out / "trace_4.json").exists()
     assert (out / "trace_1024.json").exists()
@@ -159,6 +160,26 @@ def test_runner_nd_failure_stage(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["failure"]["stage"] == "nd"
     assert "degenerate" in summary["failure"]["error"]
+
+
+def test_runner_probe_uses_solver_budget(tmp_path, monkeypatch):
+    from seglv import config as cfg_mod
+    from seglv.diagnostics import UniquenessReport
+
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["solver"].update({"max_newton": 37, "max_backtracks": 9})
+    doc["output"] = {"directory": str(tmp_path / "out")}
+    seen = {}
+
+    def fake_probe(*args, **kwargs):
+        seen.update(kwargs)
+        return UniquenessReport(trials=3, max_pairwise_h1_distance=0.0,
+                                all_converged=True, converged=3)
+
+    monkeypatch.setattr("seglv.runner.uniqueness_probe", fake_probe)
+    summary = run(cfg_mod.parse_config(json.dumps(doc)))
+    assert (seen["max_newton"], seen["max_backtracks"]) == (37, 9)
+    assert summary.uniqueness["converged"] == 3
 
 
 def test_single_ball_run_has_no_coupling_effects(tmp_path):

@@ -170,7 +170,41 @@ def test_uniqueness_probe_degenerate_cases(dumbbell2_setup):
     zero_delta = uniqueness_probe(setup["domain"], setup["species"], model,
                                   kappa, center, 0.0, 3, 5)
     assert zero_delta.max_pairwise_h1_distance <= 1e-12
-    assert zero_delta.all_converged
+    assert zero_delta.all_converged and zero_delta.converged == 3
+
+
+def test_probe_factors_coupled_jacobian_once(dumbbell2_setup, monkeypatch):
+    from seglv import newton
+
+    setup = dumbbell2_setup
+    model = sg.ModelKind.barrier(setup["baseline"])
+    center, _ = sg.solve_system(setup["baseline"], setup["species"], model,
+                                64.0, 1e-10)
+    coupled = 2 * setup["domain"].n_interior
+    sizes = []
+    splu = newton.splu
+
+    def recording_splu(J, *args, **kwargs):
+        sizes.append(J.shape[0])
+        return splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", recording_splu)
+    report = uniqueness_probe(setup["domain"], setup["species"], model, 64.0,
+                              center, 0.02, 3, 5)
+    assert sizes.count(coupled) == 1
+    assert report.all_converged and report.converged == 3
+    assert report.max_pairwise_h1_distance <= 1e-12
+
+
+def test_probe_respects_newton_budget(dumbbell2_setup):
+    setup = dumbbell2_setup
+    model = sg.ModelKind.barrier(setup["baseline"])
+    center, _ = sg.solve_system(setup["baseline"], setup["species"], model,
+                                64.0, 1e-10)
+    report = uniqueness_probe(setup["domain"], setup["species"], model, 64.0,
+                              center, 0.02, 3, 5, max_newton=1)
+    assert not report.all_converged
+    assert report.converged < report.trials
 
 
 def test_box_violation_count(dumbbell2_setup):

@@ -4,7 +4,7 @@ import pytest
 import seglv as sg
 from seglv import newton
 from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
-                   StateField, norm, residual, solve_system)
+                   StateField, norm, residual, solve_near, solve_system)
 
 
 def test_model_kind_validation(dumbbell2_setup):
@@ -163,3 +163,51 @@ def test_polish_reuses_last_newton_factor(dumbbell2_setup, monkeypatch):
     _, iterations = solve_system(U0, setup["species"], ModelKind.barrier(U0),
                                  1024.0, 1e-10)
     assert 0 < factorizations < iterations
+
+
+def test_solve_near_matches_solve_system(dumbbell2_setup):
+    setup = dumbbell2_setup
+    model = ModelKind.barrier(setup["baseline"])
+    center, _ = solve_system(setup["baseline"], setup["species"], model,
+                             64.0, 1e-10)
+    starts = [center + sg.seeded_perturbation(setup["domain"], 2, 0.02, s)
+              for s in (1, 2, 3)]
+    results = solve_near(center, starts, setup["species"], model, 64.0, 1e-10)
+    assert len(results) == len(starts)
+    for start, near in zip(starts, results):
+        direct, _ = solve_system(start, setup["species"], model, 64.0, 1e-10)
+        rel = sg.h1_distance(near, direct) / sg.state_h1_norm(direct)
+        assert rel <= 1e-12
+
+
+def test_chord_fallback_refactors_and_converges(dumbbell2_setup, monkeypatch):
+    # the LU at the baseline is a poor chord factor for the kappa = 1024
+    # barrier solve: a chord step stalls and the kernel factors again
+    setup = dumbbell2_setup
+    U0 = setup["baseline"]
+    model = ModelKind.barrier(U0)
+    direct, _ = solve_system(U0, setup["species"], model, 1024.0, 1e-10)
+    factorizations = 0
+    splu = newton.splu
+
+    def counting_splu(*args, **kwargs):
+        nonlocal factorizations
+        factorizations += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", counting_splu)
+    [near] = solve_near(U0, [U0], setup["species"], model, 1024.0, 1e-10)
+    assert factorizations >= 2
+    assert sg.h1_distance(near, direct) / sg.state_h1_norm(direct) <= 1e-12
+
+
+def test_solve_near_singular_center_raises(dumbbell2_setup, monkeypatch):
+    setup = dumbbell2_setup
+    U0 = setup["baseline"]
+
+    def singular_splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(newton, "splu", singular_splu)
+    with pytest.raises(NonlinearSolveError, match="singular linearization"):
+        solve_near(U0, [U0], setup["species"], ModelKind.barrier(U0), 64.0)
