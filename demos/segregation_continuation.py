@@ -4,8 +4,8 @@
 Runs the barrier model on a two-ball dumbbell with a doubling kappa ramp
 and prints, per step, the largest support overlap, the worst non-invasion
 entry (a species' amplitude inside the foreign ball), the energy, and the
-H1 distance to the previous state.  Emits graymap images of the final
-segregated state next to this script.
+H1 distance to the previous state.  Writes graymap images of the final
+segregated state to out/demos/ under the working directory.
 """
 
 from pathlib import Path
@@ -53,14 +53,15 @@ def main():
     print(f"free boundary: {len(fb)} threshold-crossing edges, "
           f"all inside the corridor: {in_corridor}")
 
-    outdir = Path(__file__).resolve().parent
+    outdir = Path("out", "demos")
+    outdir.mkdir(parents=True, exist_ok=True)
     for i, u in enumerate(final):
         path = outdir / f"segregated_u{i}.pgm"
         sg.emit_image(u, path)
-        print("wrote", path.name)
-    total = sg.ScalarField(domain, final[0].values + final[1].values)
-    sg.emit_image(total, outdir / "segregated_total.pgm")
-    print("wrote segregated_total.pgm (two disjoint bright territories)")
+        print("wrote", path)
+    path = outdir / "segregated_total.pgm"
+    sg.emit_image(sg.ScalarField(domain, final[0].values + final[1].values), path)
+    print("wrote", path, "(two disjoint bright territories)")
 
 
 if __name__ == "__main__":

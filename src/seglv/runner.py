@@ -150,11 +150,12 @@ def _stage_phi(config, state, summary, outdir):
     if not config.model.truncation:
         return
     domain = state["domain"]
-    caps = [supersolution_phi(sp_params, domain,
-                              newton_tol=config.solver.newton_tol,
-                              eig_tol=config.solver.eig_tol)
-            for sp_params in config.species]
-    state["caps"] = StateField(caps)
+    # species with equal parameters share one phi
+    phis = {sp_params: supersolution_phi(sp_params, domain,
+                                         newton_tol=config.solver.newton_tol,
+                                         eig_tol=config.solver.eig_tol)
+            for sp_params in dict.fromkeys(config.species)}
+    state["caps"] = StateField([phis[sp_params] for sp_params in config.species])
 
 
 def _stage_continuation(config, state, summary, outdir):

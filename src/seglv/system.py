@@ -1,23 +1,33 @@
 """Coupled k-species competition systems at fixed competition strength.
 
-Three model variants share one solver:
+The three model variants are one formula,
 
-* ``lotka_volterra``: -Lap u_i = f_i([u_i]^+) - kappa [u_i]^+ sum_j [u_j]^+,
-  the classical interaction written with positive parts so converged
-  solutions are nonnegative componentwise.
-* ``barrier``: -Lap u_i = f_i(u_i) - kappa u_i sum_j u_j
-  - kappa u_i sum_j u_j^0 - kappa u_i^0 sum_j u_j, the model with linear
-  competition against the fixed baseline profiles u_j^0, localized in the
-  balls; this is the variant whose large-kappa limit has the non-invading
-  property.
-* ``positive_part``: -Lap u_i = f_i([u_i + u_i^0]^+ - u_i^0)
-  - kappa [u_i + u_i^0]^+ sum_j [u_j + u_j^0]^+, the reformulation whose
-  solutions obey the lower bound u_i >= -u_i^0.
+    -Lap u_i = f_i(P_i - u_i^0) - kappa P_i sum_{j != i} P_j,
+
+with P_i the interacting part of species i against its fixed baseline
+profile u_i^0:
+
+* ``positive_part``: P_i = [u_i + u_i^0]^+ (the clip is on), the
+  reformulation whose solutions obey the lower bound u_i >= -u_i^0.
+* ``barrier``: P_i = u_i + u_i^0 (the clip is off), so the reaction is
+  f_i(u_i) and the coupling is linear competition against the baselines,
+  localized in the balls; this is the variant whose large-kappa limit has
+  the non-invading property.  Expanded, the coupling is
+  kappa (u_i sum_j u_j + u_i sum_j u_j^0 + u_i^0 sum_j u_j)
+  + kappa u_i^0 sum_j u_j^0, and the last term vanishes identically because
+  the baselines have disjoint supports (``ModelKind`` rejects baselines
+  that overlap at a node).
+* ``lotka_volterra``: the positive-part formula with u^0 = 0,
+  -Lap u_i = f_i([u_i]^+) - kappa [u_i]^+ sum_j [u_j]^+, the classical
+  interaction written with positive parts so converged solutions are
+  nonnegative componentwise.
 
 All sums run over j != i.  Solves use the damped semismooth Newton kernel
-of ``newton`` on the full block system (positive parts get generalized
-derivative 1 at ties), with one sparse LU per Newton step and chord polish
-steps that reuse the last one.
+of ``newton`` on the full block system, whose Jacobian is the block
+Laplacian plus diagonal blocks H_i (kappa S_i - f_i') and off-diagonal
+blocks kappa P_i H_j, with S_i = sum_{j != i} P_j and H_i the generalized
+derivative of P_i (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  There
+is one sparse LU per Newton step, and chord polish steps reuse the last one.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the block Jacobian once at a
@@ -27,7 +37,6 @@ start builds a factorization of its own only when a chord step stalls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +54,12 @@ MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
 class ModelKind:
     """Model selector; barrier and positive_part carry the baseline tuple.
 
-    ``caps`` holds the per-species truncation profiles (the global positive
-    supersolutions) when reaction truncation is switched on.
+    Their baseline components must have disjoint supports (no node where
+    two are nonzero), which the shared model formula relies on.  A
+    baseline attached to ``lotka_volterra`` is only a warm-start hint and
+    is not checked.  ``caps`` holds the per-species truncation profiles
+    (the global positive supersolutions) when reaction truncation is
+    switched on.
     """
 
     kind: str
@@ -56,8 +69,14 @@ class ModelKind:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind in ("barrier", "positive_part") and self.baseline is None:
+        if self.kind == "lotka_volterra":
+            return
+        if self.baseline is None:
             raise ValueError(f"{self.kind} model requires a baseline state")
+        overlap = np.count_nonzero([u.values for u in self.baseline], axis=0) > 1
+        if overlap.any():
+            raise ValueError(f"{self.kind} baseline components overlap at "
+                             f"{int(overlap.sum())} nodes")
 
     @classmethod
     def lotka_volterra(cls, baseline=None):
@@ -73,108 +92,82 @@ class ModelKind:
 
 
 class _System:
-    """Interior-vector view of one model at fixed kappa."""
+    """Interior-vector view of one model at fixed kappa.
+
+    The stacked vector x holds the k species one after another; its
+    (k, n) reshape is the per-species view every formula works on.
+    """
 
     def __init__(self, domain, species, model: ModelKind, kappa):
         self.domain = domain
         self.species = species
-        self.model = model
         self.kappa = float(kappa)
-        self.k = len(species)
-        self.A, _ = domain.laplacian()
+        self.k = k = len(species)
+        A, _ = domain.laplacian()
+        self.n = n = A.shape[0]
+        self.K = sp.kron(sp.identity(k, format="csr"), A, format="csr")
         self.h = domain.h
+        self.clip = model.kind != "barrier"
         mask = domain.interior_mask
         if model.baseline is not None and model.baseline.domain is not domain:
             raise DomainMismatchError("baseline lives on a different domain")
-        if model.kind != "lotka_volterra" and model.baseline is not None:
-            self.u0 = [u.values[mask] for u in model.baseline]
-        else:
+        if model.kind == "lotka_volterra":
             # the plain model may carry a baseline as a warm-start hint, but
             # its residual is the kind with zero baseline
-            self.u0 = [np.zeros(self.A.shape[0]) for _ in range(self.k)]
-        if model.caps is not None:
-            if model.caps.domain is not domain:
-                raise DomainMismatchError("truncation caps live on a different domain")
-            self.caps = [u.values[mask] for u in model.caps]
+            self.u0 = np.zeros((k, n))
         else:
-            self.caps = None
+            self.u0 = np.stack([u.values[mask] for u in model.baseline])
+        if model.caps is not None and model.caps.domain is not domain:
+            raise DomainMismatchError("truncation caps live on a different domain")
+        self.caps = None if model.caps is None else [u.values[mask] for u in model.caps]
+        # block (i, j) of the coupling is diagonal: entry m of it sits at
+        # row i n + m, column j n + m
+        index = np.arange(k * n, dtype=np.int32).reshape(k, n)
+        self._rows = np.repeat(index, k, axis=0).ravel()
+        self._cols = np.tile(index, (k, 1)).ravel()
 
-    def _f(self, i, s):
-        if self.caps is not None:
-            return f_truncated_eval(self.species[i], s, self.caps[i])
-        return f_eval(self.species[i], s)
+    def _reaction(self, fn, truncated, s):
+        """Per-species reaction term (or derivative) at the (k, n) argument s."""
+        if self.caps is None:
+            return np.stack([fn(p, s_i) for p, s_i in zip(self.species, s)])
+        return np.stack([truncated(p, s_i, c)
+                         for p, s_i, c in zip(self.species, s, self.caps)])
 
-    def _fp(self, i, s):
-        if self.caps is not None:
-            return f_truncated_prime(self.species[i], s, self.caps[i])
-        return f_prime(self.species[i], s)
-
-    def split(self, x):
-        """Per-species views of the stacked interior vector x."""
-        return np.split(x, self.k)
+    def _parts(self, x):
+        """(P, s, v): interacting parts, reaction argument and u + u^0 at x."""
+        v = x.reshape(self.k, self.n) + self.u0
+        if not self.clip:
+            return v, x.reshape(self.k, self.n), v
+        P = np.maximum(v, 0.0)
+        return P, P - self.u0, v
 
     def residual(self, x):
         """Stacked residual A u_i - RHS_i at the stacked state x."""
-        u = self.split(x)
-        k, kap = self.k, self.kappa
-        res = []
-        if self.model.kind == "barrier":
-            total_u = sum(u)
-            total_u0 = sum(self.u0)
-            for i in range(k):
-                su = total_u - u[i]
-                su0 = total_u0 - self.u0[i]
-                coupling = kap * (u[i] * (su + su0) + self.u0[i] * su)
-                res.append(self.A @ u[i] - self._f(i, u[i]) + coupling)
-        else:
-            P = [np.maximum(u[i] + self.u0[i], 0.0) for i in range(k)]
-            totP = sum(P)
-            for i in range(k):
-                s_i = P[i] - self.u0[i]
-                coupling = kap * P[i] * (totP - P[i])
-                res.append(self.A @ u[i] - self._f(i, s_i) + coupling)
-        return np.concatenate(res)
+        P, s, _ = self._parts(x)
+        coupling = self.kappa * P * (P.sum(axis=0) - P)
+        return (self.K @ x - self._reaction(f_eval, f_truncated_eval, s).ravel()
+                + coupling.ravel())
 
     def rhs_norm(self, x, r):
         """Root-sum-square L2 norm of the model right-hand sides at x."""
-        acc = 0.0
-        for u_i, r_i in zip(self.split(x), self.split(r)):
-            rhs = self.A @ u_i - r_i
-            acc += float(rhs @ rhs)
-        return self.h * math.sqrt(acc)
+        return self.h * float(np.linalg.norm(self.K @ x - r))
 
     def res_norm(self, r):
-        return self.h * math.sqrt(sum(float(r_i @ r_i) for r_i in self.split(r)))
+        return self.h * float(np.linalg.norm(r))
 
     def jacobian(self, x):
         """Block Jacobian of the residual at the stacked state x."""
-        u = self.split(x)
-        k, kap = self.k, self.kappa
-        blocks = [[None] * k for _ in range(k)]
-        if self.model.kind == "barrier":
-            total_u = sum(u)
-            total_u0 = sum(self.u0)
-            for i in range(k):
-                su = total_u - u[i]
-                su0 = total_u0 - self.u0[i]
-                blocks[i][i] = self.A + sp.diags(-self._fp(i, u[i]) + kap * (su + su0))
-                off = kap * (u[i] + self.u0[i])
-                for j in range(k):
-                    if j != i:
-                        blocks[i][j] = sp.diags(off)
-        else:
-            P = [np.maximum(u[i] + self.u0[i], 0.0) for i in range(k)]
-            H = [(u[i] + self.u0[i] >= 0.0).astype(float) for i in range(k)]
-            totP = sum(P)
-            for i in range(k):
-                s_i = P[i] - self.u0[i]
-                sp_other = totP - P[i]
-                blocks[i][i] = self.A + sp.diags(
-                    -self._fp(i, s_i) * H[i] + kap * H[i] * sp_other)
-                for j in range(k):
-                    if j != i:
-                        blocks[i][j] = sp.diags(kap * P[i] * H[j])
-        return sp.bmat(blocks, format="csc")
+        P, s, v = self._parts(x)
+        H = v >= 0.0 if self.clip else np.ones_like(v)
+        D = self.kappa * P[:, None, :] * H
+        fp = self._reaction(f_prime, f_truncated_prime, s)
+        D[np.arange(self.k), np.arange(self.k)] = H * (
+            self.kappa * (P.sum(axis=0) - P) - fp)
+        size = self.k * self.n
+        # K is symmetric, so K.T is its CSC form without a copy; the sum
+        # drops the coupling's zero entries (clipped nodes)
+        return sp.csc_matrix((D.ravel(), (self._rows, self._cols)),
+                             shape=(size, size)) + self.K.T
 
     def stack(self, U: StateField):
         """Stacked interior vector of the state U."""
@@ -183,7 +176,7 @@ class _System:
 
     def unstack(self, x) -> StateField:
         return StateField([ScalarField.from_interior(self.domain, v)
-                           for v in self.split(x)])
+                           for v in x.reshape(self.k, self.n)])
 
     def solve(self, guess: StateField, tol, *, max_newton, max_backtracks,
               lu=None) -> tuple[StateField, int]:

@@ -223,8 +223,27 @@ def test_runner_lotka_volterra_model(tmp_path):
                for step in summary.continuation)
 
 
-def test_runner_truncation_stage_builds_caps(tmp_path):
+def test_runner_truncation_stage_builds_caps(tmp_path, monkeypatch):
     from seglv import config as cfg_mod
+    from seglv import runner
+
+    phi_calls = 0
+    supersolution_phi = runner.supersolution_phi
+
+    def counting_phi(*args, **kwargs):
+        nonlocal phi_calls
+        phi_calls += 1
+        return supersolution_phi(*args, **kwargs)
+
+    models = []
+    continuation_run = runner.continuation_run
+
+    def recording_run(domain, species, model, *args, **kwargs):
+        models.append(model)
+        return continuation_run(domain, species, model, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "supersolution_phi", counting_phi)
+    monkeypatch.setattr(runner, "continuation_run", recording_run)
 
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["model"] = {"kind": "positive_part", "truncation": True}
@@ -237,5 +256,9 @@ def test_runner_truncation_stage_builds_caps(tmp_path):
     cfg.output.emit_fields = False
     summary = run(cfg, until="continuation")
     assert "phi" in summary.stages_completed
+    # the two species have equal parameters, so they share one phi
+    assert phi_calls == 1
+    [model] = models
+    assert model.caps.k == 2
     per_kappa = summary.continuation
     assert all(step["diagnostics"]["box_violations"] == 0 for step in per_kappa)

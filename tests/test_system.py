@@ -5,6 +5,41 @@ import seglv as sg
 from seglv import newton
 from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_near, solve_system)
+from seglv.system import _System
+
+
+@pytest.fixture(scope="module")
+def dumbbell2_caps(dumbbell2_setup):
+    setup = dumbbell2_setup
+    return StateField([sg.supersolution_phi(p, setup["domain"])
+                       for p in setup["species"]])
+
+
+def model_of(kind, baseline, caps=None):
+    if kind == "lotka_volterra":
+        return ModelKind.lotka_volterra()
+    return ModelKind(kind, baseline, caps)
+
+
+def barrier_reference(A, u, u0, species, kappa):
+    """The barrier residual as its three coupling terms, species by species."""
+    total_u, total_u0 = sum(u), sum(u0)
+    res = []
+    for i, p in enumerate(species):
+        su, su0 = total_u - u[i], total_u0 - u0[i]
+        coupling = kappa * (u[i] * (su + su0) + u0[i] * su)
+        res.append(A @ u[i] - sg.f_eval(p, u[i]) + coupling)
+    return np.concatenate(res)
+
+
+def positive_part_reference(A, u, u0, species, kappa):
+    """The positive-part residual with its clip, species by species."""
+    P = [np.maximum(u_i + u0_i, 0.0) for u_i, u0_i in zip(u, u0)]
+    res = []
+    for i, p in enumerate(species):
+        coupling = kappa * P[i] * (sum(P) - P[i])
+        res.append(A @ u[i] - sg.f_eval(p, P[i] - u0[i]) + coupling)
+    return np.concatenate(res)
 
 
 def test_model_kind_validation(dumbbell2_setup):
@@ -14,6 +49,71 @@ def test_model_kind_validation(dumbbell2_setup):
         ModelKind("barrier")
     ModelKind.lotka_volterra()
     ModelKind.barrier(dumbbell2_setup["baseline"])
+
+
+def test_overlapping_baselines_rejected(dumbbell2_setup):
+    U0 = dumbbell2_setup["baseline"]
+    overlapping = StateField([U0[0], U0[0] + U0[1]])
+    for kind in ("barrier", "positive_part"):
+        with pytest.raises(ValueError, match="overlap"):
+            ModelKind(kind, overlapping)
+    # the plain model's baseline is a warm-start hint, not part of its formula
+    ModelKind.lotka_volterra(overlapping)
+
+
+@pytest.mark.parametrize("kind, reference", [
+    ("barrier", barrier_reference),
+    ("positive_part", positive_part_reference),
+    ("lotka_volterra", positive_part_reference),
+])
+def test_residual_matches_reference_formulas(dumbbell2_setup, kind, reference):
+    setup = dumbbell2_setup
+    dom, species = setup["domain"], setup["species"]
+    model = model_of(kind, setup["baseline"])
+    system = _System(dom, species, model, 4096.0)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2 * dom.n_interior)
+    A, _ = dom.laplacian()
+    u0 = np.split(system.stack(setup["baseline"]), 2)
+    if kind == "lotka_volterra":
+        u0 = [np.zeros_like(u0_i) for u0_i in u0]
+    expect = reference(A, np.split(x, 2), u0, species, 4096.0)
+    got = system.residual(x)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "caps"])
+@pytest.mark.parametrize("kind", ["lotka_volterra", "barrier", "positive_part"])
+def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
+                                             kind, truncated):
+    setup = dumbbell2_setup
+    dom, species = setup["domain"], setup["species"]
+    model = model_of(kind, setup["baseline"], dumbbell2_caps if truncated else None)
+    system = _System(dom, species, model, 64.0)
+    rng = np.random.default_rng(5)
+    # a random state at least 1e-3 away from the clip kink (u + u^0 = 0)
+    # and, where the reaction argument moves with the state, from the cap
+    # kink (reaction argument = cap) at every node
+    clip = kind != "barrier"
+    u0 = system.stack(setup["baseline"]) if kind != "lotka_volterra" else 0.0
+    cap = system.stack(dumbbell2_caps)
+    x = rng.uniform(-1.0, 1.0, 2 * dom.n_interior)
+    for _ in range(10):
+        v = x + u0
+        s = np.maximum(v, 0.0) - u0 if clip else x
+        near = truncated & (v > 0.0 if clip else True) & (np.abs(s - cap) < 1e-3)
+        if clip:
+            near |= np.abs(v) < 1e-3
+        if not near.any():
+            break
+        x[near] += 5e-3
+    assert not near.any()
+    direction = rng.uniform(-1.0, 1.0, x.size)
+    eps = 1e-6
+    fd = (system.residual(x + eps * direction)
+          - system.residual(x - eps * direction)) / (2 * eps)
+    jv = system.jacobian(x) @ direction
+    assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
 
 
 def test_lv_residual_decouples_at_kappa_zero(dumbbell2_setup):
