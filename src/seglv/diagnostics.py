@@ -210,19 +210,28 @@ def seeded_perturbation(domain, k, delta, seed) -> StateField:
     enormous H1 norm): one LU of the Laplacian serves all k components in a
     single multi-column solve.  The tuple is rescaled to the requested size.
     """
-    rng = np.random.default_rng(seed)
+    return _seeded_perturbations(domain, k, delta, [seed])[0]
+
+
+def _seeded_perturbations(domain, k, delta, seeds) -> list[StateField]:
+    """``seeded_perturbation`` for each seed, all smoothed by one LU of the
+    Laplacian in one multi-column solve."""
     if delta == 0:
-        return StateField.zeros(domain, k)
-    noise = np.column_stack([rng.uniform(-1.0, 1.0, domain.n_interior)
-                             for _ in range(k)])
+        return [StateField.zeros(domain, k) for _ in seeds]
+    noise = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        noise += [rng.uniform(-1.0, 1.0, domain.n_interior) for _ in range(k)]
     A, _ = domain.laplacian()
-    smooth = factorize(A).solve(noise)
-    W = StateField([ScalarField.from_interior(domain, smooth[:, i])
-                    for i in range(k)])
-    size = state_h1_norm(W)
-    if size == 0.0:
-        return StateField.zeros(domain, k)
-    return W * (delta / size)
+    smooth = factorize(A).solve(np.column_stack(noise))
+    states = []
+    for t in range(len(seeds)):
+        W = StateField([ScalarField.from_interior(domain, smooth[:, t * k + i])
+                        for i in range(k)])
+        size = state_h1_norm(W)
+        states.append(StateField.zeros(domain, k) if size == 0.0
+                      else W * (delta / size))
+    return states
 
 
 def uniqueness_probe(domain, species, model: ModelKind, kappa_final,
@@ -232,14 +241,16 @@ def uniqueness_probe(domain, species, model: ModelKind, kappa_final,
     """Multistart collapse test around a converged state.
 
     Re-solves from `trials` seeded perturbations of the center (H1 size
-    delta, per-trial seed = seed + trial) and reports the largest pairwise
-    H1 distance among the converged results.  The trials share one
-    factorization of the Jacobian at the center (``system.solve_near``) and
-    run on the Newton budget `max_newton` / `max_backtracks`.
-    Non-convergent trials are counted and flagged, not fatal.
+    delta, per-trial seed = seed + trial, all smoothed by one Laplacian LU)
+    and reports the largest pairwise H1 distance among the converged
+    results.  The trials share one factorization of the Jacobian at the
+    center (``system.solve_near``) and run on the Newton budget
+    `max_newton` / `max_backtracks`.  Non-convergent trials are counted and
+    flagged, not fatal.
     """
-    starts = [center + seeded_perturbation(domain, center.k, delta, seed + t)
-              for t in range(trials)]
+    seeds = [seed + t for t in range(trials)]
+    starts = [center + W for W in
+              _seeded_perturbations(domain, center.k, delta, seeds)]
     outcomes = solve_near(center, starts, species, model, kappa_final, tol,
                           max_newton=max_newton, max_backtracks=max_backtracks)
     results = [u for u in outcomes if not isinstance(u, NonlinearSolveError)]

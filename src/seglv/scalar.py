@@ -99,7 +99,8 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
         return ScalarField(domain, domain.insert(vec, mask))
 
     u, rnorm, iterations = damped_newton(
-        guess.values[mask].astype(float), residual, jacobian, l2, target,
+        guess.values[mask].astype(float), residual,
+        lambda vec: factorize(jacobian(vec)), l2, target,
         max_newton=max_newton, max_backtracks=max_backtracks,
         as_iterate=as_field)
     if float(np.max(np.abs(u))) <= 1e3 * newton_tol:

@@ -26,13 +26,22 @@ All sums run over j != i.  Solves use the damped semismooth Newton kernel
 of ``newton`` on the full block system, whose Jacobian is the block
 Laplacian plus diagonal blocks H_i (kappa S_i - f_i') and off-diagonal
 blocks kappa P_i H_j, with S_i = sum_{j != i} P_j and H_i the generalized
-derivative of P_i (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  There
-is one sparse LU per Newton step, and chord polish steps reuse the last one.
+derivative of P_i (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  Every
+block of the coupling is diagonal, so it is held as one (k, k, n) array D.
+
+A Newton step does not factor the (k n)^2 Jacobian.  It factors the k
+diagonal blocks A + diag(D[i, i]) and solves J s = -r by restarted GMRES
+to a relative residual of ``KRYLOV_RTOL``, preconditioned by one forward
+block Gauss-Seidel sweep over those LUs (a Newton-Krylov method with a
+physics-block preconditioner, Knoll & Keyes, J. Comput. Phys. 193, 2004).
+J is applied as K x plus the coupling D and is not assembled.  The chord
+polish steps reuse the last step's block LUs.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
-probe) go through ``solve_near``: it factors the block Jacobian once at a
-converged center and runs every start as chord steps on that LU, so a
-start builds a factorization of its own only when a chord step stalls.
+probe) go through ``solve_near``: it factors the assembled block Jacobian
+once at a converged center and runs every start as chord steps on that
+exact LU, so a start builds a linearization of its own only when a chord
+step stalls.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DomainMismatchError, NonlinearSolveError
 from .newton import damped_newton, factorize
@@ -48,6 +58,13 @@ from .operators import ScalarField, StateField
 from .reaction import f_eval, f_prime, f_truncated_eval, f_truncated_prime
 
 MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
+
+# GMRES of the coupled Newton step: it succeeds once the true residual
+# ||J s - b|| is at most KRYLOV_RTOL ||b||, within KRYLOV_MAXITER restart
+# cycles of KRYLOV_RESTART iterations each
+KRYLOV_RTOL = 1e-6
+KRYLOV_RESTART = 50
+KRYLOV_MAXITER = 3
 
 
 @dataclass(frozen=True)
@@ -91,6 +108,49 @@ class ModelKind:
         return cls("positive_part", baseline, caps)
 
 
+class _BlockSolver:
+    """Newton-step solver of J s = b for J = kron(I_k, A) + coupling D.
+
+    Block (i, j) of J is diag(D[i, j]), plus the Laplacian A when i = j.
+    Only the k diagonal blocks are factored; ``solve`` runs GMRES with one
+    forward block Gauss-Seidel sweep over their LUs as preconditioner.
+    Building the solver raises RuntimeError when a block is singular, and
+    ``solve`` raises it when GMRES misses its tolerance.
+    """
+
+    def __init__(self, K, A, D):
+        self.K = K
+        self.D = D
+        self.blocks = [factorize(A + sp.diags(D[i, i])) for i in range(len(D))]
+
+    def solve(self, b):
+        K, D, blocks = self.K, self.D, self.blocks
+        k, n = len(D), D.shape[2]
+
+        def apply(x):
+            return K @ x + np.einsum("ijm,jm->im", D, x.reshape(k, n)).ravel()
+
+        def sweep(c):
+            c = c.reshape(k, n)
+            z = np.empty_like(c)
+            for i, lu in enumerate(blocks):
+                z[i] = lu.solve(c[i] - np.einsum("jm,jm->m", D[i, :i], z[:i]))
+            return z.ravel()
+
+        # built per call: operators held on the solver would keep its LUs
+        # alive in a reference cycle until a full garbage collection; the
+        # dtype spares LinearOperator a probing matvec and sweep
+        shape = (k * n, k * n)
+        s, info = gmres(LinearOperator(shape, matvec=apply, dtype=float), b,
+                        rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
+                        maxiter=KRYLOV_MAXITER,
+                        M=LinearOperator(shape, matvec=sweep, dtype=float))
+        if info != 0:
+            raise RuntimeError(f"GMRES missed relative residual {KRYLOV_RTOL:g} "
+                               f"in {KRYLOV_MAXITER} restart cycles")
+        return s
+
+
 class _System:
     """Interior-vector view of one model at fixed kappa.
 
@@ -103,7 +163,7 @@ class _System:
         self.species = species
         self.kappa = float(kappa)
         self.k = k = len(species)
-        A, _ = domain.laplacian()
+        self.A = A = domain.laplacian()[0]
         self.n = n = A.shape[0]
         self.K = sp.kron(sp.identity(k, format="csr"), A, format="csr")
         self.h = domain.h
@@ -155,19 +215,28 @@ class _System:
     def res_norm(self, r):
         return self.h * float(np.linalg.norm(r))
 
-    def jacobian(self, x):
-        """Block Jacobian of the residual at the stacked state x."""
+    def _coupling(self, x):
+        """(k, k, n) diagonals of the Jacobian's coupling blocks at x."""
         P, s, v = self._parts(x)
         H = v >= 0.0 if self.clip else np.ones_like(v)
         D = self.kappa * P[:, None, :] * H
         fp = self._reaction(f_prime, f_truncated_prime, s)
         D[np.arange(self.k), np.arange(self.k)] = H * (
             self.kappa * (P.sum(axis=0) - P) - fp)
+        return D
+
+    def jacobian(self, x):
+        """Assembled block Jacobian of the residual at the stacked state x."""
+        D = self._coupling(x)
         size = self.k * self.n
         # K is symmetric, so K.T is its CSC form without a copy; the sum
         # drops the coupling's zero entries (clipped nodes)
         return sp.csc_matrix((D.ravel(), (self._rows, self._cols)),
                              shape=(size, size)) + self.K.T
+
+    def linearize(self, x):
+        """Newton-step solver of the Jacobian at x (``_BlockSolver``)."""
+        return _BlockSolver(self.K, self.A, self._coupling(x))
 
     def stack(self, U: StateField):
         """Stacked interior vector of the state U."""
@@ -187,7 +256,7 @@ class _System:
             return tol * max(1.0, self.rhs_norm(x, r))
 
         x, _, iterations = damped_newton(
-            self.stack(guess), self.residual, self.jacobian, self.res_norm,
+            self.stack(guess), self.residual, self.linearize, self.res_norm,
             target, max_newton=max_newton, max_backtracks=max_backtracks,
             as_iterate=self.unstack, lu=lu)
         return self.unstack(x), iterations
@@ -208,8 +277,8 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     or below tol * max(1, ||RHS||).  A step is accepted when the residual
     norm decreases by the Armijo-style factor (1 - 1e-4 t).  Raises
     NonlinearSolveError when a step cannot reduce the residual after
-    `max_backtracks` halvings, a linearization is singular, or the budget
-    of `max_newton` steps runs out.
+    `max_backtracks` halvings, a diagonal block is singular, GMRES misses
+    its tolerance, or the budget of `max_newton` steps runs out.
     """
     if len(species) != guess.k:
         raise ValueError("species list and state size disagree")
@@ -221,11 +290,12 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
                tol=1e-10, *, max_newton=200, max_backtracks=30) -> list:
     """Solve the model at fixed kappa from every start near `center`.
 
-    Factors the block Jacobian at `center` once; each start then runs the
-    Newton kernel with that factor handed in, as chord steps that must at
-    least halve the residual norm, and falls back to ordinary damped Newton
-    (its own factorizations) from the first that does not.  Convergence,
-    budget and failures are those of ``solve_system``.
+    Factors the assembled block Jacobian at `center` once; each start then
+    runs the Newton kernel with that factor handed in, as chord steps that
+    must at least halve the residual norm, and falls back to ordinary damped
+    Newton (its own block-preconditioned GMRES steps) from the first that
+    does not.  Convergence, budget and failures are those of
+    ``solve_system``.
 
     Returns a list with one entry per start: the solved state, or the
     NonlinearSolveError that ended that start.  Raises NonlinearSolveError

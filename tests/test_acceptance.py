@@ -72,6 +72,15 @@ def chain3():
 
 
 @pytest.fixture(scope="session")
+def chain3_phi(chain3):
+    """Global positive profile of each species, one solve per distinct
+    parameter set (the three chain3 species are identical)."""
+    domain, species = chain3["domain"], chain3["species"]
+    phis = {sp: sg.supersolution_phi(sp, domain) for sp in dict.fromkeys(species)}
+    return StateField([phis[sp] for sp in species])
+
+
+@pytest.fixture(scope="session")
 def a3_trace(chain3):
     return run_chain(chain3["domain"], chain3["species"], chain3["baseline"])
 
@@ -162,14 +171,14 @@ def test_a4_differential_inequalities(a3_trace):
           f"at tol 1e-9 and kappa {a3_trace.kappas()[-1]:.0f}")
 
 
-def test_a5_noninvasion(a3_trace, chain3):
+def test_a5_noninvasion(a3_trace, chain3, chain3_phi):
     M = a3_trace.steps[-1].diagnostics.noninvasion
     worst = max(M[i, j] / M[j, j] for i in range(3) for j in range(3) if i != j)
 
     # kappa = 0 contrast: the decoupled state is the global positive profile
     # of each species, which spreads over the whole connected domain
     domain, species = chain3["domain"], chain3["species"]
-    decoupled = StateField([sg.supersolution_phi(sp, domain) for sp in species])
+    decoupled = chain3_phi
     M0 = sg.noninvasion(decoupled)
     least = min(M0[i, j] / M0[j, j] for i in range(3) for j in range(3) if i != j)
 
@@ -207,11 +216,10 @@ def test_a7_h1_convergence(a3_trace):
           + (" non-increasing" if ok else " not non-increasing"))
 
 
-def test_a8_apriori_box(chain3):
+def test_a8_apriori_box(chain3, chain3_phi):
     domain, species, baseline = (chain3["domain"], chain3["species"],
                                  chain3["baseline"])
-    caps = StateField([sg.supersolution_phi(sp, domain) for sp in species])
-    model = ModelKind.positive_part(baseline, caps=caps)
+    model = ModelKind.positive_part(baseline, caps=chain3_phi)
     # doubling ramp landing exactly on kappa = 1000; the reformulation has
     # no nonnegative branch near the baseline for small kappa
     schedule = ContinuationSchedule(15.625, 2.0, 7, newton_tol=1e-10)

@@ -196,6 +196,41 @@ def test_probe_factors_coupled_jacobian_once(dumbbell2_setup, monkeypatch):
     assert report.max_pairwise_h1_distance <= 1e-12
 
 
+def test_probe_factors_laplacian_once(dumbbell2_setup, monkeypatch):
+    from seglv import diagnostics, newton
+
+    setup = dumbbell2_setup
+    dom = setup["domain"]
+    model = sg.ModelKind.barrier(setup["baseline"])
+    center, _ = sg.solve_system(setup["baseline"], setup["species"], model,
+                                64.0, 1e-10)
+    A, _ = dom.laplacian()
+    laplacian_lus = 0
+    splu = newton.splu
+
+    def counting_splu(J, *args, **kwargs):
+        nonlocal laplacian_lus
+        if J.shape == A.shape and (J != A).nnz == 0:
+            laplacian_lus += 1
+        return splu(J, *args, **kwargs)
+
+    starts = []
+    solve_near = diagnostics.solve_near
+
+    def recording_solve_near(center, trial_starts, *args, **kwargs):
+        starts.extend(trial_starts)
+        return solve_near(center, trial_starts, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", counting_splu)
+    monkeypatch.setattr(diagnostics, "solve_near", recording_solve_near)
+    uniqueness_probe(dom, setup["species"], model, 64.0, center, 0.02, 3, 5)
+    assert laplacian_lus == 1
+    assert len(starts) == 3
+    for t, start in enumerate(starts):
+        alone = center + sg.seeded_perturbation(dom, 2, 0.02, 5 + t)
+        assert h1_distance(start, alone) <= 1e-14 * sg.state_h1_norm(alone)
+
+
 def test_probe_respects_newton_budget(dumbbell2_setup):
     setup = dumbbell2_setup
     model = sg.ModelKind.barrier(setup["baseline"])

@@ -15,6 +15,18 @@ def dumbbell2_caps(dumbbell2_setup):
                        for p in setup["species"]])
 
 
+@pytest.fixture(scope="module")
+def tiny3_setup(tiny3):
+    """Three species on the single-node grid; only species 0 has a baseline."""
+    def state(values):
+        return StateField([ScalarField.from_interior(tiny3, np.array([v]))
+                           for v in values])
+
+    return {"domain": tiny3,
+            "species": [SpeciesParams(lam=lam, p=2.0) for lam in (3.0, 4.0, 5.0)],
+            "baseline": state((0.5, 0.0, 0.0)), "caps": state((0.9, 0.7, 0.6))}
+
+
 def model_of(kind, baseline, caps=None):
     if kind == "lotka_volterra":
         return ModelKind.lotka_volterra()
@@ -114,6 +126,31 @@ def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
           - system.residual(x - eps * direction)) / (2 * eps)
     jv = system.jacobian(x) @ direction
     assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
+
+
+@pytest.mark.parametrize("geometry", ["dumbbell2", "tiny3"])
+@pytest.mark.parametrize("kind, truncated", [
+    ("barrier", False), ("positive_part", False), ("positive_part", True),
+    ("lotka_volterra", False)])
+def test_block_solver_meets_krylov_tolerance(request, dumbbell2_caps, geometry,
+                                             kind, truncated):
+    setup = request.getfixturevalue(f"{geometry}_setup")
+    caps = dumbbell2_caps if geometry == "dumbbell2" else setup["caps"]
+    model = model_of(kind, setup["baseline"], caps if truncated else None)
+    system = _System(setup["domain"], setup["species"], model, 64.0)
+    k, n = system.k, system.n
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 1.0, k * n)
+    # every other node of the last species lies below -u^0 (clipped where
+    # the model clips); the cross-species blocks must not vanish
+    x[-n::2] -= 2.0
+    if kind != "barrier":
+        assert (x.reshape(k, n) + system.u0 < 0.0).any()
+    assert system._coupling(x)[~np.eye(k, dtype=bool)].any()
+    b = rng.standard_normal(k * n)
+    s = system.linearize(x).solve(b)
+    J = system.jacobian(x)
+    assert np.linalg.norm(J @ s - b) <= 1e-6 * np.linalg.norm(b)
 
 
 def test_lv_residual_decouples_at_kappa_zero(dumbbell2_setup):
@@ -248,21 +285,46 @@ def test_solver_failure_carries_history(dumbbell2_setup):
     assert err.value.last_iterate is not None
 
 
+@pytest.mark.parametrize("failure, message", [
+    ("gmres", "singular linearization: GMRES missed"),
+    ("singular_block", "singular linearization: Factor is exactly singular")])
+def test_krylov_failure_carries_history(dumbbell2_setup, monkeypatch, failure,
+                                        message):
+    from seglv import system
+
+    def failing_gmres(A, b, **kwargs):
+        return np.zeros_like(b), 3
+
+    def singular_splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    if failure == "gmres":
+        monkeypatch.setattr(system, "gmres", failing_gmres)
+    else:
+        monkeypatch.setattr(newton, "splu", singular_splu)
+    U0 = dumbbell2_setup["baseline"]
+    with pytest.raises(NonlinearSolveError, match=message) as err:
+        solve_system(U0, dumbbell2_setup["species"], ModelKind.barrier(U0),
+                     1024.0, 1e-10)
+    assert err.value.residual_history
+    assert err.value.last_iterate is not None
+
+
 def test_polish_reuses_last_newton_factor(dumbbell2_setup, monkeypatch):
     setup = dumbbell2_setup
     U0 = setup["baseline"]
-    factorizations = 0
-    splu = newton.splu
+    linearizations = 0
+    linearize = _System.linearize
 
-    def counting_splu(*args, **kwargs):
-        nonlocal factorizations
-        factorizations += 1
-        return splu(*args, **kwargs)
+    def counting_linearize(self, x):
+        nonlocal linearizations
+        linearizations += 1
+        return linearize(self, x)
 
-    monkeypatch.setattr(newton, "splu", counting_splu)
+    monkeypatch.setattr(_System, "linearize", counting_linearize)
     _, iterations = solve_system(U0, setup["species"], ModelKind.barrier(U0),
                                  1024.0, 1e-10)
-    assert 0 < factorizations < iterations
+    assert 0 < linearizations < iterations
 
 
 def test_solve_near_matches_solve_system(dumbbell2_setup):
