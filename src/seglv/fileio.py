@@ -14,6 +14,10 @@ from .domain import GridDomain
 from .operators import ScalarField
 
 
+# decimal text of every gray level, indexed by the level
+_GRAY = np.array([str(level) for level in range(256)], dtype=object)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -58,7 +62,6 @@ def emit_image(u: ScalarField, path) -> None:
     else:
         pixels = np.clip(np.rint(255.0 * u.values / peak), 0, 255).astype(int)
     lines = ["P2", f"{d.nx} {d.ny}", "255"]
-    for iy in range(d.ny - 1, -1, -1):
-        lines.append(" ".join(str(p) for p in pixels[iy, :]))
+    lines.extend(" ".join(row) for row in _GRAY[pixels[::-1]].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -35,9 +35,12 @@ systems.  It works on a flat unknown vector through three callables
   alone polishes on the same factor and builds none of its own.
 * The kernel keeps at most one linear solver of its own alive; the
   previous one is dropped before the next is built, which bounds peak
-  memory at a single linearization.  A handed-in factor belongs to the
-  caller and outlives the solve, so while a solve falls back from it two
-  are alive.
+  memory at a single linearization.  A ``linearize`` may carry factors
+  over from its previous solver (the coupled systems keep their block
+  LUs while GMRES converges quickly on them); it then holds them itself
+  and must release them when its solve ends.  A handed-in factor belongs
+  to the caller and outlives the solve, so while a solve falls back from
+  it two are alive.
 """
 
 from __future__ import annotations

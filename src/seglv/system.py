@@ -29,13 +29,18 @@ blocks kappa P_i H_j, with S_i = sum_{j != i} P_j and H_i the generalized
 derivative of P_i (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  Every
 block of the coupling is diagonal, so it is held as one (k, k, n) array D.
 
-A Newton step does not factor the (k n)^2 Jacobian.  It factors the k
-diagonal blocks A + diag(D[i, i]) and solves J s = -r by restarted GMRES
-to a relative residual of ``KRYLOV_RTOL``, preconditioned by one forward
-block Gauss-Seidel sweep over those LUs (a Newton-Krylov method with a
+A Newton step does not factor the (k n)^2 Jacobian.  It solves J s = -r
+by restarted GMRES to a relative residual of ``KRYLOV_RTOL``,
+preconditioned by one forward block Gauss-Seidel sweep over LUs of the k
+diagonal blocks A + diag(D[i, i]) (a Newton-Krylov method with a
 physics-block preconditioner, Knoll & Keyes, J. Comput. Phys. 193, 2004).
-J is applied as K x plus the coupling D and is not assembled.  The chord
-polish steps reuse the last step's block LUs.
+J is applied as K x plus the coupling D at the current iterate and is not
+assembled.  The block LUs are only a preconditioner, so a solve factors
+them once and later steps keep them (preconditioner lagging): the next
+linearization refactors only when the last GMRES solve on the held blocks
+took more than ``KRYLOV_REFACTOR`` iterations, and a GMRES solve that
+misses its tolerance on held blocks refactors at the current iterate and
+tries once more.  Each linearization logs its decision at DEBUG level.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -46,6 +51,7 @@ step stalls.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +65,17 @@ from .reaction import f_eval, f_prime, f_truncated_eval, f_truncated_prime
 
 MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
 
+log = logging.getLogger(__name__)
+
 # GMRES of the coupled Newton step: it succeeds once the true residual
 # ||J s - b|| is at most KRYLOV_RTOL ||b||, within KRYLOV_MAXITER restart
 # cycles of KRYLOV_RESTART iterations each
 KRYLOV_RTOL = 1e-6
 KRYLOV_RESTART = 50
 KRYLOV_MAXITER = 3
+# a Newton step keeps the block LUs of the previous step of its solve while
+# the last GMRES solve on them took at most KRYLOV_REFACTOR iterations
+KRYLOV_REFACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -112,20 +123,46 @@ class _BlockSolver:
     """Newton-step solver of J s = b for J = kron(I_k, A) + coupling D.
 
     Block (i, j) of J is diag(D[i, j]), plus the Laplacian A when i = j.
-    Only the k diagonal blocks are factored; ``solve`` runs GMRES with one
-    forward block Gauss-Seidel sweep over their LUs as preconditioner.
-    Building the solver raises RuntimeError when a block is singular, and
-    ``solve`` raises it when GMRES misses its tolerance.
+    Only the k diagonal blocks are factored; ``solve`` runs GMRES on J with
+    one forward block Gauss-Seidel sweep over their LUs as preconditioner.
+    `blocks`, when given, are LUs of the diagonal blocks at an earlier
+    iterate: they precondition, while the matvec and the sweep's
+    off-diagonal terms use D.  When GMRES misses its tolerance on such held
+    blocks, ``solve`` refactors them from D and solves once more.
+    ``iterations`` is the GMRES iteration count of the last solve.
+    Factoring raises RuntimeError when a block is singular, and ``solve``
+    raises it when GMRES misses on fresh blocks.
     """
 
-    def __init__(self, K, A, D):
+    def __init__(self, K, A, D, blocks=None):
         self.K = K
+        self.A = A
         self.D = D
-        self.blocks = [factorize(A + sp.diags(D[i, i])) for i in range(len(D))]
+        self.held = blocks is not None
+        self.blocks = blocks if self.held else self._factor()
+        self.iterations = 0
+
+    def _factor(self):
+        return [factorize(self.A + sp.diags(self.D[i, i]))
+                for i in range(len(self.D))]
 
     def solve(self, b):
+        s, info = self._gmres(b)
+        if info != 0 and self.held:
+            log.debug("GMRES missed in %d iterations on held block LUs; "
+                      "refactoring", self.iterations)
+            self.blocks = None  # released before the new ones are factored
+            self.blocks, self.held = self._factor(), False
+            s, info = self._gmres(b)
+        if info != 0:
+            raise RuntimeError(f"GMRES missed relative residual {KRYLOV_RTOL:g} "
+                               f"in {KRYLOV_MAXITER} restart cycles")
+        return s
+
+    def _gmres(self, b):
         K, D, blocks = self.K, self.D, self.blocks
         k, n = len(D), D.shape[2]
+        self.iterations = 0
 
         def apply(x):
             return K @ x + np.einsum("ijm,jm->im", D, x.reshape(k, n)).ravel()
@@ -137,18 +174,18 @@ class _BlockSolver:
                 z[i] = lu.solve(c[i] - np.einsum("jm,jm->m", D[i, :i], z[:i]))
             return z.ravel()
 
+        def count(_):
+            self.iterations += 1
+
         # built per call: operators held on the solver would keep its LUs
         # alive in a reference cycle until a full garbage collection; the
         # dtype spares LinearOperator a probing matvec and sweep
         shape = (k * n, k * n)
-        s, info = gmres(LinearOperator(shape, matvec=apply, dtype=float), b,
-                        rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
-                        maxiter=KRYLOV_MAXITER,
-                        M=LinearOperator(shape, matvec=sweep, dtype=float))
-        if info != 0:
-            raise RuntimeError(f"GMRES missed relative residual {KRYLOV_RTOL:g} "
-                               f"in {KRYLOV_MAXITER} restart cycles")
-        return s
+        return gmres(LinearOperator(shape, matvec=apply, dtype=float), b,
+                     rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
+                     maxiter=KRYLOV_MAXITER,
+                     M=LinearOperator(shape, matvec=sweep, dtype=float),
+                     callback=count, callback_type="pr_norm")
 
 
 class _System:
@@ -185,6 +222,9 @@ class _System:
         index = np.arange(k * n, dtype=np.int32).reshape(k, n)
         self._rows = np.repeat(index, k, axis=0).ravel()
         self._cols = np.tile(index, (k, 1)).ravel()
+        # the last linearization of the running solve; its block LUs are
+        # the ones the next may keep
+        self._held = None
 
     def _reaction(self, fn, truncated, s):
         """Per-species reaction term (or derivative) at the (k, n) argument s."""
@@ -235,8 +275,22 @@ class _System:
                              shape=(size, size)) + self.K.T
 
     def linearize(self, x):
-        """Newton-step solver of the Jacobian at x (``_BlockSolver``)."""
-        return _BlockSolver(self.K, self.A, self._coupling(x))
+        """Newton-step solver of the Jacobian at x (``_BlockSolver``).
+
+        It keeps the block LUs of the previous linearization while the last
+        GMRES solve on them took at most ``KRYLOV_REFACTOR`` iterations.
+        """
+        D = self._coupling(x)
+        last, self._held = self._held, None
+        iterations = None if last is None else last.iterations
+        keep = iterations is not None and iterations <= KRYLOV_REFACTOR
+        log.debug("kappa %g: %s block LUs; last GMRES iterations: %s",
+                  self.kappa, "holding" if keep else "factoring", iterations)
+        blocks = last.blocks if keep else None
+        # the previous LUs are released before new ones are factored
+        last = None
+        self._held = _BlockSolver(self.K, self.A, D, blocks)
+        return self._held
 
     def stack(self, U: StateField):
         """Stacked interior vector of the state U."""
@@ -255,10 +309,15 @@ class _System:
         def target(x, r):
             return tol * max(1.0, self.rhs_norm(x, r))
 
-        x, _, iterations = damped_newton(
-            self.stack(guess), self.residual, self.linearize, self.res_norm,
-            target, max_newton=max_newton, max_backtracks=max_backtracks,
-            as_iterate=self.unstack, lu=lu)
+        try:
+            x, _, iterations = damped_newton(
+                self.stack(guess), self.residual, self.linearize,
+                self.res_norm, target, max_newton=max_newton,
+                max_backtracks=max_backtracks, as_iterate=self.unstack, lu=lu)
+        finally:
+            # released before the result is allocated: a state allocated
+            # above live LUs leaves their freed memory unreturnable
+            self._held = None
         return self.unstack(x), iterations
 
 
@@ -275,10 +334,14 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
 
     Returns (state, iterations) with the root-sum-square residual norm at
     or below tol * max(1, ||RHS||).  A step is accepted when the residual
-    norm decreases by the Armijo-style factor (1 - 1e-4 t).  Raises
-    NonlinearSolveError when a step cannot reduce the residual after
-    `max_backtracks` halvings, a diagonal block is singular, GMRES misses
-    its tolerance, or the budget of `max_newton` steps runs out.
+    norm decreases by the Armijo-style factor (1 - 1e-4 t).  Each step
+    solves its Newton system by GMRES preconditioned with block LUs that
+    the solve factors once and refactors only when GMRES slows or misses
+    on them (see the module docstring); they are released before the
+    result is built.  Raises NonlinearSolveError when a step cannot reduce
+    the residual after `max_backtracks` halvings, a diagonal block is
+    singular, GMRES misses its tolerance on freshly factored blocks, or the
+    budget of `max_newton` steps runs out.
     """
     if len(species) != guess.k:
         raise ValueError("species list and state size disagree")
@@ -293,9 +356,9 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
     Factors the assembled block Jacobian at `center` once; each start then
     runs the Newton kernel with that factor handed in, as chord steps that
     must at least halve the residual norm, and falls back to ordinary damped
-    Newton (its own block-preconditioned GMRES steps) from the first that
-    does not.  Convergence, budget and failures are those of
-    ``solve_system``.
+    Newton (its own block-preconditioned GMRES steps, on block LUs held
+    within that start only) from the first that does not.  Convergence,
+    budget and failures are those of ``solve_system``.
 
     Returns a list with one entry per start: the solved state, or the
     NonlinearSolveError that ended that start.  Raises NonlinearSolveError

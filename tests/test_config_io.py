@@ -130,6 +130,33 @@ def test_emit_image_zero_and_constant(square16, tmp_path):
     assert set(np.unique(pixels[::-1][square16.interior_mask])) == {255}
 
 
+def per_pixel_pgm(values):
+    """The graymap bytes written pixel by pixel, the reference formula."""
+    ny, nx = values.shape
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        pixels = np.zeros((ny, nx), dtype=int)
+    else:
+        pixels = np.clip(np.rint(255.0 * values / peak), 0, 255).astype(int)
+    lines = ["P2", f"{nx} {ny}", "255"]
+    for iy in range(ny - 1, -1, -1):
+        lines.append(" ".join(str(p) for p in pixels[iy, :]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("field", ["random_signed", "zero", "negative"])
+def test_emit_image_matches_per_pixel_formula(square16, tmp_path, field):
+    rng = np.random.default_rng(11)
+    shape = (square16.ny, square16.nx)
+    values = {"random_signed": rng.standard_normal(shape),
+              "zero": np.zeros(shape),
+              "negative": -rng.uniform(0.1, 2.0, shape)}[field]
+    u = ScalarField(square16, values)
+    path = tmp_path / "field.pgm"
+    emit_image(u, path)
+    assert path.read_bytes() == per_pixel_pgm(u.values)
+
+
 def test_emit_image_segregated_state_two_components(dumbbell2_trace, tmp_path):
     from scipy import ndimage
 

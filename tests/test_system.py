@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import seglv as sg
 from seglv import newton
 from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_near, solve_system)
+from seglv import system as system_module
 from seglv.system import _System
 
 
@@ -13,6 +16,28 @@ def dumbbell2_caps(dumbbell2_setup):
     setup = dumbbell2_setup
     return StateField([sg.supersolution_phi(p, setup["domain"])
                        for p in setup["species"]])
+
+
+@pytest.fixture(scope="module")
+def warm_solve(dumbbell2_setup, dumbbell2_trace):
+    """The barrier solve at kappa = 16384 from the trace's kappa = 8192
+    state: a warm solve of two Newton steps."""
+    [start] = [step.state for step in dumbbell2_trace.steps if step.kappa == 8192.0]
+    model = ModelKind.barrier(dumbbell2_setup["baseline"])
+    return start, dumbbell2_setup["species"], model, 16384.0
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that calls to it are counted in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +153,14 @@ def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
     assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
 
 
-@pytest.mark.parametrize("geometry", ["dumbbell2", "tiny3"])
-@pytest.mark.parametrize("kind, truncated", [
+krylov_cases = pytest.mark.parametrize("kind, truncated", [
     ("barrier", False), ("positive_part", False), ("positive_part", True),
     ("lotka_volterra", False)])
-def test_block_solver_meets_krylov_tolerance(request, dumbbell2_caps, geometry,
-                                             kind, truncated):
+
+
+def krylov_case(request, dumbbell2_caps, geometry, kind, truncated):
+    """A kappa = 64 system, a state with nodes below -u^0 in its last
+    species, a right-hand side and the generator that drew them."""
     setup = request.getfixturevalue(f"{geometry}_setup")
     caps = dumbbell2_caps if geometry == "dumbbell2" else setup["caps"]
     model = model_of(kind, setup["baseline"], caps if truncated else None)
@@ -148,7 +175,31 @@ def test_block_solver_meets_krylov_tolerance(request, dumbbell2_caps, geometry,
         assert (x.reshape(k, n) + system.u0 < 0.0).any()
     assert system._coupling(x)[~np.eye(k, dtype=bool)].any()
     b = rng.standard_normal(k * n)
+    return system, x, b, rng
+
+
+@pytest.mark.parametrize("geometry", ["dumbbell2", "tiny3"])
+@krylov_cases
+def test_block_solver_meets_krylov_tolerance(request, dumbbell2_caps, geometry,
+                                             kind, truncated):
+    system, x, b, _ = krylov_case(request, dumbbell2_caps, geometry, kind,
+                                  truncated)
     s = system.linearize(x).solve(b)
+    J = system.jacobian(x)
+    assert np.linalg.norm(J @ s - b) <= 1e-6 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("geometry", ["dumbbell2", "tiny3"])
+@krylov_cases
+def test_held_block_solver_meets_krylov_tolerance(request, dumbbell2_caps,
+                                                  geometry, kind, truncated):
+    system, x, b, rng = krylov_case(request, dumbbell2_caps, geometry, kind,
+                                    truncated)
+    # block LUs from a nearby state precondition the solve at x
+    first = system.linearize(x + 0.05 * rng.uniform(-1.0, 1.0, system.k * system.n))
+    solver = system.linearize(x)
+    s = solver.solve(b)
+    assert solver.held and solver.blocks is first.blocks
     J = system.jacobian(x)
     assert np.linalg.norm(J @ s - b) <= 1e-6 * np.linalg.norm(b)
 
@@ -325,6 +376,92 @@ def test_polish_reuses_last_newton_factor(dumbbell2_setup, monkeypatch):
     _, iterations = solve_system(U0, setup["species"], ModelKind.barrier(U0),
                                  1024.0, 1e-10)
     assert 0 < linearizations < iterations
+
+
+def test_warm_solve_factors_blocks_once(warm_solve, monkeypatch):
+    start, species, model, kappa = warm_solve
+    linearizations = count_calls(monkeypatch, _System, "linearize")
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    solve_system(start, species, model, kappa, 1e-10)
+    assert len(linearizations) >= 2
+    assert len(factorizations) == len(species)
+
+
+def test_forced_refactor_matches_held_blocks(warm_solve, monkeypatch):
+    start, species, model, kappa = warm_solve
+    held, _ = solve_system(start, species, model, kappa, 1e-10)
+    monkeypatch.setattr(system_module, "KRYLOV_REFACTOR", 0)
+    linearizations = count_calls(monkeypatch, _System, "linearize")
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    refactored, _ = solve_system(start, species, model, kappa, 1e-10)
+    assert len(linearizations) >= 2
+    assert len(factorizations) == len(species) * len(linearizations)
+    assert sg.h1_distance(held, refactored) / sg.state_h1_norm(held) <= 1e-12
+
+
+@pytest.mark.parametrize("misses, converges", [({2}, True), ({2, 3}, False)],
+                         ids=["held_miss_retried", "fresh_miss_raises"])
+def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
+                                             converges):
+    # call 1 solves on fresh blocks, call 2 on held ones; a miss there
+    # refactors, and call 3 solves on the fresh blocks
+    start, species, model, kappa = warm_solve
+    direct, _ = solve_system(start, species, model, kappa, 1e-10)
+    calls = 0
+    gmres = system_module.gmres
+
+    def missing_gmres(A, b, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls in misses:
+            return np.zeros_like(b), 3
+        return gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(system_module, "gmres", missing_gmres)
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    if not converges:
+        with pytest.raises(NonlinearSolveError,
+                           match="singular linearization: GMRES missed"):
+            solve_system(start, species, model, kappa, 1e-10)
+        assert calls == 3
+        return
+    state, _ = solve_system(start, species, model, kappa, 1e-10)
+    assert len(factorizations) == 2 * len(species)
+    assert sg.h1_distance(state, direct) / sg.state_h1_norm(direct) <= 1e-12
+
+
+@pytest.mark.parametrize("max_newton", [200, 1], ids=["converged", "failed"])
+def test_solve_releases_held_blocks(warm_solve, monkeypatch, max_newton):
+    start, species, model, kappa = warm_solve
+    system = _System(start.domain, species, model, kappa)
+    unstack = _System.unstack
+    held_at_unstack = []
+
+    def recording_unstack(self, x):
+        held_at_unstack.append(self._held)
+        return unstack(self, x)
+
+    monkeypatch.setattr(_System, "unstack", recording_unstack)
+    if max_newton == 1:
+        with pytest.raises(NonlinearSolveError, match="budget exhausted"):
+            system.solve(start, 1e-10, max_newton=1, max_backtracks=30)
+    else:
+        system.solve(start, 1e-10, max_newton=max_newton, max_backtracks=30)
+        # the result is allocated after the block LUs are released
+        assert held_at_unstack[-1] is None
+    assert system._held is None
+
+
+def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):
+    start, species, model, kappa = warm_solve
+    linearizations = count_calls(monkeypatch, _System, "linearize")
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        solve_system(start, species, model, kappa, 1e-10)
+    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.system"]
+    assert len(lines) == len(linearizations) >= 2
+    assert lines[0] == "kappa 16384: factoring block LUs; last GMRES iterations: None"
+    assert all(line.startswith("kappa 16384: holding block LUs; last GMRES "
+                               "iterations: ") for line in lines[1:])
 
 
 def test_solve_near_matches_solve_system(dumbbell2_setup):
