@@ -90,6 +90,12 @@ def _take(section, name, key, default=None, required=False, kind=None):
     return value
 
 
+def _json_bool(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
@@ -152,8 +158,8 @@ def parse_config(text: str) -> RunConfig:
     kind = _take(mod, "model", "kind", default="barrier")
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
-    model = ModelConfig(kind=kind,
-                        truncation=bool(_take(mod, "model", "truncation", default=False)))
+    model = ModelConfig(kind=kind, truncation=_take(mod, "model", "truncation",
+                                                    default=False, kind=_json_bool))
 
     sch = _section(doc, "schedule")
     schedule = ScheduleConfig(
@@ -187,10 +193,11 @@ def parse_config(text: str) -> RunConfig:
     if uniq_doc is not None:
         if not isinstance(uniq_doc, dict):
             raise ConfigError("probes.uniqueness must be an object")
+        name = "probes.uniqueness"
         uniqueness = UniquenessProbeConfig(
-            delta=float(uniq_doc.get("delta", 0.02)),
-            trials=int(uniq_doc.get("trials", 10)),
-            seed=int(uniq_doc.get("seed", 0)),
+            delta=_take(uniq_doc, name, "delta", default=0.02, kind=float),
+            trials=_take(uniq_doc, name, "trials", default=10, kind=int),
+            seed=_take(uniq_doc, name, "seed", default=0, kind=int),
         )
         if uniqueness.delta < 0:
             raise ConfigError("probes.uniqueness.delta must be nonnegative")
@@ -200,8 +207,8 @@ def parse_config(text: str) -> RunConfig:
     out = _section(doc, "output")
     output = OutputConfig(
         directory=str(_take(out, "output", "directory", default="out")),
-        emit_fields=bool(_take(out, "output", "emit_fields", default=True)),
-        emit_images=bool(_take(out, "output", "emit_images", default=False)),
+        emit_fields=_take(out, "output", "emit_fields", default=True, kind=_json_bool),
+        emit_images=_take(out, "output", "emit_images", default=False, kind=_json_bool),
     )
 
     return RunConfig(domain=DomainConfig(bbox=tuple(float(v) for v in bbox), h=h,

@@ -67,14 +67,14 @@ class ContinuationTrace:
 
 def continuation_run(domain, species, model: ModelKind,
                      schedule: ContinuationSchedule, initial=None, *,
-                     diag_tol=None, max_newton=200,
-                     max_backtracks=30) -> ContinuationTrace:
+                     max_newton=200, max_backtracks=30) -> ContinuationTrace:
     """March kappa up the schedule with warm starts, recording diagnostics.
 
     The initial guess defaults to the model's baseline (for the plain
     Lotka-Volterra model pass the baseline tuple extended by zero
-    explicitly).  On solver failure the partial trace is returned with
-    `failure` set; completed steps stay valid.
+    explicitly).  Diagnostics use the tolerance 10 * newton_tol.  On
+    solver failure the partial trace is returned with `failure` set;
+    completed steps stay valid.
     """
     if initial is None:
         initial = model.baseline
@@ -82,8 +82,6 @@ def continuation_run(domain, species, model: ModelKind,
         raise ValueError("an initial state is required when the model has no baseline")
     if initial.domain is not domain:
         raise ValueError("initial state lives on a different domain")
-    if diag_tol is None:
-        diag_tol = 10.0 * schedule.newton_tol
     if model.kind == "lotka_volterra":
         # box lower bound for the plain model is u_i >= 0
         box_baseline = StateField.zeros(domain, len(species))
@@ -99,7 +97,7 @@ def continuation_run(domain, species, model: ModelKind,
         except NonlinearSolveError as exc:
             trace.failure = f"kappa={kappa:.6g}: {exc}"
             break
-        report = compute_diagnostics(state, species, diag_tol,
+        report = compute_diagnostics(state, species, 10.0 * schedule.newton_tol,
                                      baseline=box_baseline, phi=model.caps)
         trace.steps.append(ContinuationStep(kappa, state, report, iters))
     return trace

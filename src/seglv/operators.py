@@ -59,9 +59,6 @@ class ScalarField:
         """Values at interior nodes as a flat vector (C order)."""
         return self.domain.extract(self.values)
 
-    def copy(self):
-        return ScalarField(self.domain, self.values)
-
     # small arithmetic surface; enough for perturbations and tests
     def _check(self, other):
         if other.domain is not self.domain:

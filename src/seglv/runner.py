@@ -150,10 +150,13 @@ def _stage_phi(config, state, summary, outdir):
     if not config.model.truncation:
         return
     domain = state["domain"]
+    solver = config.solver
     # species with equal parameters share one phi
     phis = {sp_params: supersolution_phi(sp_params, domain,
-                                         newton_tol=config.solver.newton_tol,
-                                         eig_tol=config.solver.eig_tol)
+                                         newton_tol=solver.newton_tol,
+                                         eig_tol=solver.eig_tol,
+                                         max_newton=solver.max_newton,
+                                         max_backtracks=solver.max_backtracks)
             for sp_params in dict.fromkeys(config.species)}
     state["caps"] = StateField([phis[sp_params] for sp_params in config.species])
 

@@ -11,25 +11,24 @@ reuse the last Newton factorization.  On a ball the positive branch is
 reliably selected by seeding with half the principal Dirichlet eigenfield;
 the global profile starts from the supersolution u = 1.
 
-The principal eigenvalue of -Lap on R comes from shift-invert Lanczos on
-a sparse LU of the same kind, which resolves the clustered low spectrum of
-balls joined by thin corridors.  The nondegeneracy margin of a state u0 is
+Both eigenproblems take the largest nu of diag(c) w = nu A w, A = -Lap on
+the region, from Lanczos (ARPACK mode 2, M = A) on one sparse LU of A of
+the same kind.  c = 1 gives the principal eigenvalue lambda_1 = 1 / nu,
+resolving the clustered low spectrum of balls joined by thin corridors.
+c = f'(u0) gives the nondegeneracy margin of a state u0,
 
     margin = 1 - nu_max,   nu_max = sup_w (w, f'(u0) w) / (w, A w),
 
 the infimum of the Rayleigh quotient (|grad w|^2 - f'(u0) w^2) / |grad w|^2
-over the region.  nu_max is computed by power iteration on the
-H^1_0-self-adjoint map w -> A^{-1}(f'(u0) w), shifted by
-sigma = ||max(0, -f'(u0))||_inf / lambda_1 so that the shifted spectrum is
-nonnegative and the iteration converges to the correct extreme.
+over the region.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -110,80 +109,78 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     return ScalarSolveReport(as_field(u), iterations, rnorm, positive)
 
 
+def _top_eigenpair(c, A, lu):
+    """Largest nu of diag(c) w = nu A w, its w, and the LU solves made.
+
+    Lanczos (ARPACK) in the A-inner product on `lu`, the LU of A, started
+    from the constant vector so that runs are reproducible.  Regions with
+    fewer than 3 nodes, which ARPACK cannot take, use a dense eigensolve.
+    """
+    n = A.shape[0]
+    if n < 3:
+        nus, ws = scipy.linalg.eigh(np.diag(c), A.toarray())
+        return float(nus[-1]), ws[:, -1], 0
+    solves = 0
+
+    def solve(b):
+        nonlocal solves
+        solves += 1
+        return lu.solve(b)
+
+    try:
+        nus, ws = eigsh(sp.diags(c), k=1, M=A,
+                        Minv=LinearOperator(A.shape, matvec=solve, dtype=float),
+                        which="LA", v0=np.ones(n))
+    except ArpackNoConvergence as exc:
+        raise EigenSolveError(f"generalized lanczos: {exc}") from exc
+    return float(nus[0]), ws[:, 0], solves
+
+
 def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8):
     """Smallest Dirichlet eigenvalue of -Lap on `region` and its eigenfield.
 
-    Shift-invert Lanczos (ARPACK) about 0 on one sparse LU of A, started
-    from the constant vector so that runs are reproducible.  Regions with
-    fewer than 3 nodes, which ARPACK cannot take, use a dense eigensolve.
-    The eigenfield comes back L2-normalized and nonnegative.  Raises
-    EigenSolveError unless the pair satisfies
-    ||A e - lam e||_L2 <= eig_tol * lam.
+    lambda_1 = 1 / nu for the largest nu of w = nu A w (``_top_eigenpair``
+    with c = 1); the eigenfield comes back L2-normalized and nonnegative.
+    Raises EigenSolveError unless ||A e - lam e||_L2 <= eig_tol * lam.
     """
     mask = _resolve_region(domain, region)
     A, _ = domain.laplacian(mask)
-    lam, v = _eigenpair(A, factorize(A), domain.h, eig_tol)
-    return lam, ScalarField(domain, domain.insert(v, mask))
-
-
-def _eigenpair(A, lu, h, eig_tol):
-    """Principal eigenpair of A given its LU; see ``principal_eigenvalue``."""
-    n = A.shape[0]
-    if n < 3:
-        lams, vecs = np.linalg.eigh(A.toarray())
-    else:
-        try:
-            lams, vecs = eigsh(A, k=1, sigma=0.0,
-                               OPinv=LinearOperator(A.shape, matvec=lu.solve,
-                                                   dtype=float),
-                               v0=np.ones(n))
-        except ArpackNoConvergence as exc:
-            raise EigenSolveError(f"shift-invert lanczos: {exc}") from exc
-    lam = float(lams[0])
+    nu, w, _ = _top_eigenpair(np.ones(A.shape[0]), A, factorize(A))
+    lam = 1.0 / nu
     # on disconnected regions a repeated eigenvalue can come back as a
     # sign-changing mix of per-component eigenfields, whose modulus is an
     # eigenfield too; elsewhere abs only fixes the sign and round-off dust
-    v = np.abs(vecs[:, 0])
-    v /= h * float(np.linalg.norm(v))
-    resid = h * float(np.linalg.norm(A @ v - lam * v))
+    v = np.abs(w)
+    v /= domain.h * float(np.linalg.norm(v))
+    resid = domain.h * float(np.linalg.norm(A @ v - lam * v))
     if not resid <= eig_tol * lam:
         raise EigenSolveError(
             f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
-    return lam, v
+    return lam, ScalarField(domain, domain.insert(v, mask))
 
 
 def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
-              eig_tol=1e-8, max_iter=5000) -> NDReport:
-    """Nondegeneracy margin of u0: 1 minus the top eigenvalue of
-    w -> A^{-1}(f'(u0) w) in the H^1_0 inner product on `region`."""
+              eig_tol=1e-8) -> NDReport:
+    """Nondegeneracy margin 1 - nu of u0 on `region`, nu the largest
+    eigenvalue of diag(f'(u0)) w = nu A w (``_top_eigenpair``).
+
+    `rayleigh_iterations` counts the LU solves of the Lanczos run (0 on
+    the dense path and for f'(u0) = 0, whose margin is 1).  Raises
+    EigenSolveError unless ||f'(u0) w - nu A w|| <= eig_tol * ||A w||.
+    """
     domain = u0.domain
     mask = _resolve_region(domain, region)
     c = f_prime(sp_params, u0.values)[mask]
     if not np.any(c):
         return NDReport(margin=1.0, rayleigh_iterations=0)
     A, _ = domain.laplacian(mask)
-    lu = factorize(A)
-    lam1, _ = _eigenpair(A, lu, domain.h, eig_tol)
-    sigma = float(np.max(np.maximum(0.0, -c))) / lam1
-
-    v = np.ones(c.size)
-    Av = A @ v
-    v /= math.sqrt(float(v @ Av))
-    nu = float(v @ (c * v))
-    for it in range(1, max_iter + 1):
-        y = lu.solve(c * v) + sigma * v
-        Ay = A @ y
-        ynorm = math.sqrt(float(y @ Ay))
-        if not ynorm > 0.0:
-            raise EigenSolveError("power iteration collapsed to zero")
-        v = y / ynorm
-        nu_new = float(v @ (c * v)) / float(v @ (A @ v))
-        done = abs(nu_new - nu) <= eig_tol * max(1.0, abs(nu_new))
-        nu = nu_new
-        if done and it >= 3:
-            return NDReport(margin=1.0 - nu, rayleigh_iterations=it)
-    raise EigenSolveError(
-        f"rayleigh iteration stagnated after {max_iter} iterations")
+    nu, w, solves = _top_eigenpair(c, A, factorize(A))
+    Aw = A @ w
+    resid = float(np.linalg.norm(c * w - nu * Aw))
+    if not resid <= eig_tol * float(np.linalg.norm(Aw)):
+        raise EigenSolveError(
+            f"nd pencil residual {resid:.3e} exceeds {eig_tol:.1e} * ||A w||")
+    return NDReport(margin=1.0 - nu, rayleigh_iterations=solves)
 
 
 def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=1e-8):
@@ -197,7 +194,8 @@ def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=1e-8):
 
 
 def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
-                      newton_tol=1e-10, eig_tol=1e-8) -> ScalarField:
+                      newton_tol=1e-10, eig_tol=1e-8, max_newton=200,
+                      max_backtracks=30) -> ScalarField:
     """Positive profile of -Lap u = f(u) on the whole interior.
 
     Caps every later system solution from above (truncation barrier).
@@ -214,7 +212,8 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
             "no positive global profile")
     one = ScalarField(domain, domain.interior_mask.astype(float))
     report = solve_ball(sp_params, domain.interior_mask, domain, one,
-                        newton_tol=newton_tol)
+                        newton_tol=newton_tol, max_newton=max_newton,
+                        max_backtracks=max_backtracks)
     if not report.positive:
         raise NonlinearSolveError(
             "global profile solve converged to a non-positive state",

@@ -262,3 +262,28 @@ def test_runner_truncation_stage_builds_caps(tmp_path, monkeypatch):
     assert model.caps.k == 2
     per_kappa = summary.continuation
     assert all(step["diagnostics"]["box_violations"] == 0 for step in per_kappa)
+
+
+def test_runner_phi_uses_solver_budget(tmp_path, monkeypatch):
+    from seglv import config as cfg_mod
+    from seglv import scalar
+
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["model"] = {"kind": "positive_part", "truncation": True}
+    doc["solver"].update({"max_newton": 37, "max_backtracks": 9})
+    cfg = cfg_mod.parse_config(json.dumps(doc))
+    cfg.output.directory = str(tmp_path / "out")
+    cfg.output.emit_fields = False
+    seen = []
+    solve_ball = scalar.solve_ball
+
+    def recording_solve(*args, **kwargs):
+        seen.append((kwargs.get("max_newton"), kwargs.get("max_backtracks")))
+        return solve_ball(*args, **kwargs)
+
+    # the baseline stage calls the runner's own binding; this one is phi's
+    monkeypatch.setattr(scalar, "solve_ball", recording_solve)
+    summary = run(cfg, until="phi")
+    assert summary.stages_completed[-1] == "phi"
+    # one phi, shared by the two equal species
+    assert seen == [(37, 9)]

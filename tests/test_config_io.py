@@ -5,6 +5,7 @@ import pytest
 
 from seglv import (ConfigError, ScalarField, emit_field, emit_image,
                    parse_config, read_field, read_field_values)
+from seglv.cli import main
 from conftest import random_field
 
 MINIMAL = {
@@ -72,6 +73,28 @@ def test_probe_section_parsed():
     cfg = parse_config(json.dumps(doc))
     assert cfg.uniqueness.delta == 0.05
     assert cfg.uniqueness.trials == 4
+
+
+@pytest.mark.parametrize("section, key, value, match", [
+    ("probes.uniqueness", "trials", "ten", "probes.uniqueness.trials"),
+    ("probes.uniqueness", "delta", None, "probes.uniqueness.delta"),
+    ("probes.uniqueness", "seed", [1], "probes.uniqueness.seed"),
+    ("model", "truncation", "false", "model.truncation"),
+    ("output", "emit_fields", "false", "output.emit_fields"),
+    ("output", "emit_images", 1, "output.emit_images"),
+])
+def test_mistyped_field_rejected(section, key, value, match, tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL))
+    target = doc
+    for part in section.split("."):
+        target = target.setdefault(part, {})
+    target[key] = value
+    with pytest.raises(ConfigError, match=match):
+        parse_config(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["nd-check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config: {match}")
 
 
 def test_emit_field_header_and_zeros(tiny3, tmp_path):

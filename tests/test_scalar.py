@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import seglv as sg
 from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
@@ -163,6 +164,8 @@ def test_nd_margin_zero_state_identity(ball16):
     # above threshold the zero state is degenerate: margin goes negative
     report_neg = nd_margin(zero, SpeciesParams(lam=2 * lam1, p=2.0), region)
     assert report_neg.margin < 0
+    # f' = 0 everywhere: no Lanczos run can start from a zero operator
+    assert nd_margin(zero, SpeciesParams(lam=0.0, p=2.0), region).margin == 1.0
 
 
 def test_nd_margin_logistic_baseline_positive(ball16):
@@ -172,6 +175,45 @@ def test_nd_margin_logistic_baseline_positive(ball16):
     u0 = solve_ball(sp, region, ball16, guess).solution
     report = nd_margin(u0, sp, region)
     assert report.margin > 0
+
+
+def test_nd_margin_matches_dense_pencil(ball16):
+    region = ball16.species_ball_mask(0)
+    guess, lam1 = positive_branch_guess(ball16, region)
+    sp = SpeciesParams(lam=2 * lam1, p=2.0)
+    u0 = solve_ball(sp, region, ball16, guess).solution
+    A, _ = ball16.laplacian(region)
+    c = sg.f_prime(sp, u0.values)[region]
+    nu_max = scipy.linalg.eigh(np.diag(c), A.toarray(), eigvals_only=True)[-1]
+    report = nd_margin(u0, sp, region)
+    assert report.margin == pytest.approx(1.0 - nu_max, abs=1e-10)
+    assert report.rayleigh_iterations > 0
+
+
+def test_nd_margin_failures_raise(ball16, monkeypatch):
+    region = ball16.species_ball_mask(0)
+    guess, lam1 = positive_branch_guess(ball16, region)
+    sp = SpeciesParams(lam=2 * lam1, p=2.0)
+    u0 = solve_ball(sp, region, ball16, guess).solution
+    # the pencil residual cannot reach 1e-18 relative in floating point
+    with pytest.raises(EigenSolveError, match="residual"):
+        nd_margin(u0, sp, region, eig_tol=1e-18)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr("seglv.scalar.eigsh", no_convergence)
+    with pytest.raises(EigenSolveError, match="lanczos"):
+        nd_margin(u0, sp, region)
+
+
+def test_nd_margin_dense_path_on_single_node(tiny3):
+    # A = [4] on the one node: the zero state's margin is 1 - lambda / 4
+    zero = ScalarField.zeros(tiny3)
+    report = nd_margin(zero, SpeciesParams(lam=2.0, p=2.0), None)
+    assert report.margin == pytest.approx(0.5, rel=1e-14)
+    assert report.rayleigh_iterations == 0
+    assert nd_margin(zero, SpeciesParams(lam=6.0, p=2.0), None).margin == pytest.approx(-0.5)
 
 
 def test_supersolution_on_disconnected_domain_decouples():
