@@ -29,7 +29,7 @@ def main():
     baseline = sg.StateField(baselines)
 
     model = sg.ModelKind.barrier(baseline)
-    schedule = sg.ContinuationSchedule(4.0, 2.0, 15, newton_tol=1e-10)
+    schedule = sg.ContinuationSchedule(4.0, 2.0, 15)
     trace = sg.continuation_run(domain, species, model, schedule)
     if trace.failure:
         print("continuation stopped early:", trace.failure)

@@ -44,7 +44,7 @@ def main():
                              (-1.25, -1.25, 5.25, 1.25), h)
     species, baseline = setup(joined)
     model = sg.ModelKind.barrier(baseline)
-    schedule = sg.ContinuationSchedule(4.0, 2.0, 13, newton_tol=1e-10)
+    schedule = sg.ContinuationSchedule(4.0, 2.0, 13)
     trace = sg.continuation_run(joined, species, model, schedule)
     kappa = trace.kappas()[-1]
     center = trace.final_state()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .continuation import ContinuationSchedule
 from .domain import BallSpec, CorridorSpec
 from .errors import ConfigError, DomainError
 from .reaction import SpeciesParams
@@ -23,13 +24,6 @@ class DomainConfig:
 class ModelConfig:
     kind: str = "barrier"
     truncation: bool = False
-
-
-@dataclass
-class ScheduleConfig:
-    kappa_start: float = 1.0
-    factor: float = 2.0
-    steps: int = 18
 
 
 @dataclass
@@ -58,8 +52,8 @@ class OutputConfig:
 class RunConfig:
     domain: DomainConfig
     species: list[SpeciesParams]
+    schedule: ContinuationSchedule
     model: ModelConfig = field(default_factory=ModelConfig)
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     uniqueness: UniquenessProbeConfig | None = None
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -85,7 +79,7 @@ def _take(section, name, key, default=None, required=False, kind=None):
     if kind is not None:
         try:
             value = kind(value)
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ConfigError(f"{name}.{key}: {exc}") from exc
     return value
 
@@ -93,6 +87,18 @@ def _take(section, name, key, default=None, required=False, kind=None):
 def _json_bool(value):
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _json_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -115,19 +121,21 @@ def parse_config(text: str) -> RunConfig:
     bbox = _take(dom, "domain", "bbox", required=True)
     if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
         raise ConfigError("domain.bbox must be [x0, y0, x1, y1]")
-    h = _take(dom, "domain", "h", required=True, kind=float)
+    h = _take(dom, "domain", "h", required=True, kind=_json_number)
     if not h > 0:
         raise ConfigError("domain.h must be positive")
     try:
+        bbox = tuple(_json_number(v) for v in bbox)
         balls = [
-            BallSpec(center=(float(b["center"][0]), float(b["center"][1])),
-                     radius=float(b["radius"]),
-                     species_index=int(b.get("species_index", i)))
+            BallSpec(center=(_json_number(b["center"][0]), _json_number(b["center"][1])),
+                     radius=_json_number(b["radius"]),
+                     species_index=_json_int(b.get("species_index", i)))
             for i, b in enumerate(dom.get("balls", []))
         ]
         corridors = [
-            CorridorSpec(from_ball=int(c["from_ball"]), to_ball=int(c["to_ball"]),
-                         width=float(c["width"]))
+            CorridorSpec(from_ball=_json_int(c["from_ball"]),
+                         to_ball=_json_int(c["to_ball"]),
+                         width=_json_number(c["width"]))
             for c in dom.get("corridors", [])
         ]
     except (KeyError, TypeError, ValueError, DomainError) as exc:
@@ -139,11 +147,11 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(species_doc, list) or not species_doc:
         raise ConfigError("species must be a non-empty list")
     try:
-        species = [SpeciesParams(lam=float(s["lambda"]), p=float(s["p"]))
+        species = [SpeciesParams(lam=_json_number(s["lambda"]), p=_json_number(s["p"]))
                    for s in species_doc]
     except KeyError as exc:
         raise ConfigError(f"each species needs 'lambda' and 'p'; missing {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"species parameters: {exc}") from exc
 
     if len(species) != len(balls):
@@ -162,24 +170,22 @@ def parse_config(text: str) -> RunConfig:
                                                     default=False, kind=_json_bool))
 
     sch = _section(doc, "schedule")
-    schedule = ScheduleConfig(
-        kappa_start=_take(sch, "schedule", "kappa_start", default=1.0, kind=float),
-        factor=_take(sch, "schedule", "factor", default=2.0, kind=float),
-        steps=_take(sch, "schedule", "steps", default=18, kind=int),
-    )
-    if schedule.kappa_start < 0:
-        raise ConfigError("schedule.kappa_start must be nonnegative")
-    if not schedule.factor > 1:
-        raise ConfigError("schedule.factor must exceed 1")
-    if schedule.steps < 1:
-        raise ConfigError("schedule.steps must be at least 1")
+    # read before the try: a ConfigError is a ValueError too
+    ramp = (_take(sch, "schedule", "kappa_start", default=1.0, kind=_json_number),
+            _take(sch, "schedule", "factor", default=2.0, kind=_json_number),
+            _take(sch, "schedule", "steps", default=18, kind=_json_int))
+    try:
+        schedule = ContinuationSchedule(*ramp)
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
     sol = _section(doc, "solver")
     solver = SolverConfig(
-        newton_tol=_take(sol, "solver", "newton_tol", default=1e-10, kind=float),
-        eig_tol=_take(sol, "solver", "eig_tol", default=1e-8, kind=float),
-        max_newton=_take(sol, "solver", "max_newton", default=200, kind=int),
-        max_backtracks=_take(sol, "solver", "max_backtracks", default=30, kind=int),
+        newton_tol=_take(sol, "solver", "newton_tol", default=1e-10, kind=_json_number),
+        eig_tol=_take(sol, "solver", "eig_tol", default=1e-8, kind=_json_number),
+        max_newton=_take(sol, "solver", "max_newton", default=200, kind=_json_int),
+        max_backtracks=_take(sol, "solver", "max_backtracks", default=30,
+                             kind=_json_int),
     )
     for name in ("newton_tol", "eig_tol"):
         if not getattr(solver, name) > 0:
@@ -195,9 +201,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("probes.uniqueness must be an object")
         name = "probes.uniqueness"
         uniqueness = UniquenessProbeConfig(
-            delta=_take(uniq_doc, name, "delta", default=0.02, kind=float),
-            trials=_take(uniq_doc, name, "trials", default=10, kind=int),
-            seed=_take(uniq_doc, name, "seed", default=0, kind=int),
+            delta=_take(uniq_doc, name, "delta", default=0.02, kind=_json_number),
+            trials=_take(uniq_doc, name, "trials", default=10, kind=_json_int),
+            seed=_take(uniq_doc, name, "seed", default=0, kind=_json_int),
         )
         if uniqueness.delta < 0:
             raise ConfigError("probes.uniqueness.delta must be nonnegative")
@@ -211,7 +217,7 @@ def parse_config(text: str) -> RunConfig:
         emit_images=_take(out, "output", "emit_images", default=False, kind=_json_bool),
     )
 
-    return RunConfig(domain=DomainConfig(bbox=tuple(float(v) for v in bbox), h=h,
+    return RunConfig(domain=DomainConfig(bbox=bbox, h=h,
                                          balls=balls, corridors=corridors),
                      species=species, model=model, schedule=schedule,
                      solver=solver, uniqueness=uniqueness, output=output)

@@ -1,11 +1,12 @@
 """Competition-strength continuation toward the segregation limit.
 
 The singular limit kappa -> infinity is approached on a geometric ramp
-kappa_m = kappa_start * factor^m with each solve warm-started from the
-previous one.  Every step records the state and its diagnostics, so decay
-of the overlap integrals, the Cauchy property of the H1 differences, and
-the non-invasion entries can be read off the trace.  A failed solve leaves
-a partial trace with the failure recorded instead of raising.
+kappa_m = kappa_start * factor^m (``ContinuationSchedule``, which is also
+the ``schedule`` of a parsed run config) with each solve warm-started from
+the previous one.  Every step records the state and its diagnostics, so
+decay of the overlap integrals, the Cauchy property of the H1 differences,
+and the non-invasion entries can be read off the trace.  A failed solve
+leaves a partial trace with the failure recorded instead of raising.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from .system import ModelKind, solve_system
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
-    """Geometric kappa ramp plus the per-step solver tolerance."""
+    """Geometric kappa ramp kappa_start * factor^m, m = 0 .. steps - 1.
+
+    Raises ValueError for a ramp that is empty, does not grow, starts
+    below zero, or starts at zero with more than one step.
+    """
 
     kappa_start: float
     factor: float
     steps: int
-    newton_tol: float = 1e-10
 
     def __post_init__(self):
         if self.steps < 1:
@@ -36,8 +40,6 @@ class ContinuationSchedule:
             raise ValueError("kappa_start must be nonnegative")
         if self.kappa_start == 0 and self.steps > 1:
             raise ValueError("kappa_start = 0 is only meaningful for a single step")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
 
     def kappas(self):
         return [self.kappa_start * self.factor ** m for m in range(self.steps)]
@@ -67,15 +69,19 @@ class ContinuationTrace:
 
 def continuation_run(domain, species, model: ModelKind,
                      schedule: ContinuationSchedule, initial=None, *,
-                     max_newton=200, max_backtracks=30) -> ContinuationTrace:
+                     tol=1e-10, max_newton=200,
+                     max_backtracks=30) -> ContinuationTrace:
     """March kappa up the schedule with warm starts, recording diagnostics.
 
-    The initial guess defaults to the model's baseline (for the plain
-    Lotka-Volterra model pass the baseline tuple extended by zero
-    explicitly).  Diagnostics use the tolerance 10 * newton_tol.  On
-    solver failure the partial trace is returned with `failure` set;
-    completed steps stay valid.
+    Each step runs ``solve_system`` with `tol`, `max_newton` and
+    `max_backtracks`; diagnostics use the tolerance 10 * tol.  The initial
+    guess defaults to the model's baseline (for the plain Lotka-Volterra
+    model pass the baseline tuple extended by zero explicitly).  On solver
+    failure the partial trace is returned with `failure` set; completed
+    steps stay valid.  Raises ValueError unless tol is positive.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if initial is None:
         initial = model.baseline
     if initial is None:
@@ -92,12 +98,12 @@ def continuation_run(domain, species, model: ModelKind,
     for kappa in schedule.kappas():
         try:
             state, iters = solve_system(
-                state, species, model, kappa, schedule.newton_tol,
+                state, species, model, kappa, tol,
                 max_newton=max_newton, max_backtracks=max_backtracks)
         except NonlinearSolveError as exc:
             trace.failure = f"kappa={kappa:.6g}: {exc}"
             break
-        report = compute_diagnostics(state, species, 10.0 * schedule.newton_tol,
+        report = compute_diagnostics(state, species, 10.0 * tol,
                                      baseline=box_baseline, phi=model.caps)
         trace.steps.append(ContinuationStep(kappa, state, report, iters))
     return trace

@@ -112,13 +112,12 @@ def inequality_check(U: StateField, species, tol):
     return sub, sup
 
 
-def noninvasion(U: StateField, domain=None) -> np.ndarray:
+def noninvasion(U: StateField) -> np.ndarray:
     """Entry (i, j != i): max |u_i| over the ball native to species j;
     diagonal: max of u_i over its own ball (occupancy, for contrast)."""
-    domain = domain or U.domain
     k = U.k
     M = np.zeros((k, k))
-    masks = [domain.species_ball_mask(j) for j in range(k)]
+    masks = [U.domain.species_ball_mask(j) for j in range(k)]
     for i in range(k):
         for j in range(k):
             if i == j:

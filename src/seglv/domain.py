@@ -155,6 +155,8 @@ class GridDomain:
                 raise DomainError("region mask shape does not match the grid")
             if (mask & ~self.interior_mask).any():
                 raise DomainError("region contains non-interior nodes")
+            if not mask.any():
+                raise DomainError("region is empty")
         key = mask.tobytes()
         hit = self._lap_cache.get(key)
         if hit is not None:

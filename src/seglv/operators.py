@@ -77,9 +77,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ScalarField(self.domain, -self.values)
-
 
 class StateField:
     """A k-tuple of ScalarFields sharing one GridDomain."""

@@ -55,11 +55,8 @@ def potential_eval(sp: SpeciesParams, s):
 
 
 def f_truncated_eval(sp: SpeciesParams, s, cap):
-    """f frozen above the cap: f(s) for s <= cap, f(cap) beyond (continuous)."""
-    s = np.asarray(s, dtype=float)
-    cap = np.asarray(cap, dtype=float)
-    out = np.where(s <= cap, f_eval(sp, np.minimum(s, cap)), f_eval(sp, cap))
-    return out if out.ndim else float(out)
+    """f frozen above the cap, f(min(s, cap)); a cap of +inf leaves f as is."""
+    return f_eval(sp, np.minimum(s, cap))
 
 
 def f_truncated_prime(sp: SpeciesParams, s, cap):

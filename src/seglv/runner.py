@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .continuation import ContinuationSchedule, continuation_run
+from .continuation import continuation_run
 from .diagnostics import uniqueness_probe
 from .domain import build_domain, unit_square_domain
 from .errors import NDFailure, PipelineError
@@ -44,18 +44,6 @@ class RunSummary:
     uniqueness: dict | None = None
     failure: dict | None = None
 
-    def to_json_dict(self):
-        return {
-            "stages_completed": list(self.stages_completed),
-            "wall_clock": dict(self.wall_clock),
-            "baseline": list(self.baseline),
-            "nd_margins": list(self.nd_margins),
-            "continuation": list(self.continuation),
-            "continuation_failure": self.continuation_failure,
-            "uniqueness": self.uniqueness,
-            "failure": self.failure,
-        }
-
 
 def _fmt_kappa(kappa: float) -> str:
     return format(float(kappa), ".17g")
@@ -64,7 +52,7 @@ def _fmt_kappa(kappa: float) -> str:
 def _write_summary(summary: RunSummary, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -164,30 +152,23 @@ def _stage_phi(config, state, summary, outdir):
 def _stage_continuation(config, state, summary, outdir):
     domain = state["domain"]
     baseline = state["baseline"]
-    caps = state.get("caps")
-    model = ModelKind(config.model.kind, baseline=baseline, caps=caps)
-    schedule = ContinuationSchedule(config.schedule.kappa_start,
-                                    config.schedule.factor,
-                                    config.schedule.steps,
-                                    newton_tol=config.solver.newton_tol)
-    trace = continuation_run(domain, config.species, model, schedule,
-                             initial=baseline,
-                             max_newton=config.solver.max_newton,
-                             max_backtracks=config.solver.max_backtracks)
+    model = ModelKind(config.model.kind, baseline=baseline, caps=state.get("caps"))
+    solver = config.solver
+    trace = continuation_run(domain, config.species, model, config.schedule,
+                             initial=baseline, tol=solver.newton_tol,
+                             max_newton=solver.max_newton,
+                             max_backtracks=solver.max_backtracks)
+    state["model"] = model
     state["trace"] = trace
     outdir.mkdir(parents=True, exist_ok=True)
     for step in trace.steps:
         tag = _fmt_kappa(step.kappa)
-        summary.continuation.append({
-            "kappa": step.kappa,
-            "newton_iterations": step.newton_iterations,
-            "diagnostics": step.diagnostics.to_json_dict(),
-        })
+        record = {"kappa": step.kappa,
+                  "newton_iterations": step.newton_iterations,
+                  "diagnostics": step.diagnostics.to_json_dict()}
+        summary.continuation.append(record)
         with open(outdir / f"trace_{tag}.json", "w", encoding="utf-8") as fh:
-            json.dump({"kappa": step.kappa,
-                       "newton_iterations": step.newton_iterations,
-                       "diagnostics": step.diagnostics.to_json_dict()},
-                      fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if config.output.emit_fields:
             for i, u in enumerate(step.state):
@@ -199,14 +180,9 @@ def _stage_continuation(config, state, summary, outdir):
 
 
 def _stage_uniqueness(config, state, summary, outdir):
-    trace = state.get("trace")
-    if trace is None or not trace.steps:
-        raise RuntimeError("uniqueness probe needs a completed continuation")
+    trace = state["trace"]
     probe = config.uniqueness
-    report = uniqueness_probe(state["domain"], config.species,
-                              ModelKind(config.model.kind,
-                                        baseline=state["baseline"],
-                                        caps=state.get("caps")),
+    report = uniqueness_probe(state["domain"], config.species, state["model"],
                               trace.steps[-1].kappa, trace.final_state(),
                               probe.delta, probe.trials, probe.seed,
                               tol=config.solver.newton_tol,

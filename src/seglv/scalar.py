@@ -53,17 +53,6 @@ class NDReport:
     rayleigh_iterations: int
 
 
-def _resolve_region(domain: GridDomain, region):
-    if region is None:
-        return domain.interior_mask
-    mask = np.asarray(region, dtype=bool)
-    if mask.shape != domain.interior_mask.shape:
-        raise ValueError("region mask shape does not match the grid")
-    if not mask.any():
-        raise ValueError("region is empty")
-    return mask
-
-
 def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
                guess: ScalarField, *, newton_tol=1e-10, max_newton=200,
                max_backtracks=30) -> ScalarSolveReport:
@@ -78,8 +67,8 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     trivial branch up to solver resolution; it is snapped to exactly zero
     and flagged non-positive.
     """
-    mask = _resolve_region(domain, region)
-    A, _ = domain.laplacian(mask)
+    A, index = domain.laplacian(region)
+    mask = index >= 0
     h = domain.h
 
     def residual(vec):
@@ -143,8 +132,8 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8):
     with c = 1); the eigenfield comes back L2-normalized and nonnegative.
     Raises EigenSolveError unless ||A e - lam e||_L2 <= eig_tol * lam.
     """
-    mask = _resolve_region(domain, region)
-    A, _ = domain.laplacian(mask)
+    A, index = domain.laplacian(region)
+    mask = index >= 0
     nu, w, _ = _top_eigenpair(np.ones(A.shape[0]), A, factorize(A))
     lam = 1.0 / nu
     # on disconnected regions a repeated eigenvalue can come back as a
@@ -168,12 +157,10 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
     the dense path and for f'(u0) = 0, whose margin is 1).  Raises
     EigenSolveError unless ||f'(u0) w - nu A w|| <= eig_tol * ||A w||.
     """
-    domain = u0.domain
-    mask = _resolve_region(domain, region)
-    c = f_prime(sp_params, u0.values)[mask]
+    A, index = u0.domain.laplacian(region)
+    c = f_prime(sp_params, u0.values)[index >= 0]
     if not np.any(c):
         return NDReport(margin=1.0, rayleigh_iterations=0)
-    A, _ = domain.laplacian(mask)
     nu, w, solves = _top_eigenpair(c, A, factorize(A))
     Aw = A @ w
     resid = float(np.linalg.norm(c * w - nu * Aw))

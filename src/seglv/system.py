@@ -61,7 +61,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import DomainMismatchError, NonlinearSolveError
 from .newton import damped_newton, factorize
 from .operators import ScalarField, StateField
-from .reaction import f_eval, f_prime, f_truncated_eval, f_truncated_prime
+from .reaction import f_truncated_eval, f_truncated_prime
 
 MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
 
@@ -87,7 +87,7 @@ class ModelKind:
     baseline attached to ``lotka_volterra`` is only a warm-start hint and
     is not checked.  ``caps`` holds the per-species truncation profiles
     (the global positive supersolutions) when reaction truncation is
-    switched on.
+    switched on; without them the caps are +inf, which leaves f as is.
     """
 
     kind: str
@@ -216,7 +216,8 @@ class _System:
             self.u0 = np.stack([u.values[mask] for u in model.baseline])
         if model.caps is not None and model.caps.domain is not domain:
             raise DomainMismatchError("truncation caps live on a different domain")
-        self.caps = None if model.caps is None else [u.values[mask] for u in model.caps]
+        self.caps = ([np.inf] * k if model.caps is None
+                     else [u.values[mask] for u in model.caps])
         # block (i, j) of the coupling is diagonal: entry m of it sits at
         # row i n + m, column j n + m
         index = np.arange(k * n, dtype=np.int32).reshape(k, n)
@@ -226,12 +227,10 @@ class _System:
         # the ones the next may keep
         self._held = None
 
-    def _reaction(self, fn, truncated, s):
-        """Per-species reaction term (or derivative) at the (k, n) argument s."""
-        if self.caps is None:
-            return np.stack([fn(p, s_i) for p, s_i in zip(self.species, s)])
-        return np.stack([truncated(p, s_i, c)
-                         for p, s_i, c in zip(self.species, s, self.caps)])
+    def _reaction(self, fn, s):
+        """Per-species truncated reaction term (or derivative) at the (k, n)
+        argument s."""
+        return np.stack([fn(p, s_i, c) for p, s_i, c in zip(self.species, s, self.caps)])
 
     def _parts(self, x):
         """(P, s, v): interacting parts, reaction argument and u + u^0 at x."""
@@ -245,7 +244,7 @@ class _System:
         """Stacked residual A u_i - RHS_i at the stacked state x."""
         P, s, _ = self._parts(x)
         coupling = self.kappa * P * (P.sum(axis=0) - P)
-        return (self.K @ x - self._reaction(f_eval, f_truncated_eval, s).ravel()
+        return (self.K @ x - self._reaction(f_truncated_eval, s).ravel()
                 + coupling.ravel())
 
     def rhs_norm(self, x, r):
@@ -260,7 +259,7 @@ class _System:
         P, s, v = self._parts(x)
         H = v >= 0.0 if self.clip else np.ones_like(v)
         D = self.kappa * P[:, None, :] * H
-        fp = self._reaction(f_prime, f_truncated_prime, s)
+        fp = self._reaction(f_truncated_prime, s)
         D[np.arange(self.k), np.arange(self.k)] = H * (
             self.kappa * (P.sum(axis=0) - P) - fp)
         return D
@@ -293,7 +292,10 @@ class _System:
         return self._held
 
     def stack(self, U: StateField):
-        """Stacked interior vector of the state U."""
+        """Stacked interior vector of the state U; raises ValueError unless
+        U has one component per species."""
+        if U.k != self.k:
+            raise ValueError("species list and state size disagree")
         mask = self.domain.interior_mask
         return np.concatenate([u.values[mask] for u in U])
 
@@ -343,8 +345,6 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     singular, GMRES misses its tolerance on freshly factored blocks, or the
     budget of `max_newton` steps runs out.
     """
-    if len(species) != guess.k:
-        raise ValueError("species list and state size disagree")
     return _System(guess.domain, species, model, kappa).solve(
         guess, tol, max_newton=max_newton, max_backtracks=max_backtracks)
 
@@ -364,8 +364,6 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
     NonlinearSolveError that ended that start.  Raises NonlinearSolveError
     when the Jacobian at the center cannot be factored.
     """
-    if len(species) != center.k:
-        raise ValueError("species list and state size disagree")
     system = _System(center.domain, species, model, kappa)
     try:
         lu = factorize(system.jacobian(system.stack(center)))

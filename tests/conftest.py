@@ -54,7 +54,7 @@ def dumbbell2_trace(dumbbell2_setup):
     """Barrier continuation on the 2-ball dumbbell up to kappa = 65536."""
     setup = dumbbell2_setup
     model = sg.ModelKind.barrier(setup["baseline"])
-    schedule = sg.ContinuationSchedule(4.0, 2.0, 15, newton_tol=1e-10)
+    schedule = sg.ContinuationSchedule(4.0, 2.0, 15)
     trace = sg.continuation_run(setup["domain"], setup["species"], model, schedule)
     assert trace.failure is None
     return trace

@@ -59,7 +59,7 @@ def build_chain(width):
 
 def run_chain(domain, species, baseline):
     model = ModelKind.barrier(baseline)
-    schedule = ContinuationSchedule(4.0, 2.0, 17, newton_tol=1e-10)
+    schedule = ContinuationSchedule(4.0, 2.0, 17)
     trace = sg.continuation_run(domain, species, model, schedule)
     assert trace.failure is None, trace.failure
     return trace
@@ -222,7 +222,7 @@ def test_a8_apriori_box(chain3, chain3_phi):
     model = ModelKind.positive_part(baseline, caps=chain3_phi)
     # doubling ramp landing exactly on kappa = 1000; the reformulation has
     # no nonnegative branch near the baseline for small kappa
-    schedule = ContinuationSchedule(15.625, 2.0, 7, newton_tol=1e-10)
+    schedule = ContinuationSchedule(15.625, 2.0, 7)
     trace = sg.continuation_run(domain, species, model, schedule)
     assert trace.failure is None, trace.failure
     final = trace.steps[-1]

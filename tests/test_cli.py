@@ -287,3 +287,13 @@ def test_runner_phi_uses_solver_budget(tmp_path, monkeypatch):
     assert summary.stages_completed[-1] == "phi"
     # one phi, shared by the two equal species
     assert seen == [(37, 9)]
+
+
+def test_cli_output_flag_overrides_config(tmp_path, capsys):
+    configured, override = tmp_path / "configured", tmp_path / "override"
+    cfg = write_config(tmp_path, {"output.directory": str(configured)})
+    assert main(["solve-baseline", str(cfg), "--output", str(override)]) == 0
+    assert f"outputs in {override}" in capsys.readouterr().out
+    assert (override / "summary.json").exists()
+    assert (override / "u0_baseline.csv").exists()
+    assert not configured.exists()

@@ -82,19 +82,31 @@ def test_probe_section_parsed():
     ("model", "truncation", "false", "model.truncation"),
     ("output", "emit_fields", "false", "output.emit_fields"),
     ("output", "emit_images", 1, "output.emit_images"),
+    ("schedule", "steps", 17.9, "schedule.steps"),
+    ("probes.uniqueness", "seed", True, "probes.uniqueness.seed"),
+    ("solver", "newton_tol", "1e-10", "solver.newton_tol"),
+    ("domain", "h", True, "domain.h"),
+    ("domain.balls.0", "species_index", 0.7, "domain geometry"),
+    # with the default 18 steps
+    ("schedule", "kappa_start", 0, "schedule: kappa_start = 0"),
 ])
 def test_mistyped_field_rejected(section, key, value, match, tmp_path, capsys):
     doc = json.loads(json.dumps(MINIMAL))
     target = doc
     for part in section.split("."):
-        target = target.setdefault(part, {})
+        if isinstance(target, list):
+            target = target[int(part)]
+        else:
+            target = target.setdefault(part, {})
     target[key] = value
     with pytest.raises(ConfigError, match=match):
         parse_config(json.dumps(doc))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert main(["nd-check", str(path)]) == 2
+    out = tmp_path / "out"
+    assert main(["nd-check", str(path), "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config: {match}")
+    assert not out.exists()
 
 
 def test_emit_field_header_and_zeros(tiny3, tmp_path):

@@ -64,7 +64,7 @@ def test_noninvasion_monotone_for_large_kappa(dumbbell2_trace):
 
 def test_lv_continuation_runs(dumbbell2_setup):
     setup = dumbbell2_setup
-    schedule = ContinuationSchedule(32.0, 2.0, 6, newton_tol=1e-10)
+    schedule = ContinuationSchedule(32.0, 2.0, 6)
     trace = continuation_run(setup["domain"], setup["species"],
                              ModelKind.lotka_volterra(), schedule,
                              initial=setup["baseline"])
@@ -77,7 +77,7 @@ def test_lv_continuation_runs(dumbbell2_setup):
 def test_partial_trace_on_failure(dumbbell2_setup):
     setup = dumbbell2_setup
     model = ModelKind.barrier(setup["baseline"])
-    schedule = ContinuationSchedule(4.0, 1e6, 3, newton_tol=1e-10)
+    schedule = ContinuationSchedule(4.0, 1e6, 3)
     trace = continuation_run(setup["domain"], setup["species"], model, schedule,
                              max_newton=2, max_backtracks=1)
     assert trace.failure is not None
@@ -89,3 +89,12 @@ def test_initial_required_without_baseline(dumbbell2_setup):
         continuation_run(dumbbell2_setup["domain"], dumbbell2_setup["species"],
                          ModelKind.lotka_volterra(),
                          ContinuationSchedule(4.0, 2.0, 2))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10])
+def test_nonpositive_tol_rejected(dumbbell2_setup, tol):
+    baseline = dumbbell2_setup["baseline"]
+    with pytest.raises(ValueError, match="tol must be positive"):
+        continuation_run(dumbbell2_setup["domain"], dumbbell2_setup["species"],
+                         ModelKind.barrier(baseline),
+                         ContinuationSchedule(4.0, 2.0, 2), tol=tol)

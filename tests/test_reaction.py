@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seglv as sg
-from seglv import (SpeciesParams, f_eval, f_prime, f_truncated_eval, hat_rhs,
-                   hat_transform, potential_eval)
+from seglv import (SpeciesParams, f_eval, f_prime, f_truncated_eval,
+                   f_truncated_prime, hat_rhs, hat_transform, potential_eval)
 from conftest import random_field
 
 SP12 = SpeciesParams(lam=1.0, p=2.0)
@@ -84,6 +84,14 @@ def test_truncation_matches_below_cap_and_freezes_above(s):
     cap = 0.8
     expect = f_eval(SP12, s) if s <= cap else f_eval(SP12, cap)
     assert f_truncated_eval(SP12, s, cap) == expect
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_infinite_cap_leaves_reaction_bitwise(p):
+    sp = SpeciesParams(lam=7.3, p=p)
+    s = np.random.default_rng(41).uniform(-3.0, 3.0, 100_000)
+    assert np.array_equal(f_truncated_eval(sp, s, np.inf), f_eval(sp, s))
+    assert np.array_equal(f_truncated_prime(sp, s, np.inf), f_prime(sp, s))
 
 
 def test_truncation_continuity_at_cap():

@@ -260,3 +260,30 @@ def test_supersolution_unavailable_below_threshold(ball16):
     lam1, _ = principal_eigenvalue(None, ball16)
     with pytest.raises(PhiUnavailable):
         supersolution_phi(SpeciesParams(lam=0.9 * lam1, p=2.0), ball16)
+
+
+def _bad_region(domain, kind):
+    if kind == "shape":
+        return np.ones((3, 3), dtype=bool)
+    if kind == "non-interior":
+        region = domain.interior_mask.copy()
+        region[0, 0] = True
+        return region
+    return np.zeros_like(domain.interior_mask)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("shape", "shape does not match"),
+    ("non-interior", "non-interior nodes"),
+    ("empty", "region is empty")])
+def test_invalid_region_rejected(ball16, kind, message):
+    region = _bad_region(ball16, kind)
+    sp = SpeciesParams(lam=12.0, p=2.0)
+    one = ScalarField(ball16, ball16.interior_mask.astype(float))
+    calls = [lambda: ball16.laplacian(region),
+             lambda: principal_eigenvalue(region, ball16),
+             lambda: solve_ball(sp, region, ball16, one),
+             lambda: nd_margin(one, sp, region)]
+    for call in calls:
+        with pytest.raises(sg.DomainError, match=message):
+            call()

@@ -510,3 +510,14 @@ def test_solve_near_singular_center_raises(dumbbell2_setup, monkeypatch):
     monkeypatch.setattr(newton, "splu", singular_splu)
     with pytest.raises(NonlinearSolveError, match="singular linearization"):
         solve_near(U0, [U0], setup["species"], ModelKind.barrier(U0), 64.0)
+
+
+def test_species_count_must_match_state(dumbbell2_setup):
+    U0 = dumbbell2_setup["baseline"]
+    model = ModelKind.barrier(U0)
+    for species in (dumbbell2_setup["species"][:1], dumbbell2_setup["species"] * 2):
+        for call in (lambda: residual(U0, species, model, 64.0),
+                     lambda: solve_system(U0, species, model, 64.0),
+                     lambda: solve_near(U0, [U0], species, model, 64.0)):
+            with pytest.raises(ValueError, match="species list and state size"):
+                call()
