@@ -102,6 +102,12 @@ def _json_int(value):
     return value
 
 
+def _json_str(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
@@ -209,10 +215,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("probes.uniqueness.delta must be nonnegative")
         if uniqueness.trials < 1:
             raise ConfigError("probes.uniqueness.trials must be at least 1")
+        if uniqueness.seed < 0:
+            raise ConfigError("probes.uniqueness.seed must be nonnegative")
 
     out = _section(doc, "output")
     output = OutputConfig(
-        directory=str(_take(out, "output", "directory", default="out")),
+        directory=_take(out, "output", "directory", default="out", kind=_json_str),
         emit_fields=_take(out, "output", "emit_fields", default=True, kind=_json_bool),
         emit_images=_take(out, "output", "emit_images", default=False, kind=_json_bool),
     )

@@ -1,15 +1,14 @@
 """Damped Newton over a pluggable linear solver, shared by every solver.
 
-One kernel serves the scalar ball problems and the coupled k-species
+One kernel serves the scalar region problems and the coupled k-species
 systems.  It works on a flat unknown vector through three callables
 (residual, linearization, residual norm) plus a convergence target:
 
 * ``linearize(x)`` returns a linear solver for the Jacobian at x: any
   object whose ``solve(b)`` returns s with J(x) s ~ b, and which raises
   RuntimeError when it cannot (a singular factor, a Krylov solve that does
-  not converge).  Scalar problems pass ``factorize(J(x))``, an exact sparse
-  LU; the coupled systems pass an inexact, block-preconditioned GMRES
-  solver (``system``).
+  not converge).  Scalar and coupled solves alike build it through one
+  ``HeldFactor`` per solve (below).
 * Each step solves J(x) s = -r(x) with that solver and halves s until the
   residual norm falls by the Armijo-style factor (1 - 1e-4 t).
 * Every matrix that is factored goes through ``factorize``: minimum-degree
@@ -19,41 +18,145 @@ systems.  It works on a flat unknown vector through three callables
   of L and U far below the default column ordering's.  Poisson solves,
   eigen-solves, margins and the coupled solver's diagonal blocks factor
   through it too.
+* One held-factor rule serves every Newton step (``HeldFactor``).  A
+  solve factors once, an LU of a scalar Jacobian or the k diagonal-block
+  LUs of a coupled one, and solves each Newton system by restarted GMRES
+  on J(x) to a relative residual of ``KRYLOV_RTOL``, preconditioned by
+  that factor.  The next linearization refactors only when the last GMRES
+  solve took more than ``KRYLOV_REFACTOR`` iterations; a GMRES solve that
+  misses its tolerance on held factors refactors at the current iterate
+  and tries once more, and a miss on fresh factors raises RuntimeError.
+  This is the chord / Shamanskii lagging of the linearization (Kelley,
+  *Solving Nonlinear Equations with Newton's Method*, SIAM 2003, section
+  5.4) with the lagged factor as a preconditioner, so every step stays an
+  inexact Newton step on the current Jacobian (Knoll & Keyes, J. Comput.
+  Phys. 193, 2004).  Each linearization logs its decision at DEBUG level.
 * After convergence up to two polish steps drive the residual toward
   machine level, which the nodewise inequality diagnostics rely on.  They
   reuse the linear solver of the last Newton step instead of building a
-  new one (chord steps), and each is accepted only while it lowers the
-  residual norm.  Only a start that is already converged builds a solver
-  of its own.
+  new one, and each is accepted only while it more than halves the
+  residual norm, so round-off cannot add iterations.  Only a start that
+  is already converged builds a solver of its own.
 * A caller solving many nearby problems may hand in the LU of a nearby
   Jacobian (``lu=``).  Steps then start as full chord steps on that
   factor, each accepted while it at least halves the residual norm; the
   first that does not drops the factor for the rest of the solve, and
   ordinary damped Newton goes on from the current iterate (Kelley's
-  chord / Shamanskii rule, *Solving Nonlinear Equations with Newton's
-  Method*, SIAM 2003, section 5.4).  A solve that converges on chord steps
-  alone polishes on the same factor and builds none of its own.
+  chord / Shamanskii rule).  A solve that converges on chord steps alone
+  polishes on the same factor and builds none of its own.
 * The kernel keeps at most one linear solver of its own alive; the
-  previous one is dropped before the next is built, which bounds peak
-  memory at a single linearization.  A ``linearize`` may carry factors
-  over from its previous solver (the coupled systems keep their block
-  LUs while GMRES converges quickly on them); it then holds them itself
-  and must release them when its solve ends.  A handed-in factor belongs
-  to the caller and outlives the solve, so while a solve falls back from
-  it two are alive.
+  previous one is dropped before the next is built.  A ``HeldFactor``
+  carries its factors over from one linearization to the next, and the
+  caller releases them (``HeldFactor.release``) when its solve ends,
+  before it allocates the result: a result allocated above live LUs
+  leaves their freed memory unreturnable.  A handed-in factor belongs to
+  the caller and outlives the solve, so while a solve falls back from it
+  two are alive.
 """
 
 from __future__ import annotations
 
-from scipy.sparse.linalg import splu
+import logging
+
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import NonlinearSolveError
+
+log = logging.getLogger(__name__)
+
+# GMRES of a Newton step: it succeeds once the true residual ||J s - b|| is
+# at most KRYLOV_RTOL ||b||, within KRYLOV_MAXITER restart cycles of
+# KRYLOV_RESTART iterations each
+KRYLOV_RTOL = 1e-6
+KRYLOV_RESTART = 50
+KRYLOV_MAXITER = 3
+# a linearization keeps the held factors while the last GMRES solve on them
+# took at most KRYLOV_REFACTOR iterations
+KRYLOV_REFACTOR = 10
 
 
 def factorize(J):
     """Sparse LU of the structurally symmetric matrix J (SuperLU object)."""
     return splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
                 options={"SymmetricMode": True})
+
+
+def _lu_solve(lu, c):
+    return lu.solve(c)
+
+
+class HeldFactor:
+    """Newton-step solver whose factors are held across the steps of a solve.
+
+    ``linearize(J, factor, precondition)`` makes it the solver of J, a
+    sparse matrix or LinearOperator, and returns it.  `factor()` factors
+    J: by default ``factorize(J)``, an exact LU.  ``solve`` runs GMRES on J
+    preconditioned by precondition(factors, c), by default the LU solve.
+    A linearization keeps the factors of an earlier one while the last
+    GMRES solve took at most ``KRYLOV_REFACTOR`` iterations, and otherwise
+    calls `factor`.  When GMRES misses its tolerance on held factors,
+    ``solve`` refactors at the current linearization and solves once more.
+    Factoring raises RuntimeError when the matrix is singular, and
+    ``solve`` raises it when GMRES misses on fresh factors.  ``iterations``
+    is the GMRES iteration count of the last solve (0 after a factoring).
+    `label` and `what` name the solve and its factors in the DEBUG log.
+    """
+
+    def __init__(self, label, what="LU"):
+        self.label = label
+        self.what = what
+        self.release()
+
+    def linearize(self, J, factor=None, precondition=_lu_solve):
+        self.J = J
+        self.factor = factor if factor is not None else (lambda: factorize(J))
+        self.precondition = precondition
+        self.held = (self.iterations is not None
+                     and self.iterations <= KRYLOV_REFACTOR)
+        log.debug("%s: %s %s; last GMRES iterations: %s", self.label,
+                  "holding" if self.held else "factoring", self.what,
+                  self.iterations)
+        if not self.held:
+            self._refactor()
+        return self
+
+    def _refactor(self):
+        self.factors = None  # released before the new ones are made
+        self.factors = self.factor()
+        self.iterations = 0
+
+    def release(self):
+        """Drop the factors and every reference to the linearization."""
+        self.factors = self.J = self.factor = self.precondition = None
+        self.iterations = None
+        self.held = False
+
+    def solve(self, b):
+        s, info = self._gmres(b)
+        if info != 0 and self.held:
+            log.debug("GMRES missed in %d iterations on held %s; refactoring",
+                      self.iterations, self.what)
+            self._refactor()
+            self.held = False
+            s, info = self._gmres(b)
+        if info != 0:
+            raise RuntimeError(f"GMRES missed relative residual {KRYLOV_RTOL:g} "
+                               f"in {KRYLOV_MAXITER} restart cycles")
+        return s
+
+    def _gmres(self, b):
+        factors, precondition = self.factors, self.precondition
+        self.iterations = 0
+
+        def count(_):
+            self.iterations += 1
+
+        # the dtype spares LinearOperator a probing preconditioner solve
+        M = LinearOperator(self.J.shape, dtype=float,
+                           matvec=lambda c: precondition(factors, c))
+        return gmres(self.J, b, rtol=KRYLOV_RTOL, atol=0.0,
+                     restart=KRYLOV_RESTART, maxiter=KRYLOV_MAXITER, M=M,
+                     callback=count, callback_type="pr_norm")
 
 
 def damped_newton(x, residual, linearize, norm, target, *, max_newton,
@@ -124,7 +227,7 @@ def damped_newton(x, residual, linearize, norm, target, *, max_newton,
         trial = x + step
         rt = residual(trial)
         rtnorm = norm(rt)
-        if not rtnorm < rnorm:
+        if not rtnorm < 0.5 * rnorm:
             break
         x, r, rnorm = trial, rt, rtnorm
         history.append(rnorm)

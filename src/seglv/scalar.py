@@ -3,13 +3,15 @@ nondegeneracy margin of baseline states.
 
 The scalar problem  -Lap u = f(u)  on a node subset R (a single ball, or
 the whole connected domain for the global profile) is solved by the damped
-Newton kernel of ``newton``: each step solves the linearized system
-(A - diag(f'(u))) s = -r with a sparse LU under a minimum-degree ordering
-of the symmetric pattern, and steps are halved until the residual norm
-decreases.  The two polish steps after convergence are chord steps that
-reuse the last Newton factorization.  On a ball the positive branch is
-reliably selected by seeding with half the principal Dirichlet eigenfield;
-the global profile starts from the supersolution u = 1.
+Newton kernel of ``newton`` under its held-factor rule, as the coupled
+systems are: each step solves the linearized system
+(A - diag(f'(u))) s = -r by GMRES preconditioned with a sparse LU of the
+Jacobian at an earlier iterate, refactored only when GMRES slows or misses
+(``newton.HeldFactor``), and steps are halved until the residual norm
+decreases.  The two polish steps after convergence reuse the last
+linearization.  On a ball the positive branch is reliably selected by
+seeding with half the principal Dirichlet eigenfield; the global profile
+starts from the supersolution u = 1.
 
 Both eigenproblems take the largest nu of diag(c) w = nu A w, A = -Lap on
 the region, from Lanczos (ARPACK mode 2, M = A) on one sparse LU of A of
@@ -34,7 +36,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .domain import GridDomain
 from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
-from .newton import damped_newton, factorize
+from .newton import HeldFactor, damped_newton, factorize
 from .operators import ScalarField, norm
 from .reaction import SpeciesParams, f_eval, f_prime
 
@@ -59,9 +61,12 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     """Damped Newton for -Lap u = f(u) on `region` with zero exterior data.
 
     Converges when ||A u - f(u)||_L2 <= newton_tol * max(1, ||f(u)||_L2).
-    The guess is restricted to the region.  Raises NonlinearSolveError when
-    a step cannot reduce the residual after `max_backtracks` halvings or
-    the iteration budget runs out.
+    The guess is restricted to the region.  Each step runs GMRES on an LU
+    that the solve holds across its steps (``newton.HeldFactor``) and
+    releases before the result is built.  Raises NonlinearSolveError when
+    a step cannot reduce the residual after `max_backtracks` halvings, the
+    Jacobian is singular, GMRES misses on a fresh LU, or the iteration
+    budget runs out.
 
     A converged state whose amplitude sits below 1000x the tolerance is the
     trivial branch up to solver resolution; it is snapped to exactly zero
@@ -86,11 +91,16 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     def as_field(vec):
         return ScalarField(domain, domain.insert(vec, mask))
 
-    u, rnorm, iterations = damped_newton(
-        guess.values[mask].astype(float), residual,
-        lambda vec: factorize(jacobian(vec)), l2, target,
-        max_newton=max_newton, max_backtracks=max_backtracks,
-        as_iterate=as_field)
+    held = HeldFactor(f"{A.shape[0]} nodes")
+    try:
+        u, rnorm, iterations = damped_newton(
+            guess.values[mask].astype(float), residual,
+            lambda vec: held.linearize(jacobian(vec)), l2, target,
+            max_newton=max_newton, max_backtracks=max_backtracks,
+            as_iterate=as_field)
+    finally:
+        # released before the result is allocated
+        held.release()
     if float(np.max(np.abs(u))) <= 1e3 * newton_tol:
         u = np.zeros_like(u)
         rnorm = l2(residual(u))

@@ -29,18 +29,14 @@ blocks kappa P_i H_j, with S_i = sum_{j != i} P_j and H_i the generalized
 derivative of P_i (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  Every
 block of the coupling is diagonal, so it is held as one (k, k, n) array D.
 
-A Newton step does not factor the (k n)^2 Jacobian.  It solves J s = -r
-by restarted GMRES to a relative residual of ``KRYLOV_RTOL``,
-preconditioned by one forward block Gauss-Seidel sweep over LUs of the k
-diagonal blocks A + diag(D[i, i]) (a Newton-Krylov method with a
-physics-block preconditioner, Knoll & Keyes, J. Comput. Phys. 193, 2004).
-J is applied as K x plus the coupling D at the current iterate and is not
-assembled.  The block LUs are only a preconditioner, so a solve factors
-them once and later steps keep them (preconditioner lagging): the next
-linearization refactors only when the last GMRES solve on the held blocks
-took more than ``KRYLOV_REFACTOR`` iterations, and a GMRES solve that
-misses its tolerance on held blocks refactors at the current iterate and
-tries once more.  Each linearization logs its decision at DEBUG level.
+A Newton step does not factor the (k n)^2 Jacobian.  It runs the
+kernel's held-factor GMRES step (``newton.HeldFactor``) with the k LUs of
+the diagonal blocks A + diag(D[i, i]) as the held factors and one forward
+block Gauss-Seidel sweep over them as the preconditioner (a Newton-Krylov
+method with a physics-block preconditioner, Knoll & Keyes, J. Comput.
+Phys. 193, 2004).  J is applied as K x plus the coupling D at the current
+iterate and is not assembled; the sweep's off-diagonal terms use that D
+too, also on block LUs held from an earlier iterate.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -51,31 +47,18 @@ step stalls.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import DomainMismatchError, NonlinearSolveError
-from .newton import damped_newton, factorize
+from .newton import HeldFactor, damped_newton, factorize
 from .operators import ScalarField, StateField
 from .reaction import f_truncated_eval, f_truncated_prime
 
 MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
-
-log = logging.getLogger(__name__)
-
-# GMRES of the coupled Newton step: it succeeds once the true residual
-# ||J s - b|| is at most KRYLOV_RTOL ||b||, within KRYLOV_MAXITER restart
-# cycles of KRYLOV_RESTART iterations each
-KRYLOV_RTOL = 1e-6
-KRYLOV_RESTART = 50
-KRYLOV_MAXITER = 3
-# a Newton step keeps the block LUs of the previous step of its solve while
-# the last GMRES solve on them took at most KRYLOV_REFACTOR iterations
-KRYLOV_REFACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -119,75 +102,6 @@ class ModelKind:
         return cls("positive_part", baseline, caps)
 
 
-class _BlockSolver:
-    """Newton-step solver of J s = b for J = kron(I_k, A) + coupling D.
-
-    Block (i, j) of J is diag(D[i, j]), plus the Laplacian A when i = j.
-    Only the k diagonal blocks are factored; ``solve`` runs GMRES on J with
-    one forward block Gauss-Seidel sweep over their LUs as preconditioner.
-    `blocks`, when given, are LUs of the diagonal blocks at an earlier
-    iterate: they precondition, while the matvec and the sweep's
-    off-diagonal terms use D.  When GMRES misses its tolerance on such held
-    blocks, ``solve`` refactors them from D and solves once more.
-    ``iterations`` is the GMRES iteration count of the last solve.
-    Factoring raises RuntimeError when a block is singular, and ``solve``
-    raises it when GMRES misses on fresh blocks.
-    """
-
-    def __init__(self, K, A, D, blocks=None):
-        self.K = K
-        self.A = A
-        self.D = D
-        self.held = blocks is not None
-        self.blocks = blocks if self.held else self._factor()
-        self.iterations = 0
-
-    def _factor(self):
-        return [factorize(self.A + sp.diags(self.D[i, i]))
-                for i in range(len(self.D))]
-
-    def solve(self, b):
-        s, info = self._gmres(b)
-        if info != 0 and self.held:
-            log.debug("GMRES missed in %d iterations on held block LUs; "
-                      "refactoring", self.iterations)
-            self.blocks = None  # released before the new ones are factored
-            self.blocks, self.held = self._factor(), False
-            s, info = self._gmres(b)
-        if info != 0:
-            raise RuntimeError(f"GMRES missed relative residual {KRYLOV_RTOL:g} "
-                               f"in {KRYLOV_MAXITER} restart cycles")
-        return s
-
-    def _gmres(self, b):
-        K, D, blocks = self.K, self.D, self.blocks
-        k, n = len(D), D.shape[2]
-        self.iterations = 0
-
-        def apply(x):
-            return K @ x + np.einsum("ijm,jm->im", D, x.reshape(k, n)).ravel()
-
-        def sweep(c):
-            c = c.reshape(k, n)
-            z = np.empty_like(c)
-            for i, lu in enumerate(blocks):
-                z[i] = lu.solve(c[i] - np.einsum("jm,jm->m", D[i, :i], z[:i]))
-            return z.ravel()
-
-        def count(_):
-            self.iterations += 1
-
-        # built per call: operators held on the solver would keep its LUs
-        # alive in a reference cycle until a full garbage collection; the
-        # dtype spares LinearOperator a probing matvec and sweep
-        shape = (k * n, k * n)
-        return gmres(LinearOperator(shape, matvec=apply, dtype=float), b,
-                     rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
-                     maxiter=KRYLOV_MAXITER,
-                     M=LinearOperator(shape, matvec=sweep, dtype=float),
-                     callback=count, callback_type="pr_norm")
-
-
 class _System:
     """Interior-vector view of one model at fixed kappa.
 
@@ -223,9 +137,8 @@ class _System:
         index = np.arange(k * n, dtype=np.int32).reshape(k, n)
         self._rows = np.repeat(index, k, axis=0).ravel()
         self._cols = np.tile(index, (k, 1)).ravel()
-        # the last linearization of the running solve; its block LUs are
-        # the ones the next may keep
-        self._held = None
+        # the Newton-step solver of the running solve, holding its block LUs
+        self._held = HeldFactor(f"kappa {self.kappa:g}", "block LUs")
 
     def _reaction(self, fn, s):
         """Per-species truncated reaction term (or derivative) at the (k, n)
@@ -274,22 +187,33 @@ class _System:
                              shape=(size, size)) + self.K.T
 
     def linearize(self, x):
-        """Newton-step solver of the Jacobian at x (``_BlockSolver``).
+        """Newton-step solver of the Jacobian J at x (``newton.HeldFactor``).
 
-        It keeps the block LUs of the previous linearization while the last
-        GMRES solve on them took at most ``KRYLOV_REFACTOR`` iterations.
+        Block (i, j) of J is diag(D[i, j]), plus the Laplacian A when
+        i = j.  J is applied without being assembled; the held factors are
+        LUs of the k diagonal blocks, and one forward block Gauss-Seidel
+        sweep over them preconditions GMRES.  The sweep's off-diagonal
+        terms use D at x, also when the LUs come from an earlier iterate.
         """
-        D = self._coupling(x)
-        last, self._held = self._held, None
-        iterations = None if last is None else last.iterations
-        keep = iterations is not None and iterations <= KRYLOV_REFACTOR
-        log.debug("kappa %g: %s block LUs; last GMRES iterations: %s",
-                  self.kappa, "holding" if keep else "factoring", iterations)
-        blocks = last.blocks if keep else None
-        # the previous LUs are released before new ones are factored
-        last = None
-        self._held = _BlockSolver(self.K, self.A, D, blocks)
-        return self._held
+        K, A, D = self.K, self.A, self._coupling(x)
+        k, n = self.k, self.n
+
+        def apply(v):
+            return K @ v + np.einsum("ijm,jm->im", D, v.reshape(k, n)).ravel()
+
+        def factor():
+            return [factorize(A + sp.diags(D[i, i])) for i in range(k)]
+
+        def sweep(blocks, c):
+            c = c.reshape(k, n)
+            z = np.empty_like(c)
+            for i, lu in enumerate(blocks):
+                z[i] = lu.solve(c[i] - np.einsum("jm,jm->m", D[i, :i], z[:i]))
+            return z.ravel()
+
+        # the dtype spares LinearOperator a probing matvec
+        J = LinearOperator((k * n, k * n), matvec=apply, dtype=float)
+        return self._held.linearize(J, factor, sweep)
 
     def stack(self, U: StateField):
         """Stacked interior vector of the state U; raises ValueError unless
@@ -317,9 +241,8 @@ class _System:
                 self.res_norm, target, max_newton=max_newton,
                 max_backtracks=max_backtracks, as_iterate=self.unstack, lu=lu)
         finally:
-            # released before the result is allocated: a state allocated
-            # above live LUs leaves their freed memory unreturnable
-            self._held = None
+            # released before the result is allocated
+            self._held.release()
         return self.unstack(x), iterations
 
 
@@ -339,7 +262,7 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     norm decreases by the Armijo-style factor (1 - 1e-4 t).  Each step
     solves its Newton system by GMRES preconditioned with block LUs that
     the solve factors once and refactors only when GMRES slows or misses
-    on them (see the module docstring); they are released before the
+    on them (``newton.HeldFactor``); they are released before the
     result is built.  Raises NonlinearSolveError when a step cannot reduce
     the residual after `max_backtracks` halvings, a diagonal block is
     singular, GMRES misses its tolerance on freshly factored blocks, or the

@@ -64,3 +64,16 @@ def random_field(domain, rng, scale=1.0):
     vals = np.zeros((domain.ny, domain.nx))
     vals[domain.interior_mask] = rng.standard_normal(domain.n_interior) * scale
     return sg.ScalarField(domain, vals)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that calls to it are counted in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls

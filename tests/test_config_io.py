@@ -89,6 +89,9 @@ def test_probe_section_parsed():
     ("domain.balls.0", "species_index", 0.7, "domain geometry"),
     # with the default 18 steps
     ("schedule", "kappa_start", 0, "schedule: kappa_start = 0"),
+    ("output", "directory", None, "output.directory"),
+    ("output", "directory", 3, "output.directory"),
+    ("probes.uniqueness", "seed", -1, "probes.uniqueness.seed must be nonnegative"),
 ])
 def test_mistyped_field_rejected(section, key, value, match, tmp_path, capsys):
     doc = json.loads(json.dumps(MINIMAL))

@@ -8,6 +8,9 @@ from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
                    ScalarField, SpeciesParams, nd_margin, norm,
                    positive_branch_guess, principal_eigenvalue, solve_ball,
                    supersolution_phi)
+from seglv import newton
+from seglv import scalar as scalar_module
+from conftest import count_calls
 
 
 def test_single_node_eigenvalue(tiny3):
@@ -136,6 +139,99 @@ def test_ball_solve_symmetry(ball16):
     u = solve_ball(sp, region, ball16, guess).solution.values
     assert np.allclose(u, u[:, ::-1], atol=1e-10)
     assert np.allclose(u, u[::-1, :], atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def dumbbell2_ball(dumbbell2):
+    """Ball 0 of the dumbbell, its positive-branch guess and species."""
+    region = dumbbell2.species_ball_mask(0)
+    guess, lam1 = positive_branch_guess(dumbbell2, region)
+    return region, guess, SpeciesParams(lam=2 * lam1, p=2.0)
+
+
+def rel_h1(u, ref):
+    return norm(u - ref, "H1") / norm(ref, "H1")
+
+
+def test_ball_solve_forced_refactor_matches_held_lu(dumbbell2, dumbbell2_ball,
+                                                    monkeypatch):
+    region, guess, sp = dumbbell2_ball
+    held = solve_ball(sp, region, dumbbell2, guess)
+    monkeypatch.setattr(newton, "KRYLOV_REFACTOR", 0)
+    linearizations = count_calls(monkeypatch, newton.HeldFactor, "linearize")
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    refactored = solve_ball(sp, region, dumbbell2, guess)
+    assert len(linearizations) >= 2
+    assert len(factorizations) == len(linearizations)
+    assert rel_h1(refactored.solution, held.solution) <= 1e-12
+
+
+@pytest.mark.parametrize("misses, converges", [({2}, True), ({1}, False)],
+                         ids=["held_miss_retried", "fresh_miss_raises"])
+def test_ball_solve_gmres_miss_on_held_lu_refactors(dumbbell2, dumbbell2_ball,
+                                                    monkeypatch, misses,
+                                                    converges):
+    # call 1 solves on a fresh LU, call 2 on the held one; a miss there
+    # refactors, and call 3 solves on the fresh LU
+    region, guess, sp = dumbbell2_ball
+    direct = solve_ball(sp, region, dumbbell2, guess)
+    calls = 0
+    gmres = newton.gmres
+
+    def missing_gmres(A, b, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls in misses:
+            return np.zeros_like(b), 3
+        return gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(newton, "gmres", missing_gmres)
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    if not converges:
+        with pytest.raises(NonlinearSolveError,
+                           match="singular linearization: GMRES missed"):
+            solve_ball(sp, region, dumbbell2, guess)
+        assert calls == 1 and len(factorizations) == 1
+        return
+    report = solve_ball(sp, region, dumbbell2, guess)
+    assert len(factorizations) == 2
+    assert rel_h1(report.solution, direct.solution) <= 1e-12
+
+
+def test_chain3_baseline_holds_its_lu(chain3_domain, monkeypatch):
+    region = chain3_domain.species_ball_mask(1)
+    guess, _ = positive_branch_guess(chain3_domain, region)
+    linearizations = count_calls(monkeypatch, newton.HeldFactor, "linearize")
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    report = solve_ball(SpeciesParams(lam=11.3394, p=2.0), region,
+                        chain3_domain, guess)
+    assert report.positive
+    # one linearization per Newton step; later steps keep the first LU
+    assert 1 <= len(factorizations) < len(linearizations) <= report.newton_iterations
+
+
+def test_ball_solve_releases_held_lu(dumbbell2, dumbbell2_ball, monkeypatch):
+    region, guess, sp = dumbbell2_ball
+    helds, factors_at_insert = [], []
+
+    class RecordingHeldFactor(newton.HeldFactor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            helds.append(self)
+
+    insert = sg.GridDomain.insert
+
+    def recording_insert(self, vec, region=None):
+        factors_at_insert.append([held.factors for held in helds])
+        return insert(self, vec, region)
+
+    monkeypatch.setattr(scalar_module, "HeldFactor", RecordingHeldFactor)
+    monkeypatch.setattr(sg.GridDomain, "insert", recording_insert)
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    solve_ball(sp, region, dumbbell2, guess)
+    assert len(helds) == 1 and factorizations
+    # the result field is built after the LU is released
+    assert factors_at_insert == [[None]]
 
 
 def test_isolation_predicate(ball16):

@@ -7,8 +7,9 @@ import seglv as sg
 from seglv import newton
 from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_near, solve_system)
-from seglv import system as system_module
 from seglv.system import _System
+
+from conftest import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +26,6 @@ def warm_solve(dumbbell2_setup, dumbbell2_trace):
     [start] = [step.state for step in dumbbell2_trace.steps if step.kappa == 8192.0]
     model = ModelKind.barrier(dumbbell2_setup["baseline"])
     return start, dumbbell2_setup["species"], model, 16384.0
-
-
-def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name so that calls to it are counted in the returned list."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -196,10 +184,11 @@ def test_held_block_solver_meets_krylov_tolerance(request, dumbbell2_caps,
     system, x, b, rng = krylov_case(request, dumbbell2_caps, geometry, kind,
                                     truncated)
     # block LUs from a nearby state precondition the solve at x
-    first = system.linearize(x + 0.05 * rng.uniform(-1.0, 1.0, system.k * system.n))
+    blocks = system.linearize(
+        x + 0.05 * rng.uniform(-1.0, 1.0, system.k * system.n)).factors
     solver = system.linearize(x)
     s = solver.solve(b)
-    assert solver.held and solver.blocks is first.blocks
+    assert solver.held and solver.factors is blocks
     J = system.jacobian(x)
     assert np.linalg.norm(J @ s - b) <= 1e-6 * np.linalg.norm(b)
 
@@ -341,8 +330,6 @@ def test_solver_failure_carries_history(dumbbell2_setup):
     ("singular_block", "singular linearization: Factor is exactly singular")])
 def test_krylov_failure_carries_history(dumbbell2_setup, monkeypatch, failure,
                                         message):
-    from seglv import system
-
     def failing_gmres(A, b, **kwargs):
         return np.zeros_like(b), 3
 
@@ -350,7 +337,7 @@ def test_krylov_failure_carries_history(dumbbell2_setup, monkeypatch, failure,
         raise RuntimeError("Factor is exactly singular")
 
     if failure == "gmres":
-        monkeypatch.setattr(system, "gmres", failing_gmres)
+        monkeypatch.setattr(newton, "gmres", failing_gmres)
     else:
         monkeypatch.setattr(newton, "splu", singular_splu)
     U0 = dumbbell2_setup["baseline"]
@@ -390,7 +377,7 @@ def test_warm_solve_factors_blocks_once(warm_solve, monkeypatch):
 def test_forced_refactor_matches_held_blocks(warm_solve, monkeypatch):
     start, species, model, kappa = warm_solve
     held, _ = solve_system(start, species, model, kappa, 1e-10)
-    monkeypatch.setattr(system_module, "KRYLOV_REFACTOR", 0)
+    monkeypatch.setattr(newton, "KRYLOV_REFACTOR", 0)
     linearizations = count_calls(monkeypatch, _System, "linearize")
     factorizations = count_calls(monkeypatch, newton, "splu")
     refactored, _ = solve_system(start, species, model, kappa, 1e-10)
@@ -408,7 +395,7 @@ def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
     start, species, model, kappa = warm_solve
     direct, _ = solve_system(start, species, model, kappa, 1e-10)
     calls = 0
-    gmres = system_module.gmres
+    gmres = newton.gmres
 
     def missing_gmres(A, b, **kwargs):
         nonlocal calls
@@ -417,7 +404,7 @@ def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
             return np.zeros_like(b), 3
         return gmres(A, b, **kwargs)
 
-    monkeypatch.setattr(system_module, "gmres", missing_gmres)
+    monkeypatch.setattr(newton, "gmres", missing_gmres)
     factorizations = count_calls(monkeypatch, newton, "splu")
     if not converges:
         with pytest.raises(NonlinearSolveError,
@@ -438,7 +425,7 @@ def test_solve_releases_held_blocks(warm_solve, monkeypatch, max_newton):
     held_at_unstack = []
 
     def recording_unstack(self, x):
-        held_at_unstack.append(self._held)
+        held_at_unstack.append(self._held.factors)
         return unstack(self, x)
 
     monkeypatch.setattr(_System, "unstack", recording_unstack)
@@ -449,15 +436,15 @@ def test_solve_releases_held_blocks(warm_solve, monkeypatch, max_newton):
         system.solve(start, 1e-10, max_newton=max_newton, max_backtracks=30)
         # the result is allocated after the block LUs are released
         assert held_at_unstack[-1] is None
-    assert system._held is None
+    assert system._held.factors is None
 
 
 def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):
     start, species, model, kappa = warm_solve
     linearizations = count_calls(monkeypatch, _System, "linearize")
-    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+    with caplog.at_level(logging.DEBUG, logger="seglv.newton"):
         solve_system(start, species, model, kappa, 1e-10)
-    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.system"]
+    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.newton"]
     assert len(lines) == len(linearizations) >= 2
     assert lines[0] == "kappa 16384: factoring block LUs; last GMRES iterations: None"
     assert all(line.startswith("kappa 16384: holding block LUs; last GMRES "
