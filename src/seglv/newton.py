@@ -21,16 +21,23 @@ systems.  It works on a flat unknown vector through three callables
 * One held-factor rule serves every Newton step (``HeldFactor``).  A
   solve factors once, an LU of a scalar Jacobian or the k diagonal-block
   LUs of a coupled one, and solves each Newton system by restarted GMRES
-  on J(x) to a relative residual of ``KRYLOV_RTOL``, preconditioned by
-  that factor.  The next linearization refactors only when the last GMRES
-  solve took more than ``KRYLOV_REFACTOR`` iterations; a GMRES solve that
-  misses its tolerance on held factors refactors at the current iterate
-  and tries once more, and a miss on fresh factors raises RuntimeError.
-  This is the chord / Shamanskii lagging of the linearization (Kelley,
-  *Solving Nonlinear Equations with Newton's Method*, SIAM 2003, section
-  5.4) with the lagged factor as a preconditioner, so every step stays an
-  inexact Newton step on the current Jacobian (Knoll & Keyes, J. Comput.
-  Phys. 193, 2004).  Each linearization logs its decision at DEBUG level.
+  on J(x) to a true relative residual of ``KRYLOV_RTOL``, preconditioned
+  by that factor.  The next linearization refactors only when the last
+  GMRES solve took more than ``KRYLOV_REFACTOR`` iterations; a GMRES solve
+  that misses its tolerance on held factors refactors at the current
+  iterate and tries once more, and a miss on fresh factors raises
+  RuntimeError.  This is the chord / Shamanskii lagging of the
+  linearization (Kelley, *Solving Nonlinear Equations with Newton's
+  Method*, SIAM 2003, section 5.4) with the lagged factor as a
+  preconditioner, so every step stays an inexact Newton step on the
+  current Jacobian (Knoll & Keyes, J. Comput. Phys. 193, 2004).  Each
+  linearization logs its decision at DEBUG level.
+* That GMRES (``right_gmres``) is preconditioned on the right (Saad, SIAM
+  J. Sci. Comput. 14, 1993): its Arnoldi residual for J M^-1 y = b is the
+  true residual of x = M^-1 y, and it keeps the preconditioned basis
+  Z = M^-1 V, so x = Z y.  Each iteration makes exactly one preconditioner
+  solve; the tolerance, the first Krylov vector and the update need none,
+  and one matvec per restart cycle confirms the true residual.
 * After convergence up to two polish steps drive the residual toward
   machine level, which the nodewise inequality diagnostics rely on.  They
   reuse the linear solver of the last Newton step instead of building a
@@ -58,7 +65,9 @@ from __future__ import annotations
 
 import logging
 
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import splu
 
 from .errors import NonlinearSolveError
 
@@ -85,20 +94,77 @@ def _lu_solve(lu, c):
     return lu.solve(c)
 
 
+def right_gmres(apply, b, precondition):
+    """Restarted right-preconditioned GMRES for J x = b from x = 0.
+
+    `apply(v)` returns J v and `precondition(c)` returns M^-1 c.  Each
+    cycle runs up to ``KRYLOV_RESTART`` Arnoldi steps on J M^-1 (modified
+    Gram-Schmidt, Givens rotations), one preconditioner solve per step,
+    until the Arnoldi residual reaches ``KRYLOV_RTOL`` ||b||; it then adds
+    Z y to x and confirms with the true residual b - J x, which also
+    starts the next cycle.  Returns (x, iterations, converged): converged
+    once ||b - J x|| <= KRYLOV_RTOL ||b||, within ``KRYLOV_MAXITER``
+    cycles.  b = 0 returns x = 0 after no solve.
+    """
+    x = np.zeros_like(b)
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return x, 0, True
+    tol = KRYLOV_RTOL * beta
+    m = KRYLOV_RESTART
+    R = np.zeros((m + 1, m))  # the Hessenberg matrix, rotated to triangular
+    cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+    r, iterations = b, 0
+    for _ in range(KRYLOV_MAXITER):
+        # the bases V and Z = M^-1 V grow one vector at a time, so a short
+        # cycle allocates only the vectors it uses and frees them on return
+        V, Z = [r / beta], []
+        g[:] = 0.0
+        g[0] = beta
+        for j in range(m):
+            Z.append(precondition(V[j]))
+            iterations += 1
+            w = apply(Z[j])
+            for i, v in enumerate(V):
+                R[i, j] = w @ v
+                w -= R[i, j] * v
+            h = float(np.linalg.norm(w))
+            for i in range(j):
+                R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
+                                        cs[i] * R[i + 1, j] - sn[i] * R[i, j])
+            d = np.hypot(R[j, j], h)
+            cs[j], sn[j] = R[j, j] / d, h / d
+            R[j, j] = d
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= tol:  # also on breakdown, h = 0
+                break
+            V.append(w / h)
+        k = len(Z)
+        for y, z in zip(solve_triangular(R[:k, :k], g[:k]), Z):
+            x += y * z
+        r = b - apply(x)
+        beta = float(np.linalg.norm(r))
+        if beta <= tol:
+            return x, iterations, True
+    return x, iterations, False
+
+
 class HeldFactor:
     """Newton-step solver whose factors are held across the steps of a solve.
 
-    ``linearize(J, factor, precondition)`` makes it the solver of J, a
-    sparse matrix or LinearOperator, and returns it.  `factor()` factors
-    J: by default ``factorize(J)``, an exact LU.  ``solve`` runs GMRES on J
-    preconditioned by precondition(factors, c), by default the LU solve.
-    A linearization keeps the factors of an earlier one while the last
-    GMRES solve took at most ``KRYLOV_REFACTOR`` iterations, and otherwise
-    calls `factor`.  When GMRES misses its tolerance on held factors,
-    ``solve`` refactors at the current linearization and solves once more.
-    Factoring raises RuntimeError when the matrix is singular, and
-    ``solve`` raises it when GMRES misses on fresh factors.  ``iterations``
-    is the GMRES iteration count of the last solve (0 after a factoring).
+    ``linearize(apply, factor, precondition)`` makes it the solver of the
+    Jacobian J that apply(v) = J v multiplies by, and returns it.
+    `factor()` factors J, and ``solve`` runs ``right_gmres`` on J
+    preconditioned by precondition(factors, c), by default the LU solve of
+    an exact LU.  A linearization keeps the factors of an earlier one while
+    the last GMRES solve took at most ``KRYLOV_REFACTOR`` iterations, and
+    otherwise calls `factor`.  When GMRES misses its tolerance on held
+    factors, ``solve`` refactors at the current linearization and solves
+    once more.  Factoring raises RuntimeError when the matrix is singular,
+    and ``solve`` raises it when GMRES misses on fresh factors.
+    ``iterations`` is the GMRES iteration count, and so the number of
+    preconditioner solves, of the last solve (0 after a factoring).
     `label` and `what` name the solve and its factors in the DEBUG log.
     """
 
@@ -107,9 +173,9 @@ class HeldFactor:
         self.what = what
         self.release()
 
-    def linearize(self, J, factor=None, precondition=_lu_solve):
-        self.J = J
-        self.factor = factor if factor is not None else (lambda: factorize(J))
+    def linearize(self, apply, factor, precondition=_lu_solve):
+        self.apply = apply
+        self.factor = factor
         self.precondition = precondition
         self.held = (self.iterations is not None
                      and self.iterations <= KRYLOV_REFACTOR)
@@ -127,36 +193,28 @@ class HeldFactor:
 
     def release(self):
         """Drop the factors and every reference to the linearization."""
-        self.factors = self.J = self.factor = self.precondition = None
+        self.factors = self.apply = self.factor = self.precondition = None
         self.iterations = None
         self.held = False
 
     def solve(self, b):
-        s, info = self._gmres(b)
-        if info != 0 and self.held:
+        s, converged = self._gmres(b)
+        if not converged and self.held:
             log.debug("GMRES missed in %d iterations on held %s; refactoring",
                       self.iterations, self.what)
             self._refactor()
             self.held = False
-            s, info = self._gmres(b)
-        if info != 0:
+            s, converged = self._gmres(b)
+        if not converged:
             raise RuntimeError(f"GMRES missed relative residual {KRYLOV_RTOL:g} "
                                f"in {KRYLOV_MAXITER} restart cycles")
         return s
 
     def _gmres(self, b):
         factors, precondition = self.factors, self.precondition
-        self.iterations = 0
-
-        def count(_):
-            self.iterations += 1
-
-        # the dtype spares LinearOperator a probing preconditioner solve
-        M = LinearOperator(self.J.shape, dtype=float,
-                           matvec=lambda c: precondition(factors, c))
-        return gmres(self.J, b, rtol=KRYLOV_RTOL, atol=0.0,
-                     restart=KRYLOV_RESTART, maxiter=KRYLOV_MAXITER, M=M,
-                     callback=count, callback_type="pr_norm")
+        s, self.iterations, converged = right_gmres(
+            self.apply, b, lambda c: precondition(factors, c))
+        return s, converged
 
 
 def damped_newton(x, residual, linearize, norm, target, *, max_newton,

@@ -5,13 +5,17 @@ The scalar problem  -Lap u = f(u)  on a node subset R (a single ball, or
 the whole connected domain for the global profile) is solved by the damped
 Newton kernel of ``newton`` under its held-factor rule, as the coupled
 systems are: each step solves the linearized system
-(A - diag(f'(u))) s = -r by GMRES preconditioned with a sparse LU of the
-Jacobian at an earlier iterate, refactored only when GMRES slows or misses
-(``newton.HeldFactor``), and steps are halved until the residual norm
-decreases.  The two polish steps after convergence reuse the last
-linearization.  On a ball the positive branch is reliably selected by
-seeding with half the principal Dirichlet eigenfield; the global profile
-starts from the supersolution u = 1.
+(A - diag(f'(u))) s = -r by right-preconditioned GMRES, one solve with a
+sparse LU of the Jacobian at an earlier iterate per iteration, refactored
+only when GMRES slows or misses (``newton.HeldFactor``), and steps are
+halved until the residual norm decreases.  The two polish steps after
+convergence reuse the last linearization.  On a ball the positive branch
+is reliably selected by seeding with half the principal Dirichlet
+eigenfield; the global profile starts from the supersolution u = 1, and a
+positive result whose Rayleigh quotient lies below lambda certifies by
+itself that lambda exceeds the domain's lambda_1, so the whole-domain
+eigenvalue is computed only when that certificate fails
+(``supersolution_phi``).
 
 Both eigenproblems take the largest nu of diag(c) w = nu A w, A = -Lap on
 the region, from Lanczos (ARPACK mode 2, M = A) on one sparse LU of A of
@@ -79,8 +83,10 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     def residual(vec):
         return A @ vec - f_eval(sp_params, vec)
 
-    def jacobian(vec):
-        return A - sp.diags(f_prime(sp_params, vec))
+    def linearize(vec):
+        J = A - sp.diags(f_prime(sp_params, vec))
+        # J is symmetric, so J.T is its CSC form without a copy
+        return held.linearize(J.dot, lambda: factorize(J.T))
 
     def l2(vec):
         return h * float(np.linalg.norm(vec))
@@ -94,9 +100,8 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     held = HeldFactor(f"{A.shape[0]} nodes")
     try:
         u, rnorm, iterations = damped_newton(
-            guess.values[mask].astype(float), residual,
-            lambda vec: held.linearize(jacobian(vec)), l2, target,
-            max_newton=max_newton, max_backtracks=max_backtracks,
+            guess.values[mask].astype(float), residual, linearize, l2,
+            target, max_newton=max_newton, max_backtracks=max_backtracks,
             as_iterate=as_field)
     finally:
         # released before the result is allocated
@@ -197,23 +202,43 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
 
     Caps every later system solution from above (truncation barrier).
     Raises PhiUnavailable when lambda <= lambda_1 of the domain, where only
-    the trivial state exists.
+    the trivial state exists, and NonlinearSolveError when the solve fails
+    or ends non-positive above that threshold.
 
     Newton starts from u = 1 on the interior: f(1) = 0, so it is a discrete
-    supersolution, and the iteration descends to the positive profile.
+    supersolution, and the iteration descends to the positive profile.  A
+    positive result u certifies lambda > lambda_1 without an eigen-solve
+    when its Rayleigh quotient u.A u / u.u, which bounds lambda_1 from
+    above, lies below lambda: for an exact solution it is
+    lambda - lambda sum |u|^(p+1) / u.u.  A state within the Newton
+    tolerance of zero, which can pass for positive just below the
+    threshold, fails that test.  Only a result that is not certified
+    computes lambda_1.
     """
+    one = ScalarField(domain, domain.interior_mask.astype(float))
+    try:
+        report = solve_ball(sp_params, domain.interior_mask, domain, one,
+                            newton_tol=newton_tol, max_newton=max_newton,
+                            max_backtracks=max_backtracks)
+    except NonlinearSolveError as exc:
+        failure = exc
+    else:
+        failure = None
+        if report.positive:
+            A, _ = domain.laplacian()
+            u = report.solution.values[domain.interior_mask]
+            if u @ (A @ u) < sp_params.lam * (u @ u):
+                return report.solution
+        else:
+            failure = NonlinearSolveError(
+                "global profile solve converged to a non-positive state",
+                last_iterate=report.solution,
+                residual_history=[report.final_residual])
     lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)
     if sp_params.lam <= lam1:
         raise PhiUnavailable(
             f"lambda {sp_params.lam:.6g} <= lambda_1 {lam1:.6g}; "
-            "no positive global profile")
-    one = ScalarField(domain, domain.interior_mask.astype(float))
-    report = solve_ball(sp_params, domain.interior_mask, domain, one,
-                        newton_tol=newton_tol, max_newton=max_newton,
-                        max_backtracks=max_backtracks)
-    if not report.positive:
-        raise NonlinearSolveError(
-            "global profile solve converged to a non-positive state",
-            last_iterate=report.solution,
-            residual_history=[report.final_residual])
+            "no positive global profile") from failure
+    if failure is not None:
+        raise failure
     return report.solution

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import DomainMismatchError, NonlinearSolveError
 from .newton import HeldFactor, damped_newton, factorize
@@ -211,9 +210,7 @@ class _System:
                 z[i] = lu.solve(c[i] - np.einsum("jm,jm->m", D[i, :i], z[:i]))
             return z.ravel()
 
-        # the dtype spares LinearOperator a probing matvec
-        J = LinearOperator((k * n, k * n), matvec=apply, dtype=float)
-        return self._held.linearize(J, factor, sweep)
+        return self._held.linearize(apply, factor, sweep)
 
     def stack(self, U: StateField):
         """Stacked interior vector of the state U; raises ValueError unless

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spilu
 
-from seglv import NonlinearSolveError
+from seglv import NonlinearSolveError, newton
 from seglv.newton import damped_newton
 
 
@@ -59,3 +61,65 @@ def test_polish_must_halve_the_residual(polish, accepted):
         [1.0], lambda x: _ScaledSolver([1 - 1e-11, polish, polish]))
     assert iterations == 1 + accepted
     assert rnorm == pytest.approx(1e-11 * (1 - polish) ** accepted, rel=1e-4)
+
+
+def _convection_diffusion(m):
+    """Nonsymmetric 5-point convection-diffusion matrix on an m x m grid."""
+    one_d = sp.diags([-1.3, 2.0, -0.7], [-1, 0, 1], shape=(m, m))
+    eye = sp.identity(m)
+    return (sp.kron(eye, one_d) + sp.kron(one_d, eye)).tocsc()
+
+
+def _counting(fn):
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return fn(v)
+
+    return counted, calls
+
+
+def test_right_gmres_meets_true_residual_with_inexact_lu():
+    J = _convection_diffusion(20)
+    b = np.random.default_rng(0).standard_normal(J.shape[0])
+    ilu = spilu(J, drop_tol=1e-2)
+    precondition, solves = _counting(ilu.solve)
+    x, iterations, converged = newton.right_gmres(J.dot, b, precondition)
+    assert converged and iterations > 1
+    assert np.linalg.norm(J @ x - b) <= 1e-6 * np.linalg.norm(b)
+    # one preconditioner solve per iteration, none for norms or the update
+    assert len(solves) == iterations
+
+
+def test_right_gmres_zero_rhs_makes_no_solve():
+    J = _convection_diffusion(4)
+    precondition, solves = _counting(lambda v: v)
+    apply, matvecs = _counting(J.dot)
+    x, iterations, converged = newton.right_gmres(apply, np.zeros(16), precondition)
+    assert converged and iterations == 0
+    assert np.array_equal(x, np.zeros(16)) and not solves and not matvecs
+
+
+def test_right_gmres_exact_preconditioner_takes_one_iteration():
+    J = _convection_diffusion(10)
+    b = np.random.default_rng(1).standard_normal(J.shape[0])
+    lu = newton.factorize(J)
+    x, iterations, converged = newton.right_gmres(J.dot, b, lu.solve)
+    assert converged and iterations == 1
+    assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_right_gmres_reports_miss_after_all_restart_cycles():
+    # the cyclic shift stalls GMRES: J x over the Krylov space of e_0 stays
+    # orthogonal to e_0, so the residual is ||e_0|| until n iterations
+    n = newton.KRYLOV_RESTART * newton.KRYLOV_MAXITER + 10
+    J = sp.csr_matrix(np.roll(np.eye(n), 1, axis=0))
+    b = np.zeros(n)
+    b[0] = 1.0
+    apply, matvecs = _counting(J.dot)
+    _, iterations, converged = newton.right_gmres(apply, b, lambda v: v)
+    assert not converged
+    assert iterations == newton.KRYLOV_RESTART * newton.KRYLOV_MAXITER
+    # one true-residual matvec closes each cycle
+    assert len(matvecs) == iterations + newton.KRYLOV_MAXITER

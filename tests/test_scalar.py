@@ -176,16 +176,16 @@ def test_ball_solve_gmres_miss_on_held_lu_refactors(dumbbell2, dumbbell2_ball,
     region, guess, sp = dumbbell2_ball
     direct = solve_ball(sp, region, dumbbell2, guess)
     calls = 0
-    gmres = newton.gmres
+    right_gmres = newton.right_gmres
 
-    def missing_gmres(A, b, **kwargs):
+    def missing_gmres(apply, b, precondition):
         nonlocal calls
         calls += 1
         if calls in misses:
-            return np.zeros_like(b), 3
-        return gmres(A, b, **kwargs)
+            return np.zeros_like(b), 3, False
+        return right_gmres(apply, b, precondition)
 
-    monkeypatch.setattr(newton, "gmres", missing_gmres)
+    monkeypatch.setattr(newton, "right_gmres", missing_gmres)
     factorizations = count_calls(monkeypatch, newton, "splu")
     if not converges:
         with pytest.raises(NonlinearSolveError,
@@ -356,6 +356,77 @@ def test_supersolution_unavailable_below_threshold(ball16):
     lam1, _ = principal_eigenvalue(None, ball16)
     with pytest.raises(PhiUnavailable):
         supersolution_phi(SpeciesParams(lam=0.9 * lam1, p=2.0), ball16)
+
+
+def test_positive_phi_makes_no_eigen_solve(chain3_domain, monkeypatch):
+    eigen_solves = count_calls(monkeypatch, scalar_module, "principal_eigenvalue")
+    phi = supersolution_phi(SpeciesParams(lam=11.3394, p=2.0), chain3_domain)
+    assert phi.values[chain3_domain.interior_mask].min() > 0
+    assert eigen_solves == []
+
+
+def test_phi_just_below_clustered_threshold_unavailable(chain3_domain,
+                                                        monkeypatch):
+    # lambda = 5.6314 lies 2e-5 below lambda_1 = 5.63142 of the chain: Newton
+    # ends on a positive state of amplitude 6e-7 within its tolerance, which
+    # the Rayleigh quotient does not certify, so lambda_1 decides
+    eigen_solves = count_calls(monkeypatch, scalar_module, "principal_eigenvalue")
+    with pytest.raises(PhiUnavailable, match="lambda 5.6314 <= lambda_1 5.63142"):
+        supersolution_phi(SpeciesParams(lam=5.6314, p=2.0), chain3_domain)
+    assert len(eigen_solves) == 1
+
+
+def test_uncertified_positive_phi_above_threshold_returned(chain3_domain,
+                                                           monkeypatch):
+    # the same uncertified state is the profile when lambda_1 lies below lambda
+    monkeypatch.setattr(scalar_module, "principal_eigenvalue",
+                        lambda region, domain, eig_tol: (5.63, None))
+    phi = supersolution_phi(SpeciesParams(lam=5.6314, p=2.0), chain3_domain)
+    assert phi.values[chain3_domain.interior_mask].min() > 0
+
+
+def test_phi_newton_failure_above_threshold_raises_solve_error(ball16,
+                                                               monkeypatch):
+    lam1, _ = principal_eigenvalue(None, ball16)
+    eigen_solves = count_calls(monkeypatch, scalar_module, "principal_eigenvalue")
+    with pytest.raises(NonlinearSolveError, match="budget exhausted") as err:
+        supersolution_phi(SpeciesParams(lam=2 * lam1, p=2.0), ball16,
+                          max_newton=1)
+    assert not isinstance(err.value, PhiUnavailable)
+    assert len(eigen_solves) == 1
+
+
+class _CountingLU:
+    """SuperLU stand-in that counts its solves in `counts`."""
+
+    def __init__(self, lu, counts):
+        self.lu, self.counts = lu, counts
+
+    def solve(self, b):
+        self.counts["solves"] += 1
+        return self.lu.solve(b)
+
+
+def test_phi_work_count(chain3_domain, monkeypatch):
+    # one LU held for the whole solve, and every LU solve is a GMRES
+    # iteration: none is spent on norms, a first Krylov vector or lambda_1
+    counts = {"lus": 0, "solves": 0, "iterations": 0}
+    splu, right_gmres = newton.splu, newton.right_gmres
+
+    def counting_splu(*args, **kwargs):
+        counts["lus"] += 1
+        return _CountingLU(splu(*args, **kwargs), counts)
+
+    def counting_gmres(apply, b, precondition):
+        x, iterations, converged = right_gmres(apply, b, precondition)
+        counts["iterations"] += iterations
+        return x, iterations, converged
+
+    monkeypatch.setattr(newton, "splu", counting_splu)
+    monkeypatch.setattr(newton, "right_gmres", counting_gmres)
+    supersolution_phi(SpeciesParams(lam=11.3394, p=2.0), chain3_domain)
+    assert counts["lus"] == 1
+    assert counts["solves"] == counts["iterations"] <= 50
 
 
 def _bad_region(domain, kind):

@@ -330,14 +330,14 @@ def test_solver_failure_carries_history(dumbbell2_setup):
     ("singular_block", "singular linearization: Factor is exactly singular")])
 def test_krylov_failure_carries_history(dumbbell2_setup, monkeypatch, failure,
                                         message):
-    def failing_gmres(A, b, **kwargs):
-        return np.zeros_like(b), 3
+    def failing_gmres(apply, b, precondition):
+        return np.zeros_like(b), 3, False
 
     def singular_splu(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     if failure == "gmres":
-        monkeypatch.setattr(newton, "gmres", failing_gmres)
+        monkeypatch.setattr(newton, "right_gmres", failing_gmres)
     else:
         monkeypatch.setattr(newton, "splu", singular_splu)
     U0 = dumbbell2_setup["baseline"]
@@ -395,16 +395,16 @@ def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
     start, species, model, kappa = warm_solve
     direct, _ = solve_system(start, species, model, kappa, 1e-10)
     calls = 0
-    gmres = newton.gmres
+    right_gmres = newton.right_gmres
 
-    def missing_gmres(A, b, **kwargs):
+    def missing_gmres(apply, b, precondition):
         nonlocal calls
         calls += 1
         if calls in misses:
-            return np.zeros_like(b), 3
-        return gmres(A, b, **kwargs)
+            return np.zeros_like(b), 3, False
+        return right_gmres(apply, b, precondition)
 
-    monkeypatch.setattr(newton, "gmres", missing_gmres)
+    monkeypatch.setattr(newton, "right_gmres", missing_gmres)
     factorizations = count_calls(monkeypatch, newton, "splu")
     if not converges:
         with pytest.raises(NonlinearSolveError,
