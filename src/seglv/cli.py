@@ -63,10 +63,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except OSError as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
     if args.output:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .continuation import ContinuationSchedule
@@ -93,6 +94,9 @@ def _json_bool(value):
 def _json_number(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
+    # json reads NaN and Infinity; integers may also exceed the float range
+    if not abs(value) <= sys.float_info.max:
+        raise TypeError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -232,5 +236,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the UTF-8 JSON config at `path`; OSError when it cannot be
+    read, ConfigError when it is not UTF-8 text or not a valid config."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)

@@ -54,7 +54,8 @@ def read_field(path, domain: GridDomain) -> ScalarField:
 
 
 def emit_image(u: ScalarField, path) -> None:
-    """Write a plain P2 graymap of |u| scaled to 255, rows top to bottom."""
+    """Write a plain P2 graymap of u * 255 / max|u|, rows top to bottom;
+    negative values are written as 0 (black)."""
     d = u.domain
     peak = float(np.max(np.abs(u.values)))
     if peak == 0.0:

@@ -1,14 +1,15 @@
 """Damped Newton over a pluggable linear solver, shared by every solver.
 
-One kernel serves the scalar region problems and the coupled k-species
-systems.  It works on a flat unknown vector through three callables
+One kernel serves every Newton solve: its caller is the coupled k-species
+system of ``system``, and a scalar region problem is that system with one
+species.  It works on a flat unknown vector through three callables
 (residual, linearization, residual norm) plus a convergence target:
 
 * ``linearize(x)`` returns a linear solver for the Jacobian at x: any
   object whose ``solve(b)`` returns s with J(x) s ~ b, and which raises
   RuntimeError when it cannot (a singular factor, a Krylov solve that does
-  not converge).  Scalar and coupled solves alike build it through one
-  ``HeldFactor`` per solve (below).
+  not converge).  The system builds it through one ``HeldFactor`` per
+  solve (below).
 * Each step solves J(x) s = -r(x) with that solver and halves s until the
   residual norm falls by the Armijo-style factor (1 - 1e-4 t).
 * Every matrix that is factored goes through ``factorize``: minimum-degree
@@ -19,8 +20,8 @@ systems.  It works on a flat unknown vector through three callables
   eigen-solves, margins and the coupled solver's diagonal blocks factor
   through it too.
 * One held-factor rule serves every Newton step (``HeldFactor``).  A
-  solve factors once, an LU of a scalar Jacobian or the k diagonal-block
-  LUs of a coupled one, and solves each Newton system by restarted GMRES
+  solve factors once, the k diagonal-block LUs of its Jacobian (one LU
+  for a single species), and solves each Newton system by restarted GMRES
   on J(x) to a true relative residual of ``KRYLOV_RTOL``, preconditioned
   by that factor.  The next linearization refactors only when the last
   GMRES solve took more than ``KRYLOV_REFACTOR`` iterations; a GMRES solve
@@ -38,19 +39,17 @@ systems.  It works on a flat unknown vector through three callables
   Z = M^-1 V, so x = Z y.  Each iteration makes exactly one preconditioner
   solve; the tolerance, the first Krylov vector and the update need none,
   and one matvec per restart cycle confirms the true residual.
-* After convergence up to two polish steps drive the residual toward
-  machine level, which the nodewise inequality diagnostics rely on.  They
-  reuse the linear solver of the last Newton step instead of building a
-  new one, and each is accepted only while it more than halves the
-  residual norm, so round-off cannot add iterations.  Only a start that
-  is already converged builds a solver of its own.
-* A caller solving many nearby problems may hand in the LU of a nearby
-  Jacobian (``lu=``).  Steps then start as full chord steps on that
-  factor, each accepted while it at least halves the residual norm; the
-  first that does not drops the factor for the rest of the solve, and
-  ordinary damped Newton goes on from the current iterate (Kelley's
-  chord / Shamanskii rule).  A solve that converges on chord steps alone
-  polishes on the same factor and builds none of its own.
+* Chord and polish steps take the full step on a solver already at
+  hand, and only when it more than halves the residual norm; a solver
+  that raises RuntimeError takes none.  A caller solving many nearby
+  problems may hand in the LU of a nearby Jacobian (``lu=``): steps start
+  as chord steps on it, and the first not taken drops it for the rest of
+  the solve (Kelley's chord / Shamanskii rule).  After convergence up to
+  two polish steps on the last Newton step's solver drive the residual
+  toward machine level, which the nodewise inequality diagnostics rely
+  on; the halving rule keeps round-off from adding iterations.  Only a
+  start that is already converged builds a solver for them, and one that
+  converged on chord steps alone polishes on the handed-in factor.
 * The kernel keeps at most one linear solver of its own alive; the
   previous one is dropped before the next is built.  A ``HeldFactor``
   carries its factors over from one linearization to the next, and the
@@ -88,10 +87,6 @@ def factorize(J):
     """Sparse LU of the structurally symmetric matrix J (SuperLU object)."""
     return splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
                 options={"SymmetricMode": True})
-
-
-def _lu_solve(lu, c):
-    return lu.solve(c)
 
 
 def right_gmres(apply, b, precondition):
@@ -155,33 +150,30 @@ class HeldFactor:
 
     ``linearize(apply, factor, precondition)`` makes it the solver of the
     Jacobian J that apply(v) = J v multiplies by, and returns it.
-    `factor()` factors J, and ``solve`` runs ``right_gmres`` on J
-    preconditioned by precondition(factors, c), by default the LU solve of
-    an exact LU.  A linearization keeps the factors of an earlier one while
-    the last GMRES solve took at most ``KRYLOV_REFACTOR`` iterations, and
-    otherwise calls `factor`.  When GMRES misses its tolerance on held
-    factors, ``solve`` refactors at the current linearization and solves
-    once more.  Factoring raises RuntimeError when the matrix is singular,
+    `factor()` makes the block LUs, and ``solve`` runs ``right_gmres`` on J
+    preconditioned by precondition(factors, c).  A linearization keeps the
+    factors of an earlier one while the last GMRES solve took at most
+    ``KRYLOV_REFACTOR`` iterations, and otherwise calls `factor`.  When
+    GMRES misses its tolerance on held factors, ``solve`` refactors at the
+    current linearization and solves once more.  Factoring raises RuntimeError when the matrix is singular,
     and ``solve`` raises it when GMRES misses on fresh factors.
     ``iterations`` is the GMRES iteration count, and so the number of
     preconditioner solves, of the last solve (0 after a factoring).
-    `label` and `what` name the solve and its factors in the DEBUG log.
+    `label` names the solve in the DEBUG log.
     """
 
-    def __init__(self, label, what="LU"):
+    def __init__(self, label):
         self.label = label
-        self.what = what
         self.release()
 
-    def linearize(self, apply, factor, precondition=_lu_solve):
+    def linearize(self, apply, factor, precondition):
         self.apply = apply
         self.factor = factor
         self.precondition = precondition
         self.held = (self.iterations is not None
                      and self.iterations <= KRYLOV_REFACTOR)
-        log.debug("%s: %s %s; last GMRES iterations: %s", self.label,
-                  "holding" if self.held else "factoring", self.what,
-                  self.iterations)
+        log.debug("%s: %s block LUs; last GMRES iterations: %s", self.label,
+                  "holding" if self.held else "factoring", self.iterations)
         if not self.held:
             self._refactor()
         return self
@@ -200,8 +192,8 @@ class HeldFactor:
     def solve(self, b):
         s, converged = self._gmres(b)
         if not converged and self.held:
-            log.debug("GMRES missed in %d iterations on held %s; refactoring",
-                      self.iterations, self.what)
+            log.debug("GMRES missed in %d iterations on held block LUs; "
+                      "refactoring", self.iterations)
             self._refactor()
             self.held = False
             s, converged = self._gmres(b)
@@ -242,19 +234,31 @@ def damped_newton(x, residual, linearize, norm, target, *, max_newton,
         return NonlinearSolveError(message, last_iterate=as_iterate(x),
                                    residual_history=history)
 
+    def full_step():
+        """Take the full step on `solver` (made at x when None) if it more
+        than halves the residual norm; returns whether it was taken."""
+        nonlocal solver, x, r, rnorm, iterations
+        try:
+            if solver is None:
+                solver = linearize(x)
+            trial = x + solver.solve(-r)
+        except RuntimeError:
+            return False
+        rt = residual(trial)
+        rtnorm = norm(rt)
+        if not rtnorm < 0.5 * rnorm:
+            return False
+        x, r, rnorm = trial, rt, rtnorm
+        history.append(rnorm)
+        iterations += 1
+        return True
+
     while rnorm > target(x, r):
         if iterations >= max_newton:
             raise failure(f"newton budget exhausted at residual {rnorm:.3e}")
-        if chord:
-            trial = x + solver.solve(-r)
-            rt = residual(trial)
-            rtnorm = norm(rt)
-            if rtnorm <= 0.5 * rnorm:
-                x, r, rnorm = trial, rt, rtnorm
-                history.append(rnorm)
-                iterations += 1
-                continue
-            chord = False
+        if chord and full_step():
+            continue
+        chord = False
         solver = None
         try:
             solver = linearize(x)
@@ -276,18 +280,6 @@ def damped_newton(x, residual, linearize, norm, target, *, max_newton,
         iterations += 1
 
     for _ in range(2):
-        try:
-            if solver is None:
-                solver = linearize(x)
-            step = solver.solve(-r)
-        except RuntimeError:
+        if not full_step():
             break
-        trial = x + step
-        rt = residual(trial)
-        rtnorm = norm(rt)
-        if not rtnorm < 0.5 * rnorm:
-            break
-        x, r, rnorm = trial, rt, rtnorm
-        history.append(rnorm)
-        iterations += 1
     return x, rnorm, iterations

@@ -2,20 +2,15 @@
 nondegeneracy margin of baseline states.
 
 The scalar problem  -Lap u = f(u)  on a node subset R (a single ball, or
-the whole connected domain for the global profile) is solved by the damped
-Newton kernel of ``newton`` under its held-factor rule, as the coupled
-systems are: each step solves the linearized system
-(A - diag(f'(u))) s = -r by right-preconditioned GMRES, one solve with a
-sparse LU of the Jacobian at an earlier iterate per iteration, refactored
-only when GMRES slows or misses (``newton.HeldFactor``), and steps are
-halved until the residual norm decreases.  The two polish steps after
-convergence reuse the last linearization.  On a ball the positive branch
-is reliably selected by seeding with half the principal Dirichlet
-eigenfield; the global profile starts from the supersolution u = 1, and a
-positive result whose Rayleigh quotient lies below lambda certifies by
-itself that lambda exceeds the domain's lambda_1, so the whole-domain
-eigenvalue is computed only when that certificate fails
-(``supersolution_phi``).
+the whole connected domain for the global profile) is the competition
+system of ``system`` with one species and a zero baseline, whose coupling
+vanishes, and is solved by that system's damped Newton solve.  On a ball
+the positive branch is reliably selected by seeding with half the
+principal Dirichlet eigenfield; the global profile starts from the
+supersolution u = 1, and a positive result whose Rayleigh quotient lies
+below lambda certifies by itself that lambda exceeds the domain's
+lambda_1, so the whole-domain eigenvalue is computed only when that
+certificate fails (``supersolution_phi``).
 
 Both eigenproblems take the largest nu of diag(c) w = nu A w, A = -Lap on
 the region, from Lanczos (ARPACK mode 2, M = A) on one sparse LU of A of
@@ -40,9 +35,10 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .domain import GridDomain
 from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
-from .newton import HeldFactor, damped_newton, factorize
-from .operators import ScalarField, norm
-from .reaction import SpeciesParams, f_eval, f_prime
+from .newton import factorize
+from .operators import ScalarField, StateField, norm
+from .reaction import SpeciesParams, f_prime
+from .system import ModelKind, _System
 
 
 @dataclass
@@ -64,53 +60,29 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
                max_backtracks=30) -> ScalarSolveReport:
     """Damped Newton for -Lap u = f(u) on `region` with zero exterior data.
 
-    Converges when ||A u - f(u)||_L2 <= newton_tol * max(1, ||f(u)||_L2).
-    The guess is restricted to the region.  Each step runs GMRES on an LU
-    that the solve holds across its steps (``newton.HeldFactor``) and
-    releases before the result is built.  Raises NonlinearSolveError when
-    a step cannot reduce the residual after `max_backtracks` halvings, the
-    Jacobian is singular, GMRES misses on a fresh LU, or the iteration
-    budget runs out.
+    The one-species system of ``system`` with a zero baseline, solved on
+    `region` as ``solve_system`` solves it: it converges when
+    ||A u - f(u)||_L2 <= newton_tol * max(1, ||f(u)||_L2) and fails as
+    that does, with a NonlinearSolveError whose last_iterate is a
+    ScalarField.  The guess is restricted to the region.
 
     A converged state whose amplitude sits below 1000x the tolerance is the
     trivial branch up to solver resolution; it is snapped to exactly zero
     and flagged non-positive.
     """
-    A, index = domain.laplacian(region)
-    mask = index >= 0
-    h = domain.h
-
-    def residual(vec):
-        return A @ vec - f_eval(sp_params, vec)
-
-    def linearize(vec):
-        J = A - sp.diags(f_prime(sp_params, vec))
-        # J is symmetric, so J.T is its CSC form without a copy
-        return held.linearize(J.dot, lambda: factorize(J.T))
-
-    def l2(vec):
-        return h * float(np.linalg.norm(vec))
-
-    def target(vec, _):
-        return newton_tol * max(1.0, l2(f_eval(sp_params, vec)))
-
-    def as_field(vec):
-        return ScalarField(domain, domain.insert(vec, mask))
-
-    held = HeldFactor(f"{A.shape[0]} nodes")
+    system = _System(domain, [sp_params],
+                     ModelKind.barrier(StateField.zeros(domain, 1)), 0.0, region)
     try:
-        u, rnorm, iterations = damped_newton(
-            guess.values[mask].astype(float), residual, linearize, l2,
-            target, max_newton=max_newton, max_backtracks=max_backtracks,
-            as_iterate=as_field)
-    finally:
-        # released before the result is allocated
-        held.release()
-    if float(np.max(np.abs(u))) <= 1e3 * newton_tol:
-        u = np.zeros_like(u)
-        rnorm = l2(residual(u))
-    positive = bool(np.min(u) > 0.0)
-    return ScalarSolveReport(as_field(u), iterations, rnorm, positive)
+        (u,), rnorm, iterations = system.solve(
+            StateField([guess]), newton_tol, max_newton=max_newton,
+            max_backtracks=max_backtracks)
+    except NonlinearSolveError as exc:
+        exc.last_iterate = exc.last_iterate[0]
+        raise
+    if norm(u, "Linf") <= 1e3 * newton_tol:
+        u, rnorm = ScalarField.zeros(domain), 0.0  # f(0) = 0
+    positive = bool(np.min(u.values[system.mask]) > 0.0)
+    return ScalarSolveReport(u, iterations, rnorm, positive)
 
 
 def _top_eigenpair(c, A, lu):

@@ -22,12 +22,13 @@ profile u_i^0:
   interaction written with positive parts so converged solutions are
   nonnegative componentwise.
 
-All sums run over j != i.  Solves use the damped semismooth Newton kernel
-of ``newton`` on the full block system, whose Jacobian is the block
-Laplacian plus diagonal blocks H_i (kappa S_i - f_i') and off-diagonal
-blocks kappa P_i H_j, with S_i = sum_{j != i} P_j and H_i the generalized
-derivative of P_i (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  Every
-block of the coupling is diagonal, so it is held as one (k, k, n) array D.
+All sums run over j != i.  Solves, the one-species region solves of
+``scalar`` included, use the damped semismooth Newton kernel of ``newton``
+on the full block system, whose Jacobian is the block Laplacian plus
+diagonal blocks H_i (kappa S_i - f_i') and off-diagonal blocks kappa P_i
+H_j, with S_i = sum_{j != i} P_j and H_i the generalized derivative of P_i
+(1 where u_i + u_i^0 >= 0 or unclipped, else 0).  Every block of the
+coupling is diagonal, so it is held as one (k, k, n) array D.
 
 A Newton step does not factor the (k n)^2 Jacobian.  It runs the
 kernel's held-factor GMRES step (``newton.HeldFactor``) with the k LUs of
@@ -104,21 +105,23 @@ class ModelKind:
 class _System:
     """Interior-vector view of one model at fixed kappa.
 
-    The stacked vector x holds the k species one after another; its
-    (k, n) reshape is the per-species view every formula works on.
+    The stacked vector x holds the k species one after another on the n
+    nodes of `region` (default: the whole interior), with zero Dirichlet
+    data outside it; its (k, n) reshape is the per-species view every
+    formula works on.
     """
 
-    def __init__(self, domain, species, model: ModelKind, kappa):
+    def __init__(self, domain, species, model: ModelKind, kappa, region=None):
         self.domain = domain
         self.species = species
         self.kappa = float(kappa)
         self.k = k = len(species)
-        self.A = A = domain.laplacian()[0]
-        self.n = n = A.shape[0]
-        self.K = sp.kron(sp.identity(k, format="csr"), A, format="csr")
+        self.A, index_map = domain.laplacian(region)
+        self.mask = mask = index_map >= 0
+        self.n = n = self.A.shape[0]
+        self.K = sp.kron(sp.identity(k, format="csr"), self.A, format="csr")
         self.h = domain.h
         self.clip = model.kind != "barrier"
-        mask = domain.interior_mask
         if model.baseline is not None and model.baseline.domain is not domain:
             raise DomainMismatchError("baseline lives on a different domain")
         if model.kind == "lotka_volterra":
@@ -137,7 +140,7 @@ class _System:
         self._rows = np.repeat(index, k, axis=0).ravel()
         self._cols = np.tile(index, (k, 1)).ravel()
         # the Newton-step solver of the running solve, holding its block LUs
-        self._held = HeldFactor(f"kappa {self.kappa:g}", "block LUs")
+        self._held = HeldFactor(f"kappa {self.kappa:g}")
 
     def _reaction(self, fn, s):
         """Per-species truncated reaction term (or derivative) at the (k, n)
@@ -201,13 +204,16 @@ class _System:
             return K @ v + np.einsum("ijm,jm->im", D, v.reshape(k, n)).ravel()
 
         def factor():
-            return [factorize(A + sp.diags(D[i, i])) for i in range(k)]
+            # a symmetric block's transpose is its CSC form, without a copy
+            return [factorize((A + sp.diags(D[i, i])).T) for i in range(k)]
 
         def sweep(blocks, c):
-            c = c.reshape(k, n)
-            z = np.empty_like(c)
+            # forward substitution: solve block i, then take its coupling
+            # off the right-hand sides below
+            z = c.reshape(k, n).copy()
             for i, lu in enumerate(blocks):
-                z[i] = lu.solve(c[i] - np.einsum("jm,jm->m", D[i, :i], z[:i]))
+                z[i] = lu.solve(z[i])
+                z[i + 1:] -= D[i + 1:, i] * z[i]
             return z.ravel()
 
         return self._held.linearize(apply, factor, sweep)
@@ -217,30 +223,30 @@ class _System:
         U has one component per species."""
         if U.k != self.k:
             raise ValueError("species list and state size disagree")
-        mask = self.domain.interior_mask
-        return np.concatenate([u.values[mask] for u in U])
+        return np.concatenate([u.values[self.mask] for u in U])
 
     def unstack(self, x) -> StateField:
-        return StateField([ScalarField.from_interior(self.domain, v)
+        return StateField([ScalarField(self.domain, self.domain.insert(v, self.mask))
                            for v in x.reshape(self.k, self.n)])
 
     def solve(self, guess: StateField, tol, *, max_newton, max_backtracks,
-              lu=None) -> tuple[StateField, int]:
-        """Damped Newton from `guess`; see ``solve_system``.  `lu` is the
-        kernel's handed-in chord factor."""
+              lu=None) -> tuple[StateField, float, int]:
+        """Damped Newton from `guess`; see ``solve_system``.  Returns the
+        state, its residual norm and the iterations.  `lu` is the kernel's
+        handed-in chord factor."""
 
         def target(x, r):
             return tol * max(1.0, self.rhs_norm(x, r))
 
         try:
-            x, _, iterations = damped_newton(
+            x, rnorm, iterations = damped_newton(
                 self.stack(guess), self.residual, self.linearize,
                 self.res_norm, target, max_newton=max_newton,
                 max_backtracks=max_backtracks, as_iterate=self.unstack, lu=lu)
         finally:
             # released before the result is allocated
             self._held.release()
-        return self.unstack(x), iterations
+        return self.unstack(x), rnorm, iterations
 
 
 def residual(U: StateField, species, model: ModelKind, kappa) -> StateField:
@@ -256,17 +262,17 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
 
     Returns (state, iterations) with the root-sum-square residual norm at
     or below tol * max(1, ||RHS||).  A step is accepted when the residual
-    norm decreases by the Armijo-style factor (1 - 1e-4 t).  Each step
-    solves its Newton system by GMRES preconditioned with block LUs that
-    the solve factors once and refactors only when GMRES slows or misses
-    on them (``newton.HeldFactor``); they are released before the
-    result is built.  Raises NonlinearSolveError when a step cannot reduce
-    the residual after `max_backtracks` halvings, a diagonal block is
-    singular, GMRES misses its tolerance on freshly factored blocks, or the
-    budget of `max_newton` steps runs out.
+    norm decreases by the Armijo-style factor (1 - 1e-4 t).  GMRES solves
+    each Newton system on block LUs held across the steps
+    (``newton.HeldFactor``), released before the result is built.  Raises
+    NonlinearSolveError when a step cannot reduce the residual after
+    `max_backtracks` halvings, a diagonal block is singular, GMRES misses
+    its tolerance on freshly factored blocks, or the budget of
+    `max_newton` steps runs out.
     """
-    return _System(guess.domain, species, model, kappa).solve(
+    state, _, iterations = _System(guess.domain, species, model, kappa).solve(
         guess, tol, max_newton=max_newton, max_backtracks=max_backtracks)
+    return state, iterations
 
 
 def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
@@ -275,7 +281,7 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
 
     Factors the assembled block Jacobian at `center` once; each start then
     runs the Newton kernel with that factor handed in, as chord steps that
-    must at least halve the residual norm, and falls back to ordinary damped
+    must more than halve the residual norm, and falls back to ordinary damped
     Newton (its own block-preconditioned GMRES steps, on block LUs held
     within that start only) from the first that does not.  Convergence,
     budget and failures are those of ``solve_system``.
@@ -293,8 +299,8 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
     results = []
     for start in starts:
         try:
-            state, _ = system.solve(start, tol, max_newton=max_newton,
-                                    max_backtracks=max_backtracks, lu=lu)
+            state, _, _ = system.solve(start, tol, max_newton=max_newton,
+                                       max_backtracks=max_backtracks, lu=lu)
             results.append(state)
         except NonlinearSolveError as exc:
             results.append(exc)

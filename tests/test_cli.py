@@ -152,6 +152,8 @@ def test_runner_nd_failure_stage(tmp_path, monkeypatch):
 
     cfg = cfg_mod.parse_config(json.dumps(BASE_CONFIG))
     cfg.output.directory = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="unknown stage 'ramp'"):
+        run(cfg, until="ramp")
     monkeypatch.setattr("seglv.runner.nd_margin",
                         lambda *a, **k: NDReport(margin=-0.5, rayleigh_iterations=1))
     with pytest.raises(PipelineError) as err:

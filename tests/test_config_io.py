@@ -16,6 +16,8 @@ MINIMAL = {
     },
     "species": [{"lambda": 12.0, "p": 2.0}],
 }
+# a test_mistyped_field_rejected value that deletes the key
+MISSING = object()
 
 
 def test_minimal_config_defaults():
@@ -92,16 +94,39 @@ def test_probe_section_parsed():
     ("output", "directory", None, "output.directory"),
     ("output", "directory", 3, "output.directory"),
     ("probes.uniqueness", "seed", -1, "probes.uniqueness.seed must be nonnegative"),
+    # json reads NaN and Infinity, which no field may hold
+    ("probes.uniqueness", "delta", float("nan"),
+     "probes.uniqueness.delta: expected a finite number"),
+    ("schedule", "factor", float("inf"), "schedule.factor: expected a finite number"),
+    ("domain.balls.0", "radius", float("-inf"), "domain geometry: expected a finite"),
+    pytest.param("domain", "h", 10 ** 400, "domain.h: expected a finite number",
+                 id="domain-h-beyond_float-domain.h"),
+    ("", "domain", MISSING, "missing required section 'domain'"),
+    ("", "solver", 5, "section 'solver' must be an object"),
+    ("domain", "h", MISSING, "domain.h is required"),
+    ("domain", "bbox", [0.0, 1.0], "domain.bbox must be"),
+    ("domain", "h", -0.125, "domain.h must be positive"),
+    ("domain", "balls", [], "domain.balls must list at least one ball"),
+    ("", "species", [], "species must be a non-empty list"),
+    ("species.0", "p", MISSING, "each species needs 'lambda' and 'p'"),
+    ("species.0", "p", 0.5, "species parameters: exponent p must exceed 1"),
+    ("solver", "max_newton", 0, "solver iteration budgets must be positive"),
+    ("probes", "uniqueness", [], "probes.uniqueness must be an object"),
+    ("probes.uniqueness", "delta", -0.1, "probes.uniqueness.delta must be nonnegative"),
+    ("probes.uniqueness", "trials", 0, "probes.uniqueness.trials must be at least 1"),
 ])
 def test_mistyped_field_rejected(section, key, value, match, tmp_path, capsys):
     doc = json.loads(json.dumps(MINIMAL))
     target = doc
-    for part in section.split("."):
+    for part in filter(None, section.split(".")):
         if isinstance(target, list):
             target = target[int(part)]
         else:
             target = target.setdefault(part, {})
-    target[key] = value
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
     with pytest.raises(ConfigError, match=match):
         parse_config(json.dumps(doc))
     path = tmp_path / "bad.json"
@@ -109,6 +134,20 @@ def test_mistyped_field_rejected(section, key, value, match, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["nd-check", str(path), "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config: {match}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "config root must be an object"),
+    (json.dumps(MINIMAL).encode("latin-1").replace(b"12.0", b"\xff"),
+     "is not UTF-8 text")], ids=["root_not_object", "not_utf8"])
+def test_unreadable_config_rejected(content, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["nd-check", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
     assert not out.exists()
 
 
@@ -146,6 +185,12 @@ def test_read_field_validates_grid(square16, tiny3, tmp_path):
         read_field(path, tiny3)
     values, h = read_field_values(path)
     assert values.shape == (square16.ny, square16.nx) and h == square16.h
+    lines = path.read_text().splitlines()
+    for name, text, message in (("header.csv", ["3,3"] + lines[1:], "bad header"),
+                                ("rows.csv", lines[:-1], "expected")):
+        (tmp_path / name).write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_field_values(tmp_path / name)
 
 
 def test_emit_image_zero_and_constant(square16, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import seglv as sg
-from seglv import ContinuationSchedule, ModelKind, continuation_run
+from seglv import (ContinuationSchedule, ContinuationTrace, ModelKind, StateField,
+                   continuation_run)
 
 
 def test_schedule_validation():
@@ -82,6 +83,8 @@ def test_partial_trace_on_failure(dumbbell2_setup):
                              max_newton=2, max_backtracks=1)
     assert trace.failure is not None
     assert len(trace.steps) < 3
+    with pytest.raises(ValueError, match="empty trace"):
+        ContinuationTrace().final_state()
 
 
 def test_initial_required_without_baseline(dumbbell2_setup):
@@ -89,6 +92,11 @@ def test_initial_required_without_baseline(dumbbell2_setup):
         continuation_run(dumbbell2_setup["domain"], dumbbell2_setup["species"],
                          ModelKind.lotka_volterra(),
                          ContinuationSchedule(4.0, 2.0, 2))
+    elsewhere = StateField.zeros(sg.unit_square_domain(4), 2)
+    with pytest.raises(ValueError, match="initial state lives on a different domain"):
+        continuation_run(dumbbell2_setup["domain"], dumbbell2_setup["species"],
+                         ModelKind.lotka_volterra(),
+                         ContinuationSchedule(4.0, 2.0, 2), elsewhere)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10])

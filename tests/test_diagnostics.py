@@ -94,6 +94,8 @@ def test_energy_matches_direct_sum(square16):
 
 def test_free_boundary_zero_state(square16):
     assert len(free_boundary(StateField.zeros(square16, 1))) == 0
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        free_boundary(StateField.zeros(square16, 1), threshold=0.0)
 
 
 def test_free_boundary_half_grid_indicator(square16):

@@ -53,6 +53,30 @@ def test_corridor_endpoint_validation():
         build_domain(THREE_BALLS[:2], [CorridorSpec(0, 5, 0.5)], BBOX, H)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: BallSpec((0.0, 0.0), 0.0, 0), "ball radius must be positive"),
+    (lambda: BallSpec((0.0, 0.0), 1.0, -1), "species_index must be >= 0"),
+    (lambda: CorridorSpec(0, 1, 0.0), "corridor width must be positive"),
+    (lambda: build_domain(THREE_BALLS[:1], [], (1.5, -1.5, -1.5, 1.5), H),
+     "bbox must have positive extent"),
+    (lambda: build_domain(THREE_BALLS[:1], [], BBOX, 0.0), "spacing must be positive"),
+    (lambda: build_domain([], [], (0.0, 0.0, 0.1, 1.0), H), "fewer than 3 nodes"),
+    # disjoint disks whose nodes 0.925 and 1.05 are grid neighbours
+    (lambda: build_domain([BallSpec((0.0, 0.0), 1.0, 0), BallSpec((2.02, 0.0), 1.0, 1)],
+                          [], (-1.45, -1.5, 3.6, 1.5), H), "grid-adjacent"),
+    (lambda: build_domain(THREE_BALLS[:1], [], BBOX, H).species_ball_mask(1),
+     "no ball hosts species 1"),
+    (lambda: sg.GridDomain.from_mask(np.zeros(4, dtype=bool), H), "must be a 2-d array"),
+    (lambda: sg.GridDomain(H, (0.0, 0.0), np.zeros((4, 4), dtype=bool),
+                           -np.ones((3, 3)), np.zeros((4, 4), dtype=bool)),
+     "label arrays must match"),
+], ids=["radius", "species_index", "corridor_width", "bbox", "spacing", "tiny_bbox",
+        "adjacent_balls", "unhosted_species", "mask_dims", "label_shape"])
+def test_invalid_geometry_rejected(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
 def test_ball_outside_bbox_rejected():
     with pytest.raises(DomainError, match="strictly inside"):
         build_domain([BallSpec((0.0, 0.0), 2.0, 0)], [], (-2.0, -2.0, 2.0, 2.0), H)

@@ -69,8 +69,18 @@ def test_inner_disjoint_supports(square16):
 
 
 def test_domain_mismatch_rejected(tiny3, square16):
-    with pytest.raises(sg.DomainMismatchError):
-        inner(field_on(tiny3, 1.0), ScalarField.zeros(square16))
+    u, v = field_on(tiny3, 1.0), ScalarField.zeros(square16)
+    for call in (lambda: inner(u, v), lambda: u - v, lambda: StateField([u, v]),
+                 lambda: StateField([u]) + StateField([u, u])):
+        with pytest.raises(sg.DomainMismatchError):
+            call()
+
+
+def test_malformed_fields_rejected(tiny3):
+    with pytest.raises(ValueError, match="does not match grid"):
+        ScalarField(tiny3, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="at least one component"):
+        StateField([])
 
 
 def test_solve_spd_zero_rhs(square16):

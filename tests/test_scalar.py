@@ -10,6 +10,7 @@ from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
                    supersolution_phi)
 from seglv import newton
 from seglv import scalar as scalar_module
+from seglv import system as system_module
 from conftest import count_calls
 
 
@@ -149,6 +150,20 @@ def dumbbell2_ball(dumbbell2):
     return region, guess, SpeciesParams(lam=2 * lam1, p=2.0)
 
 
+def test_ball_solve_meets_scalar_residual_target(dumbbell2, dumbbell2_ball):
+    # the reference: the scalar problem's own residual and target on the ball
+    region, guess, sp = dumbbell2_ball
+    tol = 1e-10
+    report = solve_ball(sp, region, dumbbell2, guess, newton_tol=tol)
+    A, _ = dumbbell2.laplacian(region)
+    u = report.solution.values[region]
+    f = sg.f_eval(sp, u)
+    resid = dumbbell2.h * float(np.linalg.norm(A @ u - f))
+    assert report.positive
+    assert resid <= tol * max(1.0, dumbbell2.h * float(np.linalg.norm(f)))
+    assert resid == pytest.approx(report.final_residual, abs=1e-14)
+
+
 def rel_h1(u, ref):
     return norm(u - ref, "H1") / norm(ref, "H1")
 
@@ -225,7 +240,7 @@ def test_ball_solve_releases_held_lu(dumbbell2, dumbbell2_ball, monkeypatch):
         factors_at_insert.append([held.factors for held in helds])
         return insert(self, vec, region)
 
-    monkeypatch.setattr(scalar_module, "HeldFactor", RecordingHeldFactor)
+    monkeypatch.setattr(system_module, "HeldFactor", RecordingHeldFactor)
     monkeypatch.setattr(sg.GridDomain, "insert", recording_insert)
     factorizations = count_calls(monkeypatch, newton, "splu")
     solve_ball(sp, region, dumbbell2, guess)

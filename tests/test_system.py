@@ -73,7 +73,13 @@ def test_model_kind_validation(dumbbell2_setup):
     with pytest.raises(ValueError, match="requires a baseline"):
         ModelKind("barrier")
     ModelKind.lotka_volterra()
-    ModelKind.barrier(dumbbell2_setup["baseline"])
+    U0 = dumbbell2_setup["baseline"]
+    ModelKind.barrier(U0)
+    elsewhere = StateField.zeros(sg.unit_square_domain(4), 2)
+    for model, message in ((ModelKind.barrier(elsewhere), "baseline"),
+                           (ModelKind.barrier(U0, elsewhere), "truncation caps")):
+        with pytest.raises(sg.DomainMismatchError, match=message):
+            solve_system(U0, dumbbell2_setup["species"], model, 4.0)
 
 
 def test_overlapping_baselines_rejected(dumbbell2_setup):
@@ -260,6 +266,21 @@ def test_k1_system_matches_scalar_positive_branch(ball16):
                  else ModelKind(kind, StateField([ScalarField.zeros(ball16)])))
         solved, _ = solve_system(StateField([guess]), [sp], model, 7.0, 1e-10)
         assert np.allclose(solved[0].values, scalar.values, atol=1e-8), kind
+
+
+def test_region_system_lives_on_the_region(dumbbell2_setup):
+    dom = dumbbell2_setup["domain"]
+    ball = dom.species_ball_mask(0)
+    U0 = StateField([dumbbell2_setup["baseline"][0]])
+    system = _System(dom, dumbbell2_setup["species"][:1],
+                     ModelKind.barrier(U0, caps=U0), 0.0, ball)
+    assert system.n == np.count_nonzero(ball)
+    assert np.array_equal(system.u0[0], U0[0].values[ball])
+    assert np.array_equal(system.caps[0], U0[0].values[ball])
+    x = np.random.default_rng(5).standard_normal(system.n)
+    U = system.unstack(x)
+    assert not U[0].values[~ball].any()
+    assert np.array_equal(system.stack(U), x)
 
 
 def test_kappa_zero_system_decouples(dumbbell2_setup):
