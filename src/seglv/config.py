@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .continuation import ContinuationSchedule
 from .domain import BallSpec, CorridorSpec
 from .errors import ConfigError, DomainError
+from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL
 from .reaction import SpeciesParams
+from .scalar import EIG_TOL
 from .system import MODEL_KINDS
 
 
@@ -26,13 +28,25 @@ class ModelConfig:
     kind: str = "barrier"
     truncation: bool = False
 
+    def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ConfigError(
+                f"model.kind must be one of {MODEL_KINDS}, got {self.kind!r}")
+
 
 @dataclass
 class SolverConfig:
-    newton_tol: float = 1e-10
-    eig_tol: float = 1e-8
-    max_newton: int = 200
-    max_backtracks: int = 30
+    newton_tol: float = NEWTON_TOL
+    eig_tol: float = EIG_TOL
+    max_newton: int = MAX_NEWTON
+    max_backtracks: int = MAX_BACKTRACKS
+
+    def __post_init__(self):
+        for name in ("newton_tol", "eig_tol"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"solver.{name} must be positive")
+        if self.max_newton < 1 or self.max_backtracks < 0:
+            raise ConfigError("solver iteration budgets must be positive")
 
 
 @dataclass
@@ -40,6 +54,14 @@ class UniquenessProbeConfig:
     delta: float = 0.02
     trials: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.delta < 0:
+            raise ConfigError("probes.uniqueness.delta must be nonnegative")
+        if self.trials < 1:
+            raise ConfigError("probes.uniqueness.trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("probes.uniqueness.seed must be nonnegative")
 
 
 @dataclass
@@ -71,11 +93,9 @@ def _section(doc, name, required=False):
     return value
 
 
-def _take(section, name, key, default=None, required=False, kind=None):
+def _take(section, name, key, kind=None):
     if key not in section:
-        if required:
-            raise ConfigError(f"{name}.{key} is required")
-        return default
+        raise ConfigError(f"{name}.{key} is required")
     value = section[key]
     if kind is not None:
         try:
@@ -112,6 +132,25 @@ def _json_str(value):
     return value
 
 
+# a field's annotation, a string under postponed evaluation, names its reader
+_READERS = {"float": _json_number, "int": _json_int, "bool": _json_bool,
+            "str": _json_str}
+
+
+def _read(cls, section, name):
+    """`cls` read from the JSON object `section` at `name`: each field is
+    the key of its name, read by its annotation's reader, and keeps its
+    default when absent; keys that name no field are ignored."""
+    values = {f.name: _take(section, name, f.name, kind=_READERS[f.type])
+              for f in fields(cls) if f.name in section}
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # ContinuationSchedule's range rules
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
@@ -128,10 +167,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config root must be an object")
 
     dom = _section(doc, "domain", required=True)
-    bbox = _take(dom, "domain", "bbox", required=True)
+    bbox = _take(dom, "domain", "bbox")
     if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
         raise ConfigError("domain.bbox must be [x0, y0, x1, y1]")
-    h = _take(dom, "domain", "h", required=True, kind=_json_number)
+    h = _take(dom, "domain", "h", kind=_json_number)
     if not h > 0:
         raise ConfigError("domain.h must be positive")
     try:
@@ -172,62 +211,16 @@ def parse_config(text: str) -> RunConfig:
     if hosted != list(range(len(species))):
         raise ConfigError("ball species_index values must be a permutation of 0..k-1")
 
-    mod = _section(doc, "model")
-    kind = _take(mod, "model", "kind", default="barrier")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
-    model = ModelConfig(kind=kind, truncation=_take(mod, "model", "truncation",
-                                                    default=False, kind=_json_bool))
-
-    sch = _section(doc, "schedule")
-    # read before the try: a ConfigError is a ValueError too
-    ramp = (_take(sch, "schedule", "kappa_start", default=1.0, kind=_json_number),
-            _take(sch, "schedule", "factor", default=2.0, kind=_json_number),
-            _take(sch, "schedule", "steps", default=18, kind=_json_int))
-    try:
-        schedule = ContinuationSchedule(*ramp)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-
-    sol = _section(doc, "solver")
-    solver = SolverConfig(
-        newton_tol=_take(sol, "solver", "newton_tol", default=1e-10, kind=_json_number),
-        eig_tol=_take(sol, "solver", "eig_tol", default=1e-8, kind=_json_number),
-        max_newton=_take(sol, "solver", "max_newton", default=200, kind=_json_int),
-        max_backtracks=_take(sol, "solver", "max_backtracks", default=30,
-                             kind=_json_int),
-    )
-    for name in ("newton_tol", "eig_tol"):
-        if not getattr(solver, name) > 0:
-            raise ConfigError(f"solver.{name} must be positive")
-    if solver.max_newton < 1 or solver.max_backtracks < 0:
-        raise ConfigError("solver iteration budgets must be positive")
-
-    probes = _section(doc, "probes")
-    uniq_doc = probes.get("uniqueness")
+    model = _read(ModelConfig, _section(doc, "model"), "model")
+    schedule = _read(ContinuationSchedule, _section(doc, "schedule"), "schedule")
+    solver = _read(SolverConfig, _section(doc, "solver"), "solver")
+    uniq_doc = _section(doc, "probes").get("uniqueness")
     uniqueness = None
     if uniq_doc is not None:
         if not isinstance(uniq_doc, dict):
             raise ConfigError("probes.uniqueness must be an object")
-        name = "probes.uniqueness"
-        uniqueness = UniquenessProbeConfig(
-            delta=_take(uniq_doc, name, "delta", default=0.02, kind=_json_number),
-            trials=_take(uniq_doc, name, "trials", default=10, kind=_json_int),
-            seed=_take(uniq_doc, name, "seed", default=0, kind=_json_int),
-        )
-        if uniqueness.delta < 0:
-            raise ConfigError("probes.uniqueness.delta must be nonnegative")
-        if uniqueness.trials < 1:
-            raise ConfigError("probes.uniqueness.trials must be at least 1")
-        if uniqueness.seed < 0:
-            raise ConfigError("probes.uniqueness.seed must be nonnegative")
-
-    out = _section(doc, "output")
-    output = OutputConfig(
-        directory=_take(out, "output", "directory", default="out", kind=_json_str),
-        emit_fields=_take(out, "output", "emit_fields", default=True, kind=_json_bool),
-        emit_images=_take(out, "output", "emit_images", default=False, kind=_json_bool),
-    )
+        uniqueness = _read(UniquenessProbeConfig, uniq_doc, "probes.uniqueness")
+    output = _read(OutputConfig, _section(doc, "output"), "output")
 
     return RunConfig(domain=DomainConfig(bbox=bbox, h=h,
                                          balls=balls, corridors=corridors),

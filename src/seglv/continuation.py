@@ -11,10 +11,12 @@ leaves a partial trace with the failure recorded instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .diagnostics import DiagnosticsReport, compute_diagnostics
 from .errors import NonlinearSolveError
+from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL
 from .operators import StateField
 from .system import ModelKind, solve_system
 
@@ -24,12 +26,13 @@ class ContinuationSchedule:
     """Geometric kappa ramp kappa_start * factor^m, m = 0 .. steps - 1.
 
     Raises ValueError for a ramp that is empty, does not grow, starts
-    below zero, or starts at zero with more than one step.
+    below zero, starts at zero with more than one step, or ends beyond the
+    float range.
     """
 
-    kappa_start: float
-    factor: float
-    steps: int
+    kappa_start: float = 1.0
+    factor: float = 2.0
+    steps: int = 18
 
     def __post_init__(self):
         if self.steps < 1:
@@ -40,6 +43,12 @@ class ContinuationSchedule:
             raise ValueError("kappa_start must be nonnegative")
         if self.kappa_start == 0 and self.steps > 1:
             raise ValueError("kappa_start = 0 is only meaningful for a single step")
+        try:
+            last = float(self.kappa_start * self.factor ** (self.steps - 1))
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise ValueError("the ramp's last kappa exceeds the float range")
 
     def kappas(self):
         return [self.kappa_start * self.factor ** m for m in range(self.steps)]
@@ -69,8 +78,8 @@ class ContinuationTrace:
 
 def continuation_run(domain, species, model: ModelKind,
                      schedule: ContinuationSchedule, initial=None, *,
-                     tol=1e-10, max_newton=200,
-                     max_backtracks=30) -> ContinuationTrace:
+                     tol=NEWTON_TOL, max_newton=MAX_NEWTON,
+                     max_backtracks=MAX_BACKTRACKS) -> ContinuationTrace:
     """March kappa up the schedule with warm starts, recording diagnostics.
 
     Each step runs ``solve_system`` with `tol`, `max_newton` and

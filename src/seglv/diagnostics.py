@@ -13,12 +13,12 @@ as solver noise, not violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NonlinearSolveError
-from .newton import factorize
+from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL, factorize
 from .operators import (ScalarField, StateField, apply_laplacian, inner, norm,
                         state_h1_norm)
 from .reaction import f_eval, hat_rhs, hat_transform, potential_eval
@@ -44,19 +44,8 @@ class DiagnosticsReport:
     h1_norms: list[float]
 
     def to_json_dict(self):
-        return {
-            "overlap_matrix": self.overlap_matrix.tolist(),
-            "sub_violations": [
-                {"count": v.count, "max_magnitude": v.max_magnitude}
-                for v in self.sub_violations],
-            "super_violations": [
-                {"count": v.count, "max_magnitude": v.max_magnitude}
-                for v in self.super_violations],
-            "noninvasion": self.noninvasion.tolist(),
-            "energy": self.energy,
-            "box_violations": self.box_violations,
-            "h1_norms": list(self.h1_norms),
-        }
+        return asdict(self) | {"overlap_matrix": self.overlap_matrix.tolist(),
+                               "noninvasion": self.noninvasion.tolist()}
 
 
 @dataclass(frozen=True)
@@ -235,8 +224,8 @@ def _seeded_perturbations(domain, k, delta, seeds) -> list[StateField]:
 
 def uniqueness_probe(domain, species, model: ModelKind, kappa_final,
                      center: StateField, delta, trials, seed, *,
-                     tol=1e-10, max_newton=200,
-                     max_backtracks=30) -> UniquenessReport:
+                     tol=NEWTON_TOL, max_newton=MAX_NEWTON,
+                     max_backtracks=MAX_BACKTRACKS) -> UniquenessReport:
     """Multistart collapse test around a converged state.
 
     Re-solves from `trials` seeded perturbations of the center (H1 size

@@ -3,8 +3,10 @@
 One kernel serves every Newton solve: its caller is the coupled k-species
 system of ``system``, and a scalar region problem is that system with one
 species.  It works on a flat unknown vector through three callables
-(residual, linearization, residual norm) plus a convergence target:
+(residual, linearization, residual norm) and a relative tolerance:
 
+* ``residual(x)`` returns r(x) and the norm of the right-hand side it was
+  formed from; a solve converges once norm(r) <= tol * max(1, that norm).
 * ``linearize(x)`` returns a linear solver for the Jacobian at x: any
   object whose ``solve(b)`` returns s with J(x) s ~ b, and which raises
   RuntimeError when it cannot (a singular factor, a Krylov solve that does
@@ -71,6 +73,11 @@ from scipy.sparse.linalg import splu
 from .errors import NonlinearSolveError
 
 log = logging.getLogger(__name__)
+
+# the default tolerance and budgets (steps, halvings per step) of every solve
+NEWTON_TOL = 1e-10
+MAX_NEWTON = 200
+MAX_BACKTRACKS = 30
 
 # GMRES of a Newton step: it succeeds once the true residual ||J s - b|| is
 # at most KRYLOV_RTOL ||b||, within KRYLOV_MAXITER restart cycles of
@@ -209,22 +216,23 @@ class HeldFactor:
         return s, converged
 
 
-def damped_newton(x, residual, linearize, norm, target, *, max_newton,
+def damped_newton(x, residual, linearize, norm, tol, *, max_newton,
                   max_backtracks, as_iterate, lu=None):
     """Solve residual(x) = 0 from the flat start vector x.
 
-    Iterates until norm(r) <= target(x, r).  Returns (x, norm(r),
-    iterations); accepted chord and polish steps count as iterations.
-    `linearize(x)` returns the linear solver of the Jacobian at x (see the
-    module docstring).  `lu`, when given, is a factorization of a nearby
-    Jacobian that the first steps reuse as chord steps.  Raises
+    `residual(x)` returns (r, rhs), the residual and its right-hand side's
+    norm; iterates until norm(r) <= tol * max(1, rhs).  Returns (x,
+    norm(r), iterations); accepted chord and polish steps count as
+    iterations.  `linearize(x)` returns the linear solver of the Jacobian
+    at x (see the module docstring).  `lu`, when given, is a factorization
+    of a nearby Jacobian that the first steps reuse as chord steps.  Raises
     NonlinearSolveError when the budget of `max_newton` steps runs out, a
     linear solver raises RuntimeError during a Newton step, or a step
     cannot reduce the residual after `max_backtracks` halvings; its
     last_iterate is as_iterate(x) and its residual_history holds the norm
     after every accepted step.
     """
-    r = residual(x)
+    r, rhs = residual(x)
     rnorm = norm(r)
     history = [rnorm]
     iterations = 0
@@ -237,23 +245,23 @@ def damped_newton(x, residual, linearize, norm, target, *, max_newton,
     def full_step():
         """Take the full step on `solver` (made at x when None) if it more
         than halves the residual norm; returns whether it was taken."""
-        nonlocal solver, x, r, rnorm, iterations
+        nonlocal solver, x, r, rhs, rnorm, iterations
         try:
             if solver is None:
                 solver = linearize(x)
             trial = x + solver.solve(-r)
         except RuntimeError:
             return False
-        rt = residual(trial)
+        rt, rhs_t = residual(trial)
         rtnorm = norm(rt)
         if not rtnorm < 0.5 * rnorm:
             return False
-        x, r, rnorm = trial, rt, rtnorm
+        x, r, rhs, rnorm = trial, rt, rhs_t, rtnorm
         history.append(rnorm)
         iterations += 1
         return True
 
-    while rnorm > target(x, r):
+    while rnorm > tol * max(1.0, rhs):
         if iterations >= max_newton:
             raise failure(f"newton budget exhausted at residual {rnorm:.3e}")
         if chord and full_step():
@@ -268,14 +276,14 @@ def damped_newton(x, residual, linearize, norm, target, *, max_newton,
         t = 1.0
         for _ in range(max_backtracks + 1):
             trial = x + t * step
-            rt = residual(trial)
+            rt, rhs_t = residual(trial)
             rtnorm = norm(rt)
             if rtnorm <= (1.0 - 1e-4 * t) * rnorm:
                 break
             t *= 0.5
         else:
             raise failure(f"newton stalled at residual {rnorm:.3e}")
-        x, r, rnorm = trial, rt, rtnorm
+        x, r, rhs, rnorm = trial, rt, rhs_t, rtnorm
         history.append(rnorm)
         iterations += 1
 

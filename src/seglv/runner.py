@@ -188,12 +188,7 @@ def _stage_uniqueness(config, state, summary, outdir):
                               tol=config.solver.newton_tol,
                               max_newton=config.solver.max_newton,
                               max_backtracks=config.solver.max_backtracks)
-    summary.uniqueness = {
-        "trials": report.trials,
-        "max_pairwise_h1_distance": report.max_pairwise_h1_distance,
-        "all_converged": report.all_converged,
-        "converged": report.converged,
-    }
+    summary.uniqueness = asdict(report)
 
 
 _STAGE_FUNCS = {

@@ -35,10 +35,13 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .domain import GridDomain
 from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
-from .newton import factorize
+from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
 from .system import ModelKind, _System
+
+# the default relative residual tolerance of every eigenpair
+EIG_TOL = 1e-8
 
 
 @dataclass
@@ -56,8 +59,8 @@ class NDReport:
 
 
 def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
-               guess: ScalarField, *, newton_tol=1e-10, max_newton=200,
-               max_backtracks=30) -> ScalarSolveReport:
+               guess: ScalarField, *, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON,
+               max_backtracks=MAX_BACKTRACKS) -> ScalarSolveReport:
     """Damped Newton for -Lap u = f(u) on `region` with zero exterior data.
 
     The one-species system of ``system`` with a zero baseline, solved on
@@ -112,7 +115,7 @@ def _top_eigenpair(c, A, lu):
     return float(nus[0]), ws[:, 0], solves
 
 
-def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8):
+def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
     """Smallest Dirichlet eigenvalue of -Lap on `region` and its eigenfield.
 
     lambda_1 = 1 / nu for the largest nu of w = nu A w (``_top_eigenpair``
@@ -136,7 +139,7 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=1e-8):
 
 
 def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
-              eig_tol=1e-8) -> NDReport:
+              eig_tol=EIG_TOL) -> NDReport:
     """Nondegeneracy margin 1 - nu of u0 on `region`, nu the largest
     eigenvalue of diag(f'(u0)) w = nu A w (``_top_eigenpair``).
 
@@ -157,7 +160,7 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
     return NDReport(margin=1.0 - nu, rayleigh_iterations=solves)
 
 
-def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=1e-8):
+def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=EIG_TOL):
     """Half the max-normalized principal eigenfield, plus the eigenvalue.
 
     The standard seed for selecting the positive logistic branch.
@@ -168,8 +171,9 @@ def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=1e-8):
 
 
 def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
-                      newton_tol=1e-10, eig_tol=1e-8, max_newton=200,
-                      max_backtracks=30) -> ScalarField:
+                      newton_tol=NEWTON_TOL, eig_tol=EIG_TOL,
+                      max_newton=MAX_NEWTON,
+                      max_backtracks=MAX_BACKTRACKS) -> ScalarField:
     """Positive profile of -Lap u = f(u) on the whole interior.
 
     Caps every later system solution from above (truncation barrier).

@@ -54,7 +54,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError, NonlinearSolveError
-from .newton import HeldFactor, damped_newton, factorize
+from .newton import (MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL, HeldFactor,
+                     damped_newton, factorize)
 from .operators import ScalarField, StateField
 from .reaction import f_truncated_eval, f_truncated_prime
 
@@ -134,11 +135,6 @@ class _System:
             raise DomainMismatchError("truncation caps live on a different domain")
         self.caps = ([np.inf] * k if model.caps is None
                      else [u.values[mask] for u in model.caps])
-        # block (i, j) of the coupling is diagonal: entry m of it sits at
-        # row i n + m, column j n + m
-        index = np.arange(k * n, dtype=np.int32).reshape(k, n)
-        self._rows = np.repeat(index, k, axis=0).ravel()
-        self._cols = np.tile(index, (k, 1)).ravel()
         # the Newton-step solver of the running solve, holding its block LUs
         self._held = HeldFactor(f"kappa {self.kappa:g}")
 
@@ -156,15 +152,13 @@ class _System:
         return P, P - self.u0, v
 
     def residual(self, x):
-        """Stacked residual A u_i - RHS_i at the stacked state x."""
+        """Stacked residual A u_i - RHS_i at the stacked state x, and the
+        root-sum-square L2 norm of the right-hand sides RHS_i."""
         P, s, _ = self._parts(x)
         coupling = self.kappa * P * (P.sum(axis=0) - P)
-        return (self.K @ x - self._reaction(f_truncated_eval, s).ravel()
-                + coupling.ravel())
-
-    def rhs_norm(self, x, r):
-        """Root-sum-square L2 norm of the model right-hand sides at x."""
-        return self.h * float(np.linalg.norm(self.K @ x - r))
+        Kx = self.K @ x
+        r = Kx - self._reaction(f_truncated_eval, s).ravel() + coupling.ravel()
+        return r, self.h * float(np.linalg.norm(Kx - r))
 
     def res_norm(self, r):
         return self.h * float(np.linalg.norm(r))
@@ -182,11 +176,16 @@ class _System:
     def jacobian(self, x):
         """Assembled block Jacobian of the residual at the stacked state x."""
         D = self._coupling(x)
-        size = self.k * self.n
+        k, n = self.k, self.n
+        # block (i, j) of the coupling is diagonal: entry m of it sits at
+        # row i n + m, column j n + m
+        index = np.arange(k * n, dtype=np.int32).reshape(k, n)
+        rows = np.repeat(index, k, axis=0).ravel()
+        cols = np.tile(index, (k, 1)).ravel()
         # K is symmetric, so K.T is its CSC form without a copy; the sum
         # drops the coupling's zero entries (clipped nodes)
-        return sp.csc_matrix((D.ravel(), (self._rows, self._cols)),
-                             shape=(size, size)) + self.K.T
+        return sp.csc_matrix((D.ravel(), (rows, cols)),
+                             shape=(k * n, k * n)) + self.K.T
 
     def linearize(self, x):
         """Newton-step solver of the Jacobian J at x (``newton.HeldFactor``).
@@ -234,14 +233,10 @@ class _System:
         """Damped Newton from `guess`; see ``solve_system``.  Returns the
         state, its residual norm and the iterations.  `lu` is the kernel's
         handed-in chord factor."""
-
-        def target(x, r):
-            return tol * max(1.0, self.rhs_norm(x, r))
-
         try:
             x, rnorm, iterations = damped_newton(
                 self.stack(guess), self.residual, self.linearize,
-                self.res_norm, target, max_newton=max_newton,
+                self.res_norm, tol, max_newton=max_newton,
                 max_backtracks=max_backtracks, as_iterate=self.unstack, lu=lu)
         finally:
             # released before the result is allocated
@@ -252,12 +247,12 @@ class _System:
 def residual(U: StateField, species, model: ModelKind, kappa) -> StateField:
     """Model residual A u_i - RHS_i(U, kappa) as a state on the same grid."""
     system = _System(U.domain, species, model, kappa)
-    return system.unstack(system.residual(system.stack(U)))
+    return system.unstack(system.residual(system.stack(U))[0])
 
 
 def solve_system(guess: StateField, species, model: ModelKind, kappa,
-                 tol=1e-10, *, max_newton=200,
-                 max_backtracks=30) -> tuple[StateField, int]:
+                 tol=NEWTON_TOL, *, max_newton=MAX_NEWTON,
+                 max_backtracks=MAX_BACKTRACKS) -> tuple[StateField, int]:
     """Solve the selected model at fixed kappa by damped Newton.
 
     Returns (state, iterations) with the root-sum-square residual norm at
@@ -276,7 +271,8 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
 
 
 def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
-               tol=1e-10, *, max_newton=200, max_backtracks=30) -> list:
+               tol=NEWTON_TOL, *, max_newton=MAX_NEWTON,
+               max_backtracks=MAX_BACKTRACKS) -> list:
     """Solve the model at fixed kappa from every start near `center`.
 
     Factors the assembled block Jacobian at `center` once; each start then

@@ -184,6 +184,24 @@ def test_runner_probe_uses_solver_budget(tmp_path, monkeypatch):
     assert summary.uniqueness["converged"] == 3
 
 
+def test_runner_skips_uniqueness_without_probe_section(tmp_path):
+    from seglv import config as cfg_mod
+
+    doc = {
+        "domain": {"bbox": [-1.4, -1.4, 1.4, 1.4], "h": 0.125,
+                   "balls": [{"center": [0.0, 0.0], "radius": 1.0}]},
+        "species": [{"lambda": 12.0, "p": 2.0}],
+        "schedule": {"kappa_start": 4.0, "factor": 4.0, "steps": 2},
+        "output": {"directory": str(tmp_path / "out"), "emit_fields": False},
+    }
+    summary = run(cfg_mod.parse_config(json.dumps(doc)), until="uniqueness")
+    assert summary.stages_completed == ["domain", "baseline", "nd", "phi",
+                                        "continuation"]
+    assert len(summary.continuation) == 2 and summary.failure is None
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert written["uniqueness"] is None
+
+
 def test_single_ball_run_has_no_coupling_effects(tmp_path):
     from seglv import config as cfg_mod
 

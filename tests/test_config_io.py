@@ -114,6 +114,10 @@ def test_probe_section_parsed():
     ("probes", "uniqueness", [], "probes.uniqueness must be an object"),
     ("probes.uniqueness", "delta", -0.1, "probes.uniqueness.delta must be nonnegative"),
     ("probes.uniqueness", "trials", 0, "probes.uniqueness.trials must be at least 1"),
+    # the last kappa of the default ramp, 2^1099 or 1.7e308 * 2^17, is no float
+    ("schedule", "steps", 1100, "schedule: the ramp's last kappa exceeds the float range"),
+    ("schedule", "kappa_start", 1.7e308,
+     "schedule: the ramp's last kappa exceeds the float range"),
 ])
 def test_mistyped_field_rejected(section, key, value, match, tmp_path, capsys):
     doc = json.loads(json.dumps(MINIMAL))

@@ -15,9 +15,10 @@ class _AscentSolver:
 
 
 def _run(x0, linearize):
-    # residual(x) = x, so J = I and the exact Newton step from x is -x
-    return damped_newton(np.asarray(x0, dtype=float), lambda x: x.copy(), linearize,
-                         lambda r: float(np.linalg.norm(r)), lambda x, r: 1e-10,
+    # residual(x) = x with a zero right-hand side, so J = I, the exact
+    # Newton step from x is -x and the solve stops at residual 1e-10
+    return damped_newton(np.asarray(x0, dtype=float), lambda x: (x.copy(), 0.0),
+                         linearize, lambda r: float(np.linalg.norm(r)), 1e-10,
                          max_newton=20, max_backtracks=3, as_iterate=lambda x: x)
 
 
