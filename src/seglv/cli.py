@@ -10,12 +10,12 @@ summary are flushed either way.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, PipelineError
+from .fileio import emit_json
 from .runner import convergence_study, run
 
 _SUBCOMMAND_STAGE = {
@@ -53,9 +53,7 @@ def main(argv=None) -> int:
         outdir = Path(args.output or "out")
         outdir.mkdir(parents=True, exist_ok=True)
         study = convergence_study()
-        with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump({"convergence_study": study}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        emit_json({"convergence_study": study}, outdir / "summary.json")
         for h, err in zip(study["h"], study["l2_error"]):
             print(f"h={h:g}  l2_error={err:.6e}")
         print("ratios: " + ", ".join(f"{r:.3f}" for r in study["ratio"]))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 from .continuation import ContinuationSchedule
 from .domain import BallSpec, CorridorSpec
 from .errors import ConfigError, DomainError
-from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL
+from .newton import NEWTON_TOL
 from .reaction import SpeciesParams
 from .scalar import EIG_TOL
 from .system import MODEL_KINDS
@@ -38,15 +38,11 @@ class ModelConfig:
 class SolverConfig:
     newton_tol: float = NEWTON_TOL
     eig_tol: float = EIG_TOL
-    max_newton: int = MAX_NEWTON
-    max_backtracks: int = MAX_BACKTRACKS
 
     def __post_init__(self):
         for name in ("newton_tol", "eig_tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"solver.{name} must be positive")
-        if self.max_newton < 1 or self.max_backtracks < 0:
-            raise ConfigError("solver iteration budgets must be positive")
 
 
 @dataclass

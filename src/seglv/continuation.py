@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import DiagnosticsReport, compute_diagnostics
 from .errors import NonlinearSolveError
-from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL
+from .newton import NEWTON_TOL
 from .operators import StateField
 from .system import ModelKind, solve_system
 
@@ -78,16 +78,15 @@ class ContinuationTrace:
 
 def continuation_run(domain, species, model: ModelKind,
                      schedule: ContinuationSchedule, initial=None, *,
-                     tol=NEWTON_TOL, max_newton=MAX_NEWTON,
-                     max_backtracks=MAX_BACKTRACKS) -> ContinuationTrace:
+                     tol=NEWTON_TOL) -> ContinuationTrace:
     """March kappa up the schedule with warm starts, recording diagnostics.
 
-    Each step runs ``solve_system`` with `tol`, `max_newton` and
-    `max_backtracks`; diagnostics use the tolerance 10 * tol.  The initial
-    guess defaults to the model's baseline (for the plain Lotka-Volterra
-    model pass the baseline tuple extended by zero explicitly).  On solver
-    failure the partial trace is returned with `failure` set; completed
-    steps stay valid.  Raises ValueError unless tol is positive.
+    Each step runs ``solve_system`` with `tol`; diagnostics use the
+    tolerance 10 * tol.  The initial guess defaults to the model's baseline
+    (for the plain Lotka-Volterra model pass the baseline tuple extended by
+    zero explicitly).  On solver failure the partial trace is returned with
+    `failure` set; completed steps stay valid.  Raises ValueError unless
+    tol is positive.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -106,9 +105,7 @@ def continuation_run(domain, species, model: ModelKind,
     state = initial
     for kappa in schedule.kappas():
         try:
-            state, iters = solve_system(
-                state, species, model, kappa, tol,
-                max_newton=max_newton, max_backtracks=max_backtracks)
+            state, iters = solve_system(state, species, model, kappa, tol)
         except NonlinearSolveError as exc:
             trace.failure = f"kappa={kappa:.6g}: {exc}"
             break

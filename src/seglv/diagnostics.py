@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonlinearSolveError
-from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL, factorize
+from .newton import NEWTON_TOL, factorize
 from .operators import (ScalarField, StateField, apply_laplacian, inner, norm,
                         state_h1_norm)
 from .reaction import f_eval, hat_rhs, hat_transform, potential_eval
@@ -224,23 +224,20 @@ def _seeded_perturbations(domain, k, delta, seeds) -> list[StateField]:
 
 def uniqueness_probe(domain, species, model: ModelKind, kappa_final,
                      center: StateField, delta, trials, seed, *,
-                     tol=NEWTON_TOL, max_newton=MAX_NEWTON,
-                     max_backtracks=MAX_BACKTRACKS) -> UniquenessReport:
+                     tol=NEWTON_TOL) -> UniquenessReport:
     """Multistart collapse test around a converged state.
 
     Re-solves from `trials` seeded perturbations of the center (H1 size
     delta, per-trial seed = seed + trial, all smoothed by one Laplacian LU)
     and reports the largest pairwise H1 distance among the converged
     results.  The trials share one factorization of the Jacobian at the
-    center (``system.solve_near``) and run on the Newton budget
-    `max_newton` / `max_backtracks`.  Non-convergent trials are counted and
+    center (``system.solve_near``).  Non-convergent trials are counted and
     flagged, not fatal.
     """
     seeds = [seed + t for t in range(trials)]
     starts = [center + W for W in
               _seeded_perturbations(domain, center.k, delta, seeds)]
-    outcomes = solve_near(center, starts, species, model, kappa_final, tol,
-                          max_newton=max_newton, max_backtracks=max_backtracks)
+    outcomes = solve_near(center, starts, species, model, kappa_final, tol)
     results = [u for u in outcomes if not isinstance(u, NonlinearSolveError)]
     max_dist = 0.0
     for a in range(len(results)):

@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import ndimage
+from scipy.sparse import csgraph
 
 from .errors import DomainError
-
-# 4-connectivity for component counting (edges of the 5-point stencil)
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,10 @@ class GridDomain:
         raise DomainError(f"no ball hosts species {species_index}")
 
     def connected_components(self):
-        """Number of 4-connected components of the interior mask."""
-        _, n = ndimage.label(self.interior_mask, structure=_CROSS)
-        return int(n)
+        """Number of 4-connected components of the interior mask, counted
+        on the graph of the 5-point Laplacian."""
+        return int(csgraph.connected_components(self.laplacian()[0],
+                                                directed=False)[0])
 
     # -- interior vector packing -------------------------------------------
 

@@ -1,12 +1,15 @@
-"""Field serialization: CSV grids and plain-text graymap images.
+"""Field serialization: CSV grids, plain-text graymap images and JSON.
 
 CSV layout: header "nx,ny,h", then ny rows of nx comma-separated values in
 row-major order with y ascending, 17 significant digits (lossless float64
 round trip).  Images are plain P2 graymaps, rows emitted top to bottom,
-pixels scaled to the field's max magnitude.
+pixels scaled to the field's max magnitude.  JSON records are indented by 2
+with sorted keys and end in a newline, so equal records are equal bytes.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -66,3 +69,10 @@ def emit_image(u: ScalarField, path) -> None:
     lines.extend(" ".join(row) for row in _GRAY[pixels[::-1]].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def emit_json(obj, path) -> None:
+    """Write a JSON record: indent 2, sorted keys, UTF-8, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

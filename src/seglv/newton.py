@@ -13,7 +13,9 @@ species.  It works on a flat unknown vector through three callables
   not converge).  The system builds it through one ``HeldFactor`` per
   solve (below).
 * Each step solves J(x) s = -r(x) with that solver and halves s until the
-  residual norm falls by the Armijo-style factor (1 - 1e-4 t).
+  residual norm falls by the Armijo-style factor (1 - 1e-4 t).  The budget
+  is the kernel's, not the caller's: at most ``MAX_NEWTON`` steps of at
+  most ``MAX_BACKTRACKS`` halvings each.
 * Every matrix that is factored goes through ``factorize``: minimum-degree
   ordering on the pattern of J^T + J with diagonal pivots preferred
   (SuperLU's symmetric mode).  The 5-point Laplacian and the Jacobians
@@ -74,7 +76,7 @@ from .errors import NonlinearSolveError
 
 log = logging.getLogger(__name__)
 
-# the default tolerance and budgets (steps, halvings per step) of every solve
+# the default tolerance, and the kernel's budgets (steps, halvings per step)
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 200
 MAX_BACKTRACKS = 30
@@ -162,8 +164,9 @@ class HeldFactor:
     factors of an earlier one while the last GMRES solve took at most
     ``KRYLOV_REFACTOR`` iterations, and otherwise calls `factor`.  When
     GMRES misses its tolerance on held factors, ``solve`` refactors at the
-    current linearization and solves once more.  Factoring raises RuntimeError when the matrix is singular,
-    and ``solve`` raises it when GMRES misses on fresh factors.
+    current linearization and solves once more.  Factoring raises
+    RuntimeError when the matrix is singular, and ``solve`` raises it when
+    GMRES misses on fresh factors.
     ``iterations`` is the GMRES iteration count, and so the number of
     preconditioner solves, of the last solve (0 after a factoring).
     `label` names the solve in the DEBUG log.
@@ -216,8 +219,7 @@ class HeldFactor:
         return s, converged
 
 
-def damped_newton(x, residual, linearize, norm, tol, *, max_newton,
-                  max_backtracks, as_iterate, lu=None):
+def damped_newton(x, residual, linearize, norm, tol, *, as_iterate, lu=None):
     """Solve residual(x) = 0 from the flat start vector x.
 
     `residual(x)` returns (r, rhs), the residual and its right-hand side's
@@ -226,9 +228,9 @@ def damped_newton(x, residual, linearize, norm, tol, *, max_newton,
     iterations.  `linearize(x)` returns the linear solver of the Jacobian
     at x (see the module docstring).  `lu`, when given, is a factorization
     of a nearby Jacobian that the first steps reuse as chord steps.  Raises
-    NonlinearSolveError when the budget of `max_newton` steps runs out, a
+    NonlinearSolveError when the budget of ``MAX_NEWTON`` steps runs out, a
     linear solver raises RuntimeError during a Newton step, or a step
-    cannot reduce the residual after `max_backtracks` halvings; its
+    cannot reduce the residual after ``MAX_BACKTRACKS`` halvings; its
     last_iterate is as_iterate(x) and its residual_history holds the norm
     after every accepted step.
     """
@@ -262,7 +264,7 @@ def damped_newton(x, residual, linearize, norm, tol, *, max_newton,
         return True
 
     while rnorm > tol * max(1.0, rhs):
-        if iterations >= max_newton:
+        if iterations >= MAX_NEWTON:
             raise failure(f"newton budget exhausted at residual {rnorm:.3e}")
         if chord and full_step():
             continue
@@ -274,7 +276,7 @@ def damped_newton(x, residual, linearize, norm, tol, *, max_newton,
         except RuntimeError as exc:
             raise failure(f"singular linearization: {exc}") from exc
         t = 1.0
-        for _ in range(max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = x + t * step
             rt, rhs_t = residual(trial)
             rtnorm = norm(rt)

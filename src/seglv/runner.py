@@ -11,7 +11,6 @@ flushes a valid summary naming the stage.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from .continuation import continuation_run
 from .diagnostics import uniqueness_probe
 from .domain import build_domain, unit_square_domain
 from .errors import NDFailure, PipelineError
-from .fileio import emit_field, emit_image
+from .fileio import emit_field, emit_image, emit_json
 from .operators import ScalarField, StateField, norm, solve_spd
 from .scalar import nd_margin, positive_branch_guess, solve_ball, supersolution_phi
 from .system import ModelKind
@@ -51,9 +50,7 @@ def _fmt_kappa(kappa: float) -> str:
 
 def _write_summary(summary: RunSummary, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    emit_json(asdict(summary), outdir / "summary.json")
 
 
 def run(config: RunConfig, until: str = "uniqueness") -> RunSummary:
@@ -101,9 +98,7 @@ def _stage_baseline(config, state, summary, outdir):
         region = domain.species_ball_mask(i)
         guess, lam1 = positive_branch_guess(domain, region, eig_tol=solver.eig_tol)
         report = solve_ball(sp_params, region, domain, guess,
-                            newton_tol=solver.newton_tol,
-                            max_newton=solver.max_newton,
-                            max_backtracks=solver.max_backtracks)
+                            newton_tol=solver.newton_tol)
         if not report.positive:
             raise RuntimeError(
                 f"no positive baseline for species {i}: lambda {sp_params.lam:.6g} "
@@ -142,22 +137,16 @@ def _stage_phi(config, state, summary, outdir):
     # species with equal parameters share one phi
     phis = {sp_params: supersolution_phi(sp_params, domain,
                                          newton_tol=solver.newton_tol,
-                                         eig_tol=solver.eig_tol,
-                                         max_newton=solver.max_newton,
-                                         max_backtracks=solver.max_backtracks)
+                                         eig_tol=solver.eig_tol)
             for sp_params in dict.fromkeys(config.species)}
     state["caps"] = StateField([phis[sp_params] for sp_params in config.species])
 
 
 def _stage_continuation(config, state, summary, outdir):
-    domain = state["domain"]
-    baseline = state["baseline"]
-    model = ModelKind(config.model.kind, baseline=baseline, caps=state.get("caps"))
-    solver = config.solver
-    trace = continuation_run(domain, config.species, model, config.schedule,
-                             initial=baseline, tol=solver.newton_tol,
-                             max_newton=solver.max_newton,
-                             max_backtracks=solver.max_backtracks)
+    model = ModelKind(config.model.kind, baseline=state["baseline"],
+                      caps=state.get("caps"))
+    trace = continuation_run(state["domain"], config.species, model,
+                             config.schedule, tol=config.solver.newton_tol)
     state["model"] = model
     state["trace"] = trace
     outdir.mkdir(parents=True, exist_ok=True)
@@ -167,9 +156,7 @@ def _stage_continuation(config, state, summary, outdir):
                   "newton_iterations": step.newton_iterations,
                   "diagnostics": step.diagnostics.to_json_dict()}
         summary.continuation.append(record)
-        with open(outdir / f"trace_{tag}.json", "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        emit_json(record, outdir / f"trace_{tag}.json")
         if config.output.emit_fields:
             for i, u in enumerate(step.state):
                 emit_field(u, outdir / f"u{i}_{tag}.csv")
@@ -185,9 +172,7 @@ def _stage_uniqueness(config, state, summary, outdir):
     report = uniqueness_probe(state["domain"], config.species, state["model"],
                               trace.steps[-1].kappa, trace.final_state(),
                               probe.delta, probe.trials, probe.seed,
-                              tol=config.solver.newton_tol,
-                              max_newton=config.solver.max_newton,
-                              max_backtracks=config.solver.max_backtracks)
+                              tol=config.solver.newton_tol)
     summary.uniqueness = asdict(report)
 
 

@@ -35,7 +35,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .domain import GridDomain
 from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
-from .newton import MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL, factorize
+from .newton import NEWTON_TOL, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
 from .system import ModelKind, _System
@@ -59,8 +59,7 @@ class NDReport:
 
 
 def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
-               guess: ScalarField, *, newton_tol=NEWTON_TOL, max_newton=MAX_NEWTON,
-               max_backtracks=MAX_BACKTRACKS) -> ScalarSolveReport:
+               guess: ScalarField, *, newton_tol=NEWTON_TOL) -> ScalarSolveReport:
     """Damped Newton for -Lap u = f(u) on `region` with zero exterior data.
 
     The one-species system of ``system`` with a zero baseline, solved on
@@ -76,9 +75,7 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     system = _System(domain, [sp_params],
                      ModelKind.barrier(StateField.zeros(domain, 1)), 0.0, region)
     try:
-        (u,), rnorm, iterations = system.solve(
-            StateField([guess]), newton_tol, max_newton=max_newton,
-            max_backtracks=max_backtracks)
+        (u,), rnorm, iterations = system.solve(StateField([guess]), newton_tol)
     except NonlinearSolveError as exc:
         exc.last_iterate = exc.last_iterate[0]
         raise
@@ -171,9 +168,7 @@ def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=EIG_TOL):
 
 
 def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
-                      newton_tol=NEWTON_TOL, eig_tol=EIG_TOL,
-                      max_newton=MAX_NEWTON,
-                      max_backtracks=MAX_BACKTRACKS) -> ScalarField:
+                      newton_tol=NEWTON_TOL, eig_tol=EIG_TOL) -> ScalarField:
     """Positive profile of -Lap u = f(u) on the whole interior.
 
     Caps every later system solution from above (truncation barrier).
@@ -194,8 +189,7 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     one = ScalarField(domain, domain.interior_mask.astype(float))
     try:
         report = solve_ball(sp_params, domain.interior_mask, domain, one,
-                            newton_tol=newton_tol, max_newton=max_newton,
-                            max_backtracks=max_backtracks)
+                            newton_tol=newton_tol)
     except NonlinearSolveError as exc:
         failure = exc
     else:

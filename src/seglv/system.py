@@ -54,8 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError, NonlinearSolveError
-from .newton import (MAX_BACKTRACKS, MAX_NEWTON, NEWTON_TOL, HeldFactor,
-                     damped_newton, factorize)
+from .newton import NEWTON_TOL, HeldFactor, damped_newton, factorize
 from .operators import ScalarField, StateField
 from .reaction import f_truncated_eval, f_truncated_prime
 
@@ -228,7 +227,7 @@ class _System:
         return StateField([ScalarField(self.domain, self.domain.insert(v, self.mask))
                            for v in x.reshape(self.k, self.n)])
 
-    def solve(self, guess: StateField, tol, *, max_newton, max_backtracks,
+    def solve(self, guess: StateField, tol, *,
               lu=None) -> tuple[StateField, float, int]:
         """Damped Newton from `guess`; see ``solve_system``.  Returns the
         state, its residual norm and the iterations.  `lu` is the kernel's
@@ -236,8 +235,7 @@ class _System:
         try:
             x, rnorm, iterations = damped_newton(
                 self.stack(guess), self.residual, self.linearize,
-                self.res_norm, tol, max_newton=max_newton,
-                max_backtracks=max_backtracks, as_iterate=self.unstack, lu=lu)
+                self.res_norm, tol, as_iterate=self.unstack, lu=lu)
         finally:
             # released before the result is allocated
             self._held.release()
@@ -251,8 +249,7 @@ def residual(U: StateField, species, model: ModelKind, kappa) -> StateField:
 
 
 def solve_system(guess: StateField, species, model: ModelKind, kappa,
-                 tol=NEWTON_TOL, *, max_newton=MAX_NEWTON,
-                 max_backtracks=MAX_BACKTRACKS) -> tuple[StateField, int]:
+                 tol=NEWTON_TOL) -> tuple[StateField, int]:
     """Solve the selected model at fixed kappa by damped Newton.
 
     Returns (state, iterations) with the root-sum-square residual norm at
@@ -260,19 +257,18 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     norm decreases by the Armijo-style factor (1 - 1e-4 t).  GMRES solves
     each Newton system on block LUs held across the steps
     (``newton.HeldFactor``), released before the result is built.  Raises
-    NonlinearSolveError when a step cannot reduce the residual after
-    `max_backtracks` halvings, a diagonal block is singular, GMRES misses
-    its tolerance on freshly factored blocks, or the budget of
-    `max_newton` steps runs out.
+    NonlinearSolveError when a step cannot reduce the residual within the
+    kernel's budget of halvings, a diagonal block is singular, GMRES misses
+    its tolerance on freshly factored blocks, or the kernel's step budget
+    runs out.
     """
-    state, _, iterations = _System(guess.domain, species, model, kappa).solve(
-        guess, tol, max_newton=max_newton, max_backtracks=max_backtracks)
+    system = _System(guess.domain, species, model, kappa)
+    state, _, iterations = system.solve(guess, tol)
     return state, iterations
 
 
 def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
-               tol=NEWTON_TOL, *, max_newton=MAX_NEWTON,
-               max_backtracks=MAX_BACKTRACKS) -> list:
+               tol=NEWTON_TOL) -> list:
     """Solve the model at fixed kappa from every start near `center`.
 
     Factors the assembled block Jacobian at `center` once; each start then
@@ -295,8 +291,7 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
     results = []
     for start in starts:
         try:
-            state, _, _ = system.solve(start, tol, max_newton=max_newton,
-                                       max_backtracks=max_backtracks, lu=lu)
+            state, _, _ = system.solve(start, tol, lu=lu)
             results.append(state)
         except NonlinearSolveError as exc:
             results.append(exc)

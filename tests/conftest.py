@@ -67,12 +67,13 @@ def random_field(domain, rng, scale=1.0):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name so that calls to it are counted in the returned list."""
+    """Wrap owner.name so that each call to it appends its keyword
+    arguments to the returned list."""
     calls = []
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)

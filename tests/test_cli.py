@@ -7,6 +7,7 @@ import seglv as sg
 from seglv.cli import main
 from seglv.errors import PipelineError
 from seglv.runner import run
+from conftest import count_calls
 
 BASE_CONFIG = {
     "domain": {
@@ -109,8 +110,6 @@ def test_cli_partial_trace_flushed_on_continuation_failure(tmp_path, capsys):
         "schedule.kappa_start": 16.0,
         "schedule.factor": 1e6,
         "schedule.steps": 3,
-        "solver.max_newton": 4,
-        "solver.max_backtracks": 2,
     })
     assert main(["continue", str(cfg)]) == 1
     assert "continuation" in capsys.readouterr().err
@@ -165,23 +164,18 @@ def test_runner_nd_failure_stage(tmp_path, monkeypatch):
 
 
 def test_runner_probe_uses_solver_budget(tmp_path, monkeypatch):
+    # the configured Newton tolerance reaches the ramp and the probe
     from seglv import config as cfg_mod
-    from seglv.diagnostics import UniquenessReport
+    from seglv import runner
 
     doc = json.loads(json.dumps(BASE_CONFIG))
-    doc["solver"].update({"max_newton": 37, "max_backtracks": 9})
+    doc["solver"] = {"newton_tol": 3e-11, "eig_tol": 2e-9}
     doc["output"] = {"directory": str(tmp_path / "out")}
-    seen = {}
-
-    def fake_probe(*args, **kwargs):
-        seen.update(kwargs)
-        return UniquenessReport(trials=3, max_pairwise_h1_distance=0.0,
-                                all_converged=True, converged=3)
-
-    monkeypatch.setattr("seglv.runner.uniqueness_probe", fake_probe)
-    summary = run(cfg_mod.parse_config(json.dumps(doc)))
-    assert (seen["max_newton"], seen["max_backtracks"]) == (37, 9)
-    assert summary.uniqueness["converged"] == 3
+    calls = {name: count_calls(monkeypatch, runner, name)
+             for name in ("continuation_run", "uniqueness_probe")}
+    run(cfg_mod.parse_config(json.dumps(doc)))
+    assert calls == {"continuation_run": [{"tol": 3e-11}],
+                     "uniqueness_probe": [{"tol": 3e-11}]}
 
 
 def test_runner_skips_uniqueness_without_probe_section(tmp_path):
@@ -285,28 +279,29 @@ def test_runner_truncation_stage_builds_caps(tmp_path, monkeypatch):
 
 
 def test_runner_phi_uses_solver_budget(tmp_path, monkeypatch):
+    # the configured Newton and eigen tolerances reach every scalar solve
     from seglv import config as cfg_mod
-    from seglv import scalar
+    from seglv import runner, scalar
 
     doc = json.loads(json.dumps(BASE_CONFIG))
     doc["model"] = {"kind": "positive_part", "truncation": True}
-    doc["solver"].update({"max_newton": 37, "max_backtracks": 9})
+    doc["solver"] = {"newton_tol": 3e-11, "eig_tol": 2e-9}
     cfg = cfg_mod.parse_config(json.dumps(doc))
     cfg.output.directory = str(tmp_path / "out")
     cfg.output.emit_fields = False
-    seen = []
-    solve_ball = scalar.solve_ball
-
-    def recording_solve(*args, **kwargs):
-        seen.append((kwargs.get("max_newton"), kwargs.get("max_backtracks")))
-        return solve_ball(*args, **kwargs)
-
+    calls = {name: count_calls(monkeypatch, runner, name)
+             for name in ("positive_branch_guess", "solve_ball", "nd_margin",
+                          "supersolution_phi")}
     # the baseline stage calls the runner's own binding; this one is phi's
-    monkeypatch.setattr(scalar, "solve_ball", recording_solve)
+    phi_balls = count_calls(monkeypatch, scalar, "solve_ball")
     summary = run(cfg, until="phi")
     assert summary.stages_completed[-1] == "phi"
-    # one phi, shared by the two equal species
-    assert seen == [(37, 9)]
+    both = {"newton_tol": 3e-11, "eig_tol": 2e-9}
+    assert calls == {"positive_branch_guess": [{"eig_tol": 2e-9}] * 2,
+                     "solve_ball": [{"newton_tol": 3e-11}] * 2,
+                     "nd_margin": [{"eig_tol": 2e-9}] * 2,
+                     "supersolution_phi": [both]}
+    assert phi_balls == [{"newton_tol": 3e-11}]
 
 
 def test_cli_output_flag_overrides_config(tmp_path, capsys):

@@ -31,9 +31,12 @@ def test_minimal_config_defaults():
 
 
 def test_unknown_solver_key_ignored():
-    doc = dict(MINIMAL, solver={"newton_tol": 1e-9, "cg_tol": 1e-10})
+    # keys of earlier versions still parse: the Newton budget is the kernel's
+    stale = {"cg_tol": 1e-10, "max_newton": 0, "max_backtracks": -1}
+    doc = dict(MINIMAL, solver={"newton_tol": 1e-9, **stale})
     cfg = parse_config(json.dumps(doc))
-    assert cfg.solver.newton_tol == 1e-9 and not hasattr(cfg.solver, "cg_tol")
+    assert cfg.solver.newton_tol == 1e-9
+    assert not any(hasattr(cfg.solver, key) for key in stale)
 
 
 def test_species_ball_count_mismatch():
@@ -110,7 +113,7 @@ def test_probe_section_parsed():
     ("", "species", [], "species must be a non-empty list"),
     ("species.0", "p", MISSING, "each species needs 'lambda' and 'p'"),
     ("species.0", "p", 0.5, "species parameters: exponent p must exceed 1"),
-    ("solver", "max_newton", 0, "solver iteration budgets must be positive"),
+    ("solver", "eig_tol", 0.0, "solver.eig_tol must be positive"),
     ("probes", "uniqueness", [], "probes.uniqueness must be an object"),
     ("probes.uniqueness", "delta", -0.1, "probes.uniqueness.delta must be nonnegative"),
     ("probes.uniqueness", "trials", 0, "probes.uniqueness.trials must be at least 1"),

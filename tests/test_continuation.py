@@ -4,6 +4,7 @@ import pytest
 import seglv as sg
 from seglv import (ContinuationSchedule, ContinuationTrace, ModelKind, StateField,
                    continuation_run)
+from seglv import newton
 
 
 def test_schedule_validation():
@@ -75,12 +76,13 @@ def test_lv_continuation_runs(dumbbell2_setup):
             assert u.values.min() >= -1e-12
 
 
-def test_partial_trace_on_failure(dumbbell2_setup):
+def test_partial_trace_on_failure(dumbbell2_setup, monkeypatch):
     setup = dumbbell2_setup
     model = ModelKind.barrier(setup["baseline"])
     schedule = ContinuationSchedule(4.0, 1e6, 3)
-    trace = continuation_run(setup["domain"], setup["species"], model, schedule,
-                             max_newton=2, max_backtracks=1)
+    monkeypatch.setattr(newton, "MAX_NEWTON", 2)
+    monkeypatch.setattr(newton, "MAX_BACKTRACKS", 1)
+    trace = continuation_run(setup["domain"], setup["species"], model, schedule)
     assert trace.failure is not None
     assert len(trace.steps) < 3
     with pytest.raises(ValueError, match="empty trace"):

@@ -5,6 +5,7 @@ import seglv as sg
 from seglv import (ScalarField, SpeciesParams, StateField, energy,
                    free_boundary, h1_distance, inequality_check, noninvasion,
                    norm, overlap, uniqueness_probe)
+from seglv import newton
 from conftest import random_field
 
 SP = SpeciesParams(lam=1.0, p=2.0)
@@ -233,13 +234,14 @@ def test_probe_factors_laplacian_once(dumbbell2_setup, monkeypatch):
         assert h1_distance(start, alone) <= 1e-14 * sg.state_h1_norm(alone)
 
 
-def test_probe_respects_newton_budget(dumbbell2_setup):
+def test_probe_respects_newton_budget(dumbbell2_setup, monkeypatch):
     setup = dumbbell2_setup
     model = sg.ModelKind.barrier(setup["baseline"])
     center, _ = sg.solve_system(setup["baseline"], setup["species"], model,
                                 64.0, 1e-10)
+    monkeypatch.setattr(newton, "MAX_NEWTON", 1)
     report = uniqueness_probe(setup["domain"], setup["species"], model, 64.0,
-                              center, 0.02, 3, 5, max_newton=1)
+                              center, 0.02, 3, 5)
     assert not report.all_converged
     assert report.converged < report.trials
 

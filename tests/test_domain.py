@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,26 @@ def test_chained_corridors_one_component():
     corridors = [CorridorSpec(0, 1, 0.5), CorridorSpec(1, 2, 0.5)]
     dom = build_domain(THREE_BALLS, corridors, BBOX, H)
     assert dom.connected_components() == 1
+
+
+@pytest.mark.parametrize("nodes, count", [
+    ([], 0),                          # empty interior
+    ([(1, 1), (2, 2)], 2),            # diagonal neighbours stay apart
+    ([(1, 1), (1, 2), (2, 2)], 1),    # joined through an edge
+], ids=["empty", "diagonal", "edge"])
+def test_components_are_four_connected(nodes, count):
+    mask = np.zeros((5, 5), dtype=bool)
+    for iy, ix in nodes:
+        mask[iy, ix] = True
+    assert sg.GridDomain.from_mask(mask, 0.5).connected_components() == count
+
+
+def test_import_leaves_scipy_ndimage_out():
+    # components are counted on the Laplacian's graph, not by ndimage.label
+    env = dict(os.environ, PYTHONPATH=str(Path(sg.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import seglv, sys; "
+                    "assert 'scipy.ndimage' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_overlapping_balls_rejected():

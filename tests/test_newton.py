@@ -14,19 +14,28 @@ class _AscentSolver:
         return -b
 
 
-def _run(x0, linearize):
+def _run(x0, linearize, residuals=None):
     # residual(x) = x with a zero right-hand side, so J = I, the exact
     # Newton step from x is -x and the solve stops at residual 1e-10
-    return damped_newton(np.asarray(x0, dtype=float), lambda x: (x.copy(), 0.0),
-                         linearize, lambda r: float(np.linalg.norm(r)), 1e-10,
-                         max_newton=20, max_backtracks=3, as_iterate=lambda x: x)
+    def residual(x):
+        if residuals is not None:
+            residuals.append(x.copy())
+        return x.copy(), 0.0
+
+    return damped_newton(np.asarray(x0, dtype=float), residual, linearize,
+                         lambda r: float(np.linalg.norm(r)), 1e-10,
+                         as_iterate=lambda x: x)
 
 
-def test_ascent_direction_stalls():
+def test_ascent_direction_stalls(monkeypatch):
+    # the kernel reads its halving budget when it runs
+    monkeypatch.setattr(newton, "MAX_BACKTRACKS", 3)
+    residuals = []
     with pytest.raises(NonlinearSolveError, match="newton stalled at residual 5.000e") as err:
-        _run([3.0, -4.0], lambda x: _AscentSolver())
+        _run([3.0, -4.0], lambda x: _AscentSolver(), residuals)
     assert err.value.residual_history == [5.0]
     assert np.array_equal(err.value.last_iterate, [3.0, -4.0])
+    assert len(residuals) == 1 + 4  # the start, then t = 1, 1/2, 1/4, 1/8
 
 
 def test_converged_start_that_cannot_linearize_skips_polish():

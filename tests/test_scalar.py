@@ -111,12 +111,13 @@ def test_ball_solve_positive_branch(ball16):
     assert norm(resid, "L2") == pytest.approx(report.final_residual, abs=1e-12)
 
 
-def test_ball_solve_budget_failure_carries_history(ball16):
+def test_ball_solve_budget_failure_carries_history(ball16, monkeypatch):
     region = ball16.species_ball_mask(0)
     guess, lam1 = positive_branch_guess(ball16, region)
     sp = SpeciesParams(lam=2 * lam1, p=2.0)
+    monkeypatch.setattr(newton, "MAX_NEWTON", 1)
     with pytest.raises(NonlinearSolveError) as err:
-        solve_ball(sp, region, ball16, guess, max_newton=1)
+        solve_ball(sp, region, ball16, guess)
     assert err.value.residual_history
     last = err.value.last_iterate
     assert last.domain is ball16
@@ -404,9 +405,9 @@ def test_phi_newton_failure_above_threshold_raises_solve_error(ball16,
                                                                monkeypatch):
     lam1, _ = principal_eigenvalue(None, ball16)
     eigen_solves = count_calls(monkeypatch, scalar_module, "principal_eigenvalue")
+    monkeypatch.setattr(newton, "MAX_NEWTON", 1)
     with pytest.raises(NonlinearSolveError, match="budget exhausted") as err:
-        supersolution_phi(SpeciesParams(lam=2 * lam1, p=2.0), ball16,
-                          max_newton=1)
+        supersolution_phi(SpeciesParams(lam=2 * lam1, p=2.0), ball16)
     assert not isinstance(err.value, PhiUnavailable)
     assert len(eigen_solves) == 1
 
