@@ -64,10 +64,14 @@ class FreeBoundary:
 
 @dataclass
 class UniquenessReport:
+    """Outcome of ``uniqueness_probe``; ``chord_only`` counts the trials
+    that converged on the center LU without a linearization of their own."""
+
     trials: int
     max_pairwise_h1_distance: float
     all_converged: bool
     converged: int
+    chord_only: int
 
 
 def overlap(U: StateField) -> np.ndarray:
@@ -230,9 +234,9 @@ def uniqueness_probe(domain, species, model: ModelKind, kappa_final,
     Re-solves from `trials` seeded perturbations of the center (H1 size
     delta, per-trial seed = seed + trial, all smoothed by one Laplacian LU)
     and reports the largest pairwise H1 distance among the converged
-    results.  The trials share one factorization of the Jacobian at the
-    center (``system.solve_near``).  Non-convergent trials are counted and
-    flagged, not fatal.
+    results.  The trials run in lockstep chord rounds on one factorization
+    of the Jacobian at the center (``system.solve_near``).  Non-convergent
+    trials are counted and flagged, not fatal.
     """
     seeds = [seed + t for t in range(trials)]
     starts = [center + W for W in
@@ -245,4 +249,5 @@ def uniqueness_probe(domain, species, model: ModelKind, kappa_final,
             max_dist = max(max_dist, h1_distance(results[a], results[b]))
     return UniquenessReport(trials=trials, max_pairwise_h1_distance=max_dist,
                             all_converged=len(results) == trials,
-                            converged=len(results))
+                            converged=len(results),
+                            chord_only=outcomes.chord_only)

@@ -43,25 +43,23 @@ species.  It works on a flat unknown vector through three callables
   Z = M^-1 V, so x = Z y.  Each iteration makes exactly one preconditioner
   solve; the tolerance, the first Krylov vector and the update need none,
   and one matvec per restart cycle confirms the true residual.
-* Chord and polish steps take the full step on a solver already at
-  hand, and only when it more than halves the residual norm; a solver
-  that raises RuntimeError takes none.  A caller solving many nearby
-  problems may hand in the LU of a nearby Jacobian (``lu=``): steps start
-  as chord steps on it, and the first not taken drops it for the rest of
-  the solve (Kelley's chord / Shamanskii rule).  After convergence up to
-  two polish steps on the last Newton step's solver drive the residual
-  toward machine level, which the nodewise inequality diagnostics rely
-  on; the halving rule keeps round-off from adding iterations.  Only a
-  start that is already converged builds a solver for them, and one that
-  converged on chord steps alone polishes on the handed-in factor.
+* A polish step takes the full step on the solver at hand, and only when
+  it more than halves the residual norm (``full_step_taken``, the rule of
+  the chord steps of ``system.solve_near`` too); a solver that raises
+  RuntimeError takes none.  After convergence up to
+  ``POLISH_STEPS`` polish steps on the last Newton step's solver drive the
+  residual toward machine level, which the nodewise inequality diagnostics
+  rely on; the halving rule keeps round-off from adding iterations.  Only a
+  start that is already converged builds a solver for them.
+* A solve may go on from an iterate that other steps reached
+  (``history=``): their residual norms start the history, and their steps
+  count toward the budget.
 * The kernel keeps at most one linear solver of its own alive; the
   previous one is dropped before the next is built.  A ``HeldFactor``
   carries its factors over from one linearization to the next, and the
   caller releases them (``HeldFactor.release``) when its solve ends,
   before it allocates the result: a result allocated above live LUs
-  leaves their freed memory unreturnable.  A handed-in factor belongs to
-  the caller and outlives the solve, so while a solve falls back from it
-  two are alive.
+  leaves their freed memory unreturnable.
 """
 
 from __future__ import annotations
@@ -80,6 +78,8 @@ log = logging.getLogger(__name__)
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 200
 MAX_BACKTRACKS = 30
+# polish steps after convergence
+POLISH_STEPS = 2
 
 # GMRES of a Newton step: it succeeds once the true residual ||J s - b|| is
 # at most KRYLOV_RTOL ||b||, within KRYLOV_MAXITER restart cycles of
@@ -96,6 +96,13 @@ def factorize(J):
     """Sparse LU of the structurally symmetric matrix J (SuperLU object)."""
     return splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
                 options={"SymmetricMode": True})
+
+
+def full_step_taken(rnorm, trial_norm):
+    """Whether a polish or chord step from residual norm `rnorm` to
+    `trial_norm` is taken: it must more than halve the norm (False on
+    NaN)."""
+    return trial_norm < 0.5 * rnorm
 
 
 def right_gmres(apply, b, precondition):
@@ -219,56 +226,36 @@ class HeldFactor:
         return s, converged
 
 
-def damped_newton(x, residual, linearize, norm, tol, *, as_iterate, lu=None):
+def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
+                  history=()):
     """Solve residual(x) = 0 from the flat start vector x.
 
     `residual(x)` returns (r, rhs), the residual and its right-hand side's
     norm; iterates until norm(r) <= tol * max(1, rhs).  Returns (x,
-    norm(r), iterations); accepted chord and polish steps count as
-    iterations.  `linearize(x)` returns the linear solver of the Jacobian
-    at x (see the module docstring).  `lu`, when given, is a factorization
-    of a nearby Jacobian that the first steps reuse as chord steps.  Raises
-    NonlinearSolveError when the budget of ``MAX_NEWTON`` steps runs out, a
-    linear solver raises RuntimeError during a Newton step, or a step
-    cannot reduce the residual after ``MAX_BACKTRACKS`` halvings; its
-    last_iterate is as_iterate(x) and its residual_history holds the norm
-    after every accepted step.
+    norm(r), iterations); accepted polish steps count as iterations.
+    `linearize(x)` returns the linear solver of the Jacobian at x (see the
+    module docstring).  `history`, when given, holds the residual norms
+    after every step that reached x from an earlier start, that start's
+    first; those steps count as iterations.  Raises NonlinearSolveError
+    when the budget of ``MAX_NEWTON`` steps runs out, a linear solver
+    raises RuntimeError during a Newton step, or a step cannot reduce the
+    residual after ``MAX_BACKTRACKS`` halvings; its last_iterate is
+    as_iterate(x) and its residual_history holds the norm after every
+    accepted step.
     """
     r, rhs = residual(x)
     rnorm = norm(r)
-    history = [rnorm]
-    iterations = 0
-    solver, chord = lu, lu is not None
+    history = [*history[:-1], rnorm]
+    iterations = len(history) - 1
+    solver = None
 
     def failure(message):
         return NonlinearSolveError(message, last_iterate=as_iterate(x),
                                    residual_history=history)
 
-    def full_step():
-        """Take the full step on `solver` (made at x when None) if it more
-        than halves the residual norm; returns whether it was taken."""
-        nonlocal solver, x, r, rhs, rnorm, iterations
-        try:
-            if solver is None:
-                solver = linearize(x)
-            trial = x + solver.solve(-r)
-        except RuntimeError:
-            return False
-        rt, rhs_t = residual(trial)
-        rtnorm = norm(rt)
-        if not rtnorm < 0.5 * rnorm:
-            return False
-        x, r, rhs, rnorm = trial, rt, rhs_t, rtnorm
-        history.append(rnorm)
-        iterations += 1
-        return True
-
     while rnorm > tol * max(1.0, rhs):
         if iterations >= MAX_NEWTON:
             raise failure(f"newton budget exhausted at residual {rnorm:.3e}")
-        if chord and full_step():
-            continue
-        chord = False
         solver = None
         try:
             solver = linearize(x)
@@ -289,7 +276,18 @@ def damped_newton(x, residual, linearize, norm, tol, *, as_iterate, lu=None):
         history.append(rnorm)
         iterations += 1
 
-    for _ in range(2):
-        if not full_step():
+    for _ in range(POLISH_STEPS):
+        try:
+            if solver is None:
+                solver = linearize(x)
+            trial = x + solver.solve(-r)
+        except RuntimeError:
             break
+        rt, rhs_t = residual(trial)
+        rtnorm = norm(rt)
+        if not full_step_taken(rnorm, rtnorm):
+            break
+        x, r, rhs, rnorm = trial, rt, rhs_t, rtnorm
+        history.append(rnorm)
+        iterations += 1
     return x, rnorm, iterations

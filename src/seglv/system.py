@@ -41,22 +41,29 @@ too, also on block LUs held from an earlier iterate.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
-once at a converged center and runs every start as chord steps on that
-exact LU, so a start builds a linearization of its own only when a chord
-step stalls.
+once at a converged center and runs every start in lockstep chord rounds
+on that exact LU, one multi-column triangular solve per round for all
+starts still on chord steps.  A start builds a linearization of its own
+only when a chord step stalls; it then leaves the rounds and goes on by
+the kernel's damped Newton once they end.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError, NonlinearSolveError
-from .newton import NEWTON_TOL, HeldFactor, damped_newton, factorize
+from . import newton
+from .newton import (NEWTON_TOL, POLISH_STEPS, HeldFactor, damped_newton,
+                     factorize, full_step_taken)
 from .operators import ScalarField, StateField
 from .reaction import f_truncated_eval, f_truncated_prime
+
+log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
 
@@ -228,14 +235,15 @@ class _System:
                            for v in x.reshape(self.k, self.n)])
 
     def solve(self, guess: StateField, tol, *,
-              lu=None) -> tuple[StateField, float, int]:
+              history=()) -> tuple[StateField, float, int]:
         """Damped Newton from `guess`; see ``solve_system``.  Returns the
-        state, its residual norm and the iterations.  `lu` is the kernel's
-        handed-in chord factor."""
+        state, its residual norm and the iterations.  `history` holds the
+        residual norms of the steps that reached `guess` (the kernel's
+        ``history``)."""
         try:
             x, rnorm, iterations = damped_newton(
                 self.stack(guess), self.residual, self.linearize,
-                self.res_norm, tol, as_iterate=self.unstack, lu=lu)
+                self.res_norm, tol, as_iterate=self.unstack, history=history)
         finally:
             # released before the result is allocated
             self._held.release()
@@ -267,32 +275,105 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     return state, iterations
 
 
+class NearOutcomes(list):
+    """The outcomes of ``solve_near``, one per start: the solved state, or
+    the NonlinearSolveError that ended that start.  ``chord_only`` counts
+    the starts that converged on the center LU without a linearization of
+    their own."""
+
+    chord_only = 0
+
+
 def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
-               tol=NEWTON_TOL) -> list:
+               tol=NEWTON_TOL) -> NearOutcomes:
     """Solve the model at fixed kappa from every start near `center`.
 
-    Factors the assembled block Jacobian at `center` once; each start then
-    runs the Newton kernel with that factor handed in, as chord steps that
-    must more than halve the residual norm, and falls back to ordinary damped
-    Newton (its own block-preconditioned GMRES steps, on block LUs held
-    within that start only) from the first that does not.  Convergence,
+    Factors the assembled block Jacobian at `center` once and runs the
+    starts in lockstep chord rounds on that LU.  Each round stacks the
+    residuals of every start still in the rounds into one (k n, m) block
+    and solves it in one multi-column triangular solve; each start then
+    takes its full step when it more than halves that start's residual
+    norm (``newton.full_step_taken``).  A converged start, one converged
+    at the outset too, takes up to ``newton.POLISH_STEPS`` more such steps
+    as polish and is done.  A start whose chord step is refused, or whose
+    chord steps spend the kernel's ``MAX_NEWTON`` budget, leaves the
+    rounds; once they end the center LU is dropped, and each such start
+    goes on by ordinary damped Newton (its own block-preconditioned GMRES
+    steps, on block LUs held within that start only) from where it left,
+    its chord steps counted in its budget and history.  Convergence,
     budget and failures are those of ``solve_system``.
 
-    Returns a list with one entry per start: the solved state, or the
-    NonlinearSolveError that ended that start.  Raises NonlinearSolveError
-    when the Jacobian at the center cannot be factored.
+    Returns a ``NearOutcomes`` list with one entry per start.  Raises
+    NonlinearSolveError when the Jacobian at the center cannot be factored,
+    and ValueError when a state has the wrong number of species.
     """
     system = _System(center.domain, species, model, kappa)
+    x_center = system.stack(center)
+    m = len(starts)
+    X = np.empty((x_center.size, m), order="F")  # one column per start
+    for j, start in enumerate(starts):
+        X[:, j] = system.stack(start)
+    if m == 0:
+        return NearOutcomes()
     try:
-        lu = factorize(system.jacobian(system.stack(center)))
+        lu = factorize(system.jacobian(x_center))
     except RuntimeError as exc:
         raise NonlinearSolveError(f"singular linearization at the center: {exc}",
                                   last_iterate=center) from exc
-    results = []
-    for start in starts:
-        try:
-            state, _, _ = system.solve(start, tol, lu=lu)
-            results.append(state)
-        except NonlinearSolveError as exc:
-            results.append(exc)
-    return results
+
+    R = np.empty_like(X)
+    rhs, rnorm = [0.0] * m, [0.0] * m
+    for j in range(m):
+        R[:, j], rhs[j] = system.residual(X[:, j])
+        rnorm[j] = system.res_norm(R[:, j])
+    histories = [[r] for r in rnorm]
+    polish = [-1] * m  # polish steps left; -1 while on chord steps
+    fallback = set()  # starts that leave the rounds for the kernel
+
+    def stays(j):
+        """Whether start j takes another step on the center LU."""
+        if polish[j] < 0 and rnorm[j] <= tol * max(1.0, rhs[j]):
+            polish[j] = POLISH_STEPS
+        if polish[j] < 0 and len(histories[j]) > newton.MAX_NEWTON:
+            fallback.add(j)  # the kernel ends it on its budget
+            return False
+        return polish[j] != 0
+
+    batch = [j for j in range(m) if stays(j)]
+    rounds, steps = 0, None
+    while batch:
+        rounds += 1
+        fell, accepted = len(fallback), 0
+        steps = lu.solve(-R[:, batch])
+        stepped, batch = batch, []
+        for c, j in enumerate(stepped):
+            trial = X[:, j] + steps[:, c]
+            rt, rhs_t = system.residual(trial)
+            rtnorm = system.res_norm(rt)
+            if not full_step_taken(rnorm[j], rtnorm):
+                if polish[j] < 0:
+                    fallback.add(j)
+                continue  # a refused polish step ends the polish
+            X[:, j], R[:, j], rhs[j], rnorm[j] = trial, rt, rhs_t, rtnorm
+            histories[j].append(rtnorm)
+            accepted += 1
+            if polish[j] > 0:
+                polish[j] -= 1
+            if stays(j):
+                batch.append(j)
+        log.debug("chord round %d: %d trials stepped, %d steps accepted, "
+                  "%d fell back", rounds, len(stepped), accepted,
+                  len(fallback) - fell)
+    del lu, R, steps  # released before a fallback start factors its blocks
+
+    outcomes = NearOutcomes()
+    outcomes.chord_only = m - len(fallback)
+    for j in range(m):
+        state = system.unstack(X[:, j])
+        if j in fallback:
+            try:
+                state, _, _ = system.solve(state, tol, history=histories[j])
+            except NonlinearSolveError as exc:
+                state = exc
+        outcomes.append(state)
+    return outcomes

@@ -60,6 +60,7 @@ def test_cli_full_run_and_outputs(tmp_path):
     assert len(summary["continuation"]) == 5
     assert summary["uniqueness"]["all_converged"] is True
     assert summary["uniqueness"]["converged"] == 3
+    assert summary["uniqueness"]["chord_only"] == 3
     # per-kappa artifacts
     assert (out / "trace_4.json").exists()
     assert (out / "trace_1024.json").exists()

@@ -196,6 +196,7 @@ def test_probe_factors_coupled_jacobian_once(dumbbell2_setup, monkeypatch):
                               center, 0.02, 3, 5)
     assert sizes.count(coupled) == 1
     assert report.all_converged and report.converged == 3
+    assert report.chord_only == report.trials
     assert report.max_pairwise_h1_distance <= 1e-12
 
 

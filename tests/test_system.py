@@ -489,6 +489,115 @@ def test_solve_near_matches_solve_system(dumbbell2_setup):
         assert rel <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def near64(dumbbell2_setup):
+    """The barrier solve at kappa = 64 (the center) and three starts near
+    it, with the species and the model."""
+    setup = dumbbell2_setup
+    model = ModelKind.barrier(setup["baseline"])
+    center, _ = solve_system(setup["baseline"], setup["species"], model,
+                             64.0, 1e-10)
+    starts = [center + sg.seeded_perturbation(setup["domain"], 2, 0.02, s)
+              for s in (1, 2, 3)]
+    return center, starts, setup["species"], model
+
+
+def record_center_solves(monkeypatch, size):
+    """Wrap newton.splu so that the LU of a size x size matrix records the
+    shape of every right-hand side it solves; returns that record."""
+    shapes = []
+    splu = newton.splu
+
+    class RecordingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            shapes.append(b.shape)
+            return self.lu.solve(b)
+
+    def recording_splu(J, *args, **kwargs):
+        lu = splu(J, *args, **kwargs)
+        return RecordingLU(lu) if J.shape[0] == size else lu
+
+    monkeypatch.setattr(newton, "splu", recording_splu)
+    return shapes
+
+
+def test_solve_near_mixed_batch(near64):
+    # from three times the center the first chord step is refused: that
+    # start falls back to damped Newton, the near ones finish in the rounds
+    center, near, species, model = near64
+    starts = near + [center * 3.0]
+    outcomes = solve_near(center, starts, species, model, 64.0, 1e-10)
+    assert len(outcomes) == len(starts)
+    assert outcomes.chord_only == len(near)
+    for start, state in zip(starts, outcomes):
+        direct, _ = solve_system(start, species, model, 64.0, 1e-10)
+        assert sg.h1_distance(state, direct) / sg.state_h1_norm(direct) <= 1e-12
+
+
+def test_solve_near_one_solve_per_round(near64, monkeypatch):
+    center, starts, species, model = near64
+    shapes = record_center_solves(monkeypatch, 2 * center.domain.n_interior)
+    alone = []  # each start alone: its steps, and at most one refused
+    for start in starts:
+        solve_near(center, [start], species, model, 64.0, 1e-10)
+        alone.append(len(shapes))
+        shapes.clear()
+    outcomes = solve_near(center, starts, species, model, 64.0, 1e-10)
+    assert outcomes.chord_only == len(starts)
+    assert all(len(shape) == 2 for shape in shapes)
+    assert shapes[0][1] == len(starts)
+    assert [cols for _, cols in shapes] == sorted((cols for _, cols in shapes),
+                                                  reverse=True)
+    assert len(shapes) <= max(alone) + 1
+    assert len(shapes) < sum(alone)
+
+
+def test_solve_near_without_starts(near64, monkeypatch):
+    center, _, species, model = near64
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    assert solve_near(center, [], species, model, 64.0) == []
+    assert not factorizations
+
+
+def test_solve_near_checks_every_start(near64):
+    center, starts, species, model = near64
+    with pytest.raises(ValueError, match="species list and state size"):
+        solve_near(center, starts + [StateField([center[0]])], species,
+                   model, 64.0)
+
+
+def test_solve_near_budget_record(near64, monkeypatch):
+    # one chord step is fewer than a near start needs
+    center, starts, species, model = near64
+    monkeypatch.setattr(newton, "MAX_NEWTON", 1)
+    outcomes = solve_near(center, starts[:1], species, model, 64.0, 1e-10)
+    [failure] = outcomes
+    assert isinstance(failure, NonlinearSolveError)
+    assert str(failure).startswith("newton budget exhausted")
+    assert outcomes.chord_only == 0
+    system = _System(center.domain, species, model, 64.0)
+    r, _ = system.residual(system.stack(starts[0]))
+    assert failure.residual_history[0] == system.res_norm(r)
+    assert len(failure.residual_history) == newton.MAX_NEWTON + 1
+
+
+def test_chord_rounds_logged(near64, caplog, monkeypatch):
+    center, starts, species, model = near64
+    shapes = record_center_solves(monkeypatch, 2 * center.domain.n_interior)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        solve_near(center, starts, species, model, 64.0, 1e-10)
+    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.system"]
+    assert len(lines) == len(shapes) >= 2
+    assert lines[0] == ("chord round 1: 3 trials stepped, 3 steps accepted, "
+                        "0 fell back")
+    for number, (line, (_, cols)) in enumerate(zip(lines, shapes), 1):
+        assert line.startswith(f"chord round {number}: {cols} trials stepped, ")
+        assert line.endswith(" 0 fell back")
+
+
 def test_chord_fallback_refactors_and_converges(dumbbell2_setup, monkeypatch):
     # the LU at the baseline is a poor chord factor for the kappa = 1024
     # barrier solve: a chord step stalls and the kernel factors again
@@ -505,8 +614,10 @@ def test_chord_fallback_refactors_and_converges(dumbbell2_setup, monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(newton, "splu", counting_splu)
-    [near] = solve_near(U0, [U0], setup["species"], model, 1024.0, 1e-10)
+    outcomes = solve_near(U0, [U0], setup["species"], model, 1024.0, 1e-10)
+    [near] = outcomes
     assert factorizations >= 2
+    assert outcomes.chord_only == 0
     assert sg.h1_distance(near, direct) / sg.state_h1_norm(direct) <= 1e-12
 
 
