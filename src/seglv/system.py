@@ -35,9 +35,9 @@ kernel's held-factor GMRES step (``newton.HeldFactor``) with the k LUs of
 the diagonal blocks A + diag(D[i, i]) as the held factors and one forward
 block Gauss-Seidel sweep over them as the preconditioner (a Newton-Krylov
 method with a physics-block preconditioner, Knoll & Keyes, J. Comput.
-Phys. 193, 2004).  J is applied as K x plus the coupling D at the current
-iterate and is not assembled; the sweep's off-diagonal terms use that D
-too, also on block LUs held from an earlier iterate.
+Phys. 193, 2004).  J is applied as A on each species plus the coupling D
+at the current iterate and is not assembled; the sweep's off-diagonal
+terms use that D too, also on block LUs held from an earlier iterate.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -126,7 +126,6 @@ class _System:
         self.A, index_map = domain.laplacian(region)
         self.mask = mask = index_map >= 0
         self.n = n = self.A.shape[0]
-        self.K = sp.kron(sp.identity(k, format="csr"), self.A, format="csr")
         self.h = domain.h
         self.clip = model.kind != "barrier"
         if model.baseline is not None and model.baseline.domain is not domain:
@@ -157,14 +156,18 @@ class _System:
         P = np.maximum(v, 0.0)
         return P, P - self.u0, v
 
+    def _laplacian(self, x):
+        """(k, n) array of A u_i for every species u_i of the stacked x."""
+        return np.stack([self.A @ u for u in x.reshape(self.k, self.n)])
+
     def residual(self, x):
         """Stacked residual A u_i - RHS_i at the stacked state x, and the
         root-sum-square L2 norm of the right-hand sides RHS_i."""
         P, s, _ = self._parts(x)
         coupling = self.kappa * P * (P.sum(axis=0) - P)
-        Kx = self.K @ x
-        r = Kx - self._reaction(f_truncated_eval, s).ravel() + coupling.ravel()
-        return r, self.h * float(np.linalg.norm(Kx - r))
+        Ax = self._laplacian(x).ravel()
+        r = Ax - self._reaction(f_truncated_eval, s).ravel() + coupling.ravel()
+        return r, self.h * float(np.linalg.norm(Ax - r))
 
     def res_norm(self, r):
         return self.h * float(np.linalg.norm(r))
@@ -188,10 +191,9 @@ class _System:
         index = np.arange(k * n, dtype=np.int32).reshape(k, n)
         rows = np.repeat(index, k, axis=0).ravel()
         cols = np.tile(index, (k, 1)).ravel()
-        # K is symmetric, so K.T is its CSC form without a copy; the sum
-        # drops the coupling's zero entries (clipped nodes)
-        return sp.csc_matrix((D.ravel(), (rows, cols)),
-                             shape=(k * n, k * n)) + self.K.T
+        # the sum drops the coupling's zero entries (clipped nodes)
+        return (sp.csc_matrix((D.ravel(), (rows, cols)), shape=(k * n, k * n))
+                + sp.block_diag([self.A] * k, format="csc"))
 
     def linearize(self, x):
         """Newton-step solver of the Jacobian J at x (``newton.HeldFactor``).
@@ -202,11 +204,12 @@ class _System:
         sweep over them preconditions GMRES.  The sweep's off-diagonal
         terms use D at x, also when the LUs come from an earlier iterate.
         """
-        K, A, D = self.K, self.A, self._coupling(x)
+        A, D = self.A, self._coupling(x)
         k, n = self.k, self.n
 
         def apply(v):
-            return K @ v + np.einsum("ijm,jm->im", D, v.reshape(k, n)).ravel()
+            return (self._laplacian(v)
+                    + np.einsum("ijm,jm->im", D, v.reshape(k, n))).ravel()
 
         def factor():
             # a symmetric block's transpose is its CSC form, without a copy

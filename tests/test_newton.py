@@ -1,10 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spilu
 
+import seglv as sg
 from seglv import NonlinearSolveError, newton
 from seglv.newton import damped_newton
+from seglv.system import _System
+
+from conftest import count_calls
 
 
 class _AscentSolver:
@@ -133,3 +139,45 @@ def test_right_gmres_reports_miss_after_all_restart_cycles():
     assert iterations == newton.KRYLOV_RESTART * newton.KRYLOV_MAXITER
     # one true-residual matvec closes each cycle
     assert len(matvecs) == iterations + newton.KRYLOV_MAXITER
+
+
+def _indefinite_laplacian(setup):
+    """5-point Laplacian on a 24 x 24 grid minus 500 I, which lies between
+    its smallest and largest eigenvalues."""
+    A, _ = sg.unit_square_domain(24).laplacian()
+    J = A - 500.0 * sp.identity(A.shape[0])
+    eigenvalues = np.linalg.eigvalsh(J.toarray())
+    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+    return J
+
+
+def _dumbbell2_jacobian(setup):
+    """Coupled barrier Jacobian at the baselines, kappa = 64."""
+    U0 = setup["baseline"]
+    system = _System(setup["domain"], setup["species"],
+                     sg.ModelKind.barrier(U0), 64.0)
+    return system.jacobian(system.stack(U0))
+
+
+@pytest.mark.parametrize("matrix", [
+    _indefinite_laplacian, lambda setup: _convection_diffusion(20),
+    _dumbbell2_jacobian], ids=["indefinite_laplacian", "convection_diffusion",
+                               "dumbbell2_jacobian"])
+def test_factorize_solves_to_round_off(matrix, dumbbell2_setup, monkeypatch):
+    J = matrix(dumbbell2_setup)
+    b = np.random.default_rng(2).standard_normal(J.shape[0])
+    calls = count_calls(monkeypatch, newton, "splu")
+    x = newton.factorize(J).solve(b)
+    assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+    # column at a time, on the minimum-degree ordering of the symmetric
+    # pattern
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1,
+                      "options": {"SymmetricMode": True}}]
+
+
+def test_factorize_logs_order_and_fill(caplog):
+    A, _ = sg.unit_square_domain(8).laplacian()
+    with caplog.at_level(logging.DEBUG, logger="seglv.newton"):
+        lu = newton.factorize(A)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "seglv.newton"]
+    assert line == f"LU of order {A.shape[0]}: fill {lu.L.nnz + lu.U.nnz}"

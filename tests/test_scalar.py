@@ -422,6 +422,9 @@ class _CountingLU:
         self.counts["solves"] += 1
         return self.lu.solve(b)
 
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
 
 def test_phi_work_count(chain3_domain, monkeypatch):
     # one LU held for the whole solve, and every LU solve is a GMRES

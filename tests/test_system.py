@@ -145,6 +145,9 @@ def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
           - system.residual(x - eps * direction)[0]) / (2 * eps)
     jv = system.jacobian(x) @ direction
     assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
+    # the Newton steps' matrix-free product is the assembled Jacobian's
+    applied = system.linearize(x).apply(direction)
+    assert np.linalg.norm(applied - jv) <= 1e-12 * np.linalg.norm(jv)
 
 
 krylov_cases = pytest.mark.parametrize("kind, truncated", [
@@ -468,10 +471,16 @@ def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="seglv.newton"):
         solve_system(start, species, model, kappa, 1e-10)
     lines = [r.getMessage() for r in caplog.records if r.name == "seglv.newton"]
-    assert len(lines) == len(linearizations) >= 2
-    assert lines[0] == "kappa 16384: factoring block LUs; last GMRES iterations: None"
+    # the one factoring logs a line per block LU after its decision
+    lus = lines[1:1 + len(species)]
+    decisions = lines[:1] + lines[1 + len(species):]
+    assert len(decisions) == len(linearizations) >= 2
+    assert decisions[0] == ("kappa 16384: factoring block LUs; last GMRES "
+                            "iterations: None")
     assert all(line.startswith("kappa 16384: holding block LUs; last GMRES "
-                               "iterations: ") for line in lines[1:])
+                               "iterations: ") for line in decisions[1:])
+    n = start.domain.n_interior
+    assert all(line.startswith(f"LU of order {n}: fill ") for line in lus)
 
 
 def test_solve_near_matches_solve_system(dumbbell2_setup):
@@ -515,6 +524,9 @@ def record_center_solves(monkeypatch, size):
         def solve(self, b):
             shapes.append(b.shape)
             return self.lu.solve(b)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
 
     def recording_splu(J, *args, **kwargs):
         lu = splu(J, *args, **kwargs)
