@@ -128,6 +128,12 @@ def _json_str(value):
     return value
 
 
+def _center(value, i):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"domain.balls[{i}].center must be [x, y]")
+    return _json_number(value[0]), _json_number(value[1])
+
+
 # a field's annotation, a string under postponed evaluation, names its reader
 _READERS = {"float": _json_number, "int": _json_int, "bool": _json_bool,
             "str": _json_str}
@@ -172,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         bbox = tuple(_json_number(v) for v in bbox)
         balls = [
-            BallSpec(center=(_json_number(b["center"][0]), _json_number(b["center"][1])),
+            BallSpec(center=_center(b["center"], i),
                      radius=_json_number(b["radius"]),
                      species_index=_json_int(b.get("species_index", i)))
             for i, b in enumerate(dom.get("balls", []))
@@ -183,6 +189,8 @@ def parse_config(text: str) -> RunConfig:
                          width=_json_number(c["width"]))
             for c in dom.get("corridors", [])
         ]
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise ConfigError(f"domain geometry: {exc}") from exc
     if not balls:

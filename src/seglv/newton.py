@@ -105,6 +105,9 @@ def factorize(J):
     20 columns.  On a 2-core x86 host with one BLAS thread the factor time
     falls 22-36% on the chain3 Jacobians at h = 1/32 and 1/64 (a species
     block, the coupled center Jacobian, a shifted Laplacian).
+    Every LU is made and dropped on the calling thread: scipy's SuperLU
+    frees a factor's memory only on the thread that made it, so an LU
+    made on a worker thread and dropped on another leaks all of it.
     Logs the order and the fill (``nnz``, the nonzeros of L and U, which
     SuperLU counts without building them) at DEBUG level.
     """

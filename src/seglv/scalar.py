@@ -6,11 +6,13 @@ the whole connected domain for the global profile) is the competition
 system of ``system`` with one species and a zero baseline, whose coupling
 vanishes, and is solved by that system's damped Newton solve.  On a ball
 the positive branch is reliably selected by seeding with half the
-principal Dirichlet eigenfield; the global profile starts from the
-supersolution u = 1, and a positive result whose Rayleigh quotient lies
-below lambda certifies by itself that lambda exceeds the domain's
-lambda_1, so the whole-domain eigenvalue is computed only when that
-certificate fails (``supersolution_phi``).
+principal Dirichlet eigenfield.  The global profile is solved on two
+grids (``supersolution_phi``): from the supersolution u = 1 on the 2h
+subgrid, then on h from that profile's bilinear interpolant, which is
+safe because the positive solution is unique; u = 1 on h is the
+fallback.  A positive result whose Rayleigh quotient lies below lambda
+certifies by itself that lambda exceeds the domain's lambda_1, so the
+whole-domain eigenvalue is computed only when that certificate fails.
 
 Both eigenproblems take the largest nu of diag(c) w = nu A w, A = -Lap on
 the region, from Lanczos (ARPACK mode 2, M = A) on one sparse LU of A of
@@ -26,6 +28,7 @@ over the region.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,8 @@ from .newton import NEWTON_TOL, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
 from .system import ModelKind, _System
+
+log = logging.getLogger(__name__)
 
 # the default relative residual tolerance of every eigenpair
 EIG_TOL = 1e-8
@@ -167,6 +172,49 @@ def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=EIG_TOL):
     return eigfield * (0.5 / peak), lam1
 
 
+def _prolong(coarse: ScalarField, domain: GridDomain) -> ScalarField:
+    """Bilinear interpolant on `domain` of a field on its 2h subgrid.
+
+    Even-even nodes copy the coarse value; edge midpoints average their 2
+    coarse neighbours and cell centres their 4.
+    """
+    U = coarse.values
+    fine = np.empty((2 * U.shape[0] - 1, 2 * U.shape[1] - 1))
+    fine[::2, ::2] = U
+    fine[::2, 1::2] = 0.5 * (U[:, :-1] + U[:, 1:])
+    fine[1::2] = 0.5 * (fine[:-1:2] + fine[2::2])
+    return ScalarField(domain, fine[:domain.ny, :domain.nx])
+
+
+def _subgrid_start(sp_params, domain, newton_tol):
+    """Start for the h solve of the global profile, from the 2h subgrid.
+
+    The subgrid holds the interior nodes of `domain` at even indices, on
+    spacing 2h; for a rasterized domain it is the rasterization at 2h.  A
+    False row or column pads each axis whose node count is even, so the
+    mask keeps clear of the border and every fine node has its coarse
+    neighbours (``_prolong``).  Newton solves -Lap u = f(u) there from
+    u = 1.  Returns (the interpolant of that profile on `domain`, or None,
+    the subgrid's interior node count, its Newton iterations or None):
+    None when the subgrid has no interior node, its solve fails, or its
+    profile is not positive.  The subgrid, its Laplacian and its profile
+    are dropped on return, before the h solve factors.
+    """
+    mask = np.zeros((domain.ny // 2 + 1, domain.nx // 2 + 1), dtype=bool)
+    even = domain.interior_mask[::2, ::2]
+    mask[:even.shape[0], :even.shape[1]] = even
+    sub = GridDomain.from_mask(mask, 2.0 * domain.h, domain.origin)
+    if sub.n_interior == 0:
+        return None, 0, None
+    one = ScalarField(sub, mask.astype(float))
+    try:
+        report = solve_ball(sp_params, mask, sub, one, newton_tol=newton_tol)
+    except NonlinearSolveError:
+        return None, sub.n_interior, None
+    start = _prolong(report.solution, domain) if report.positive else None
+    return start, sub.n_interior, report.newton_iterations
+
+
 def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
                       newton_tol=NEWTON_TOL, eig_tol=EIG_TOL) -> ScalarField:
     """Positive profile of -Lap u = f(u) on the whole interior.
@@ -176,9 +224,22 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     the trivial state exists, and NonlinearSolveError when the solve fails
     or ends non-positive above that threshold.
 
-    Newton starts from u = 1 on the interior: f(1) = 0, so it is a discrete
-    supersolution, and the iteration descends to the positive profile.  A
-    positive result u certifies lambda > lambda_1 without an eigen-solve
+    Newton first runs on the 2h subgrid (``_subgrid_start``) from u = 1:
+    f(1) = 0, so it is a discrete supersolution, and the iteration descends
+    to the subgrid's positive profile.  The h solve starts from that
+    profile's bilinear interpolant.  f(s)/s = lambda (1 - s^(p-1))
+    strictly decreases on s > 0, so the positive solution is unique
+    (Brezis & Oswald, Nonlinear Anal. 10, 1986) and any start that Newton
+    carries to a positive state gives the same profile; Newton from an
+    interpolated coarse solution takes a number of steps that does not
+    grow with refinement (Allgower, Boehmer, Potra & Rheinboldt, SIAM J.
+    Numer. Anal. 23, 1986).  When the subgrid has no interior node, its
+    solve fails or ends non-positive, or the h solve from the interpolant
+    fails or ends non-positive, the h solve starts from u = 1 instead.
+    One DEBUG line per call gives the subgrid's node count, the start
+    taken and each level's Newton iterations.
+
+    A positive result u certifies lambda > lambda_1 without an eigen-solve
     when its Rayleigh quotient u.A u / u.u, which bounds lambda_1 from
     above, lies below lambda: for an exact solution it is
     lambda - lambda sum |u|^(p+1) / u.u.  A state within the Newton
@@ -186,24 +247,42 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     threshold, fails that test.  Only a result that is not certified
     computes lambda_1.
     """
-    one = ScalarField(domain, domain.interior_mask.astype(float))
-    try:
-        report = solve_ball(sp_params, domain.interior_mask, domain, one,
-                            newton_tol=newton_tol)
-    except NonlinearSolveError as exc:
-        failure = exc
-    else:
-        failure = None
-        if report.positive:
-            A, _ = domain.laplacian()
-            u = report.solution.values[domain.interior_mask]
-            if u @ (A @ u) < sp_params.lam * (u @ u):
-                return report.solution
+    start, sub_nodes, sub_iterations = _subgrid_start(sp_params, domain,
+                                                      newton_tol)
+    report = failure = None
+    if start is not None:
+        try:
+            report = solve_ball(sp_params, domain.interior_mask, domain, start,
+                                newton_tol=newton_tol)
+        except NonlinearSolveError:
+            pass
+        start = None  # dropped before the u = 1 solve factors
+        if report is not None and not report.positive:
+            report = None
+    from_subgrid = report is not None
+    if report is None:
+        one = ScalarField(domain, domain.interior_mask.astype(float))
+        try:
+            report = solve_ball(sp_params, domain.interior_mask, domain, one,
+                                newton_tol=newton_tol)
+        except NonlinearSolveError as exc:
+            failure = exc
         else:
-            failure = NonlinearSolveError(
-                "global profile solve converged to a non-positive state",
-                last_iterate=report.solution,
-                residual_history=[report.final_residual])
+            if not report.positive:
+                failure = NonlinearSolveError(
+                    "global profile solve converged to a non-positive state",
+                    last_iterate=report.solution,
+                    residual_history=[report.final_residual])
+    log.debug("global profile: 2h subgrid of %d interior nodes, Newton "
+              "iterations %s; h solve from %s, Newton iterations %s",
+              sub_nodes, sub_iterations,
+              "the subgrid profile" if from_subgrid else "u = 1",
+              None if report is None else report.newton_iterations)
+    if failure is None:
+        A, _ = domain.laplacian()
+        u = report.solution.values[domain.interior_mask]
+        if u @ (A @ u) < sp_params.lam * (u @ u):
+            return report.solution
     lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)
     if sp_params.lam <= lam1:
         raise PhiUnavailable(

@@ -137,6 +137,16 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["probe-uniqueness", str(cfg2)]) == 2
 
 
+def test_cli_short_ball_center_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["domain"]["balls"][1]["center"] = [3.0]
+    cfg = tmp_path / "short_center.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve-baseline", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config: domain.balls[1].center must be [x, y]")
+
+
 def test_cli_convergence_study(tmp_path, capsys):
     assert main(["convergence-study", "--output", str(tmp_path / "study")]) == 0
     doc = json.loads((tmp_path / "study" / "summary.json").read_text())
@@ -293,7 +303,8 @@ def test_runner_phi_uses_solver_budget(tmp_path, monkeypatch):
     calls = {name: count_calls(monkeypatch, runner, name)
              for name in ("positive_branch_guess", "solve_ball", "nd_margin",
                           "supersolution_phi")}
-    # the baseline stage calls the runner's own binding; this one is phi's
+    # the baseline stage calls the runner's own binding; this one is phi's,
+    # one call per level (the 2h subgrid, then h)
     phi_balls = count_calls(monkeypatch, scalar, "solve_ball")
     summary = run(cfg, until="phi")
     assert summary.stages_completed[-1] == "phi"
@@ -302,7 +313,7 @@ def test_runner_phi_uses_solver_budget(tmp_path, monkeypatch):
                      "solve_ball": [{"newton_tol": 3e-11}] * 2,
                      "nd_margin": [{"eig_tol": 2e-9}] * 2,
                      "supersolution_phi": [both]}
-    assert phi_balls == [{"newton_tol": 3e-11}]
+    assert phi_balls == [{"newton_tol": 3e-11}] * 2
 
 
 def test_cli_output_flag_overrides_config(tmp_path, capsys):

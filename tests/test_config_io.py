@@ -144,6 +144,15 @@ def test_mistyped_field_rejected(section, key, value, match, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("center", [[], [0.0], [0, 0, 5], "xy"],
+                         ids=["empty", "one", "three", "string"])
+def test_ball_center_must_be_a_pair(center):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["domain"]["balls"][0]["center"] = center
+    with pytest.raises(ConfigError, match=r"^domain\.balls\[0\]\.center must be \[x, y\]$"):
+        parse_config(json.dumps(doc))
+
+
 @pytest.mark.parametrize("content, message", [
     (b"[1, 2]", "config root must be an object"),
     (json.dumps(MINIMAL).encode("latin-1").replace(b"12.0", b"\xff"),

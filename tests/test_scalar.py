@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -427,14 +430,15 @@ class _CountingLU:
 
 
 def test_phi_work_count(chain3_domain, monkeypatch):
-    # one LU held for the whole solve, and every LU solve is a GMRES
-    # iteration: none is spent on norms, a first Krylov vector or lambda_1
-    counts = {"lus": 0, "solves": 0, "iterations": 0}
+    # one LU held for each level's whole solve, the 2h subgrid's and then
+    # h's, and every LU solve is a GMRES iteration: none is spent on norms,
+    # a first Krylov vector or lambda_1
+    lus, counts = [], {"iterations": 0}
     splu, right_gmres = newton.splu, newton.right_gmres
 
-    def counting_splu(*args, **kwargs):
-        counts["lus"] += 1
-        return _CountingLU(splu(*args, **kwargs), counts)
+    def counting_splu(A, *args, **kwargs):
+        lus.append((A.shape[0], {"solves": 0}))
+        return _CountingLU(splu(A, *args, **kwargs), lus[-1][1])
 
     def counting_gmres(apply, b, precondition):
         x, iterations, converged = right_gmres(apply, b, precondition)
@@ -444,8 +448,93 @@ def test_phi_work_count(chain3_domain, monkeypatch):
     monkeypatch.setattr(newton, "splu", counting_splu)
     monkeypatch.setattr(newton, "right_gmres", counting_gmres)
     supersolution_phi(SpeciesParams(lam=11.3394, p=2.0), chain3_domain)
-    assert counts["lus"] == 1
-    assert counts["solves"] == counts["iterations"] <= 50
+    assert [order for order, _ in lus] == [2481, chain3_domain.n_interior]
+    assert sum(lu["solves"] for _, lu in lus) == counts["iterations"]
+    # from the subgrid profile, against 48 from u = 1
+    assert lus[1][1]["solves"] <= 12
+
+
+def _plain_phi(sp, domain):
+    """The global profile by one Newton solve from u = 1 on h."""
+    one = ScalarField(domain, domain.interior_mask.astype(float))
+    report = solve_ball(sp, domain.interior_mask, domain, one)
+    assert report.positive
+    return report.solution
+
+
+def _phi_case(name, request):
+    if name == "chain3":
+        return SpeciesParams(lam=11.3394, p=2.0), request.getfixturevalue("chain3_domain")
+    setup = request.getfixturevalue("dumbbell2_setup")
+    return setup["species"][0], setup["domain"]
+
+
+@pytest.mark.parametrize("name", ["chain3", "dumbbell2"])
+def test_phi_from_subgrid_matches_plain_solve(name, request):
+    sp, dom = _phi_case(name, request)
+    plain = _plain_phi(sp, dom)
+    phi = supersolution_phi(sp, dom)
+    assert norm(phi - plain, "H1") <= 1e-12 * norm(plain, "H1")
+
+
+def _forced_solve_ball(failing_call=None, kind=None):
+    """solve_ball whose call number `failing_call` raises (kind "raise")
+    or reports a non-positive state (kind "non-positive"); records the
+    domain of every call."""
+    domains = []
+
+    def forced(sp, region, domain, guess, **kwargs):
+        domains.append(domain)
+        report = solve_ball(sp, region, domain, guess, **kwargs)
+        if len(domains) - 1 != failing_call:
+            return report
+        if kind == "raise":
+            raise NonlinearSolveError("forced", last_iterate=report.solution)
+        report.positive = False
+        return report
+
+    return forced, domains
+
+
+@pytest.mark.parametrize("failing_call, kind", [
+    (0, "raise"), (0, "non-positive"), (1, "raise")],
+    ids=["subgrid_raises", "subgrid_non_positive", "h_from_interpolant_raises"])
+def test_phi_falls_back_to_plain_start(dumbbell2_setup, monkeypatch,
+                                       failing_call, kind):
+    sp, dom = dumbbell2_setup["species"][0], dumbbell2_setup["domain"]
+    plain = _plain_phi(sp, dom)
+    forced, domains = _forced_solve_ball(failing_call, kind)
+    monkeypatch.setattr(scalar_module, "solve_ball", forced)
+    phi = supersolution_phi(sp, dom)
+    # the subgrid, then h from u = 1 (after the interpolant's h solve)
+    assert domains[0].h == 2 * dom.h
+    assert domains[1:] == [dom] * (failing_call + 1)
+    np.testing.assert_array_equal(phi.values, plain.values)
+
+
+@pytest.mark.parametrize("n, sub_nodes", [(8, 9), (9, 16)])
+def test_phi_subgrid_on_unit_square(n, sub_nodes, monkeypatch):
+    # an odd node count per axis (n = 8) needs no padding, an even one does
+    dom = sg.unit_square_domain(n)
+    sp = SpeciesParams(lam=40.0, p=2.0)
+    plain = _plain_phi(sp, dom)
+    forced, domains = _forced_solve_ball()
+    monkeypatch.setattr(scalar_module, "solve_ball", forced)
+    phi = supersolution_phi(sp, dom)
+    sub, fine = domains
+    assert fine is dom
+    assert sub.n_interior == sub_nodes and sub.h == 2 * dom.h
+    assert norm(phi - plain, "H1") <= 1e-12 * norm(plain, "H1")
+
+
+def test_phi_logs_both_levels(dumbbell2_setup, caplog):
+    sp, dom = dumbbell2_setup["species"][0], dumbbell2_setup["domain"]
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        supersolution_phi(sp, dom)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"]
+    assert re.fullmatch(
+        r"global profile: 2h subgrid of \d+ interior nodes, Newton iterations "
+        r"\d+; h solve from the subgrid profile, Newton iterations \d+", line)
 
 
 def _bad_region(domain, kind):
