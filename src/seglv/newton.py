@@ -28,12 +28,12 @@ species.  It works on a flat unknown vector through three callables
   through it too.
 * One held-factor rule serves every Newton step (``HeldFactor``).  A
   solve factors once, the k diagonal-block LUs of its Jacobian (one LU
-  for a single species), and solves each Newton system by restarted GMRES
-  on J(x) to a true relative residual of ``KRYLOV_RTOL``, preconditioned
-  by that factor.  The next linearization refactors only when the last
-  GMRES solve took more than ``KRYLOV_REFACTOR`` iterations; a GMRES solve
-  that misses its tolerance on held factors refactors at the current
-  iterate and tries once more, and a miss on fresh factors raises
+  for a single species), and solves each Newton system by one GMRES
+  cycle on J(x) to a true relative residual of ``KRYLOV_RTOL``,
+  preconditioned by that factor.  The next linearization refactors only
+  when the last GMRES solve took more than ``KRYLOV_REFACTOR`` iterations;
+  a GMRES solve that misses its tolerance on held factors refactors at the
+  current iterate and tries once more, and a miss on fresh factors raises
   RuntimeError.  This is the chord / Shamanskii lagging of the
   linearization (Kelley, *Solving Nonlinear Equations with Newton's
   Method*, SIAM 2003, section 5.4) with the lagged factor as a
@@ -45,7 +45,7 @@ species.  It works on a flat unknown vector through three callables
   true residual of x = M^-1 y, and it keeps the preconditioned basis
   Z = M^-1 V, so x = Z y.  Each iteration makes exactly one preconditioner
   solve; the tolerance, the first Krylov vector and the update need none,
-  and one matvec per restart cycle confirms the true residual.
+  and one matvec on x decides convergence by the true residual.
 * A polish step takes the full step on the solver at hand, and only when
   it more than halves the residual norm (``full_step_taken``, the rule of
   the chord steps of ``system.solve_near`` too); a solver that raises
@@ -85,11 +85,10 @@ MAX_BACKTRACKS = 30
 POLISH_STEPS = 2
 
 # GMRES of a Newton step: it succeeds once the true residual ||J s - b|| is
-# at most KRYLOV_RTOL ||b||, within KRYLOV_MAXITER restart cycles of
-# KRYLOV_RESTART iterations each
+# at most KRYLOV_RTOL ||b||, after one Arnoldi cycle of at most
+# KRYLOV_MAXITER iterations
 KRYLOV_RTOL = 1e-6
-KRYLOV_RESTART = 50
-KRYLOV_MAXITER = 3
+KRYLOV_MAXITER = 50
 # a linearization keeps the held factors while the last GMRES solve on them
 # took at most KRYLOV_REFACTOR iterations
 KRYLOV_REFACTOR = 10
@@ -125,59 +124,50 @@ def full_step_taken(rnorm, trial_norm):
 
 
 def right_gmres(apply, b, precondition):
-    """Restarted right-preconditioned GMRES for J x = b from x = 0.
+    """Right-preconditioned GMRES for J x = b from x = 0, in one cycle.
 
-    `apply(v)` returns J v and `precondition(c)` returns M^-1 c.  Each
-    cycle runs up to ``KRYLOV_RESTART`` Arnoldi steps on J M^-1 (modified
-    Gram-Schmidt, Givens rotations), one preconditioner solve per step,
-    until the Arnoldi residual reaches ``KRYLOV_RTOL`` ||b||; it then adds
-    Z y to x and confirms with the true residual b - J x, which also
-    starts the next cycle.  Returns (x, iterations, converged): converged
-    once ||b - J x|| <= KRYLOV_RTOL ||b||, within ``KRYLOV_MAXITER``
-    cycles.  b = 0 returns x = 0 after no solve.
+    `apply(v)` returns J v and `precondition(c)` returns M^-1 c.  Runs up
+    to ``KRYLOV_MAXITER`` Arnoldi steps on J M^-1 (modified Gram-Schmidt,
+    Givens rotations), one preconditioner solve per step, until the
+    Arnoldi residual reaches ``KRYLOV_RTOL`` ||b||; then forms x = Z y and
+    decides with the true residual.  Returns (x, iterations, converged):
+    converged when ||b - J x|| <= KRYLOV_RTOL ||b||.  b = 0 returns x = 0
+    after no solve.
     """
     x = np.zeros_like(b)
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return x, 0, True
     tol = KRYLOV_RTOL * beta
-    m = KRYLOV_RESTART
+    m = KRYLOV_MAXITER
     R = np.zeros((m + 1, m))  # the Hessenberg matrix, rotated to triangular
     cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
-    r, iterations = b, 0
-    for _ in range(KRYLOV_MAXITER):
-        # the bases V and Z = M^-1 V grow one vector at a time, so a short
-        # cycle allocates only the vectors it uses and frees them on return
-        V, Z = [r / beta], []
-        g[:] = 0.0
-        g[0] = beta
-        for j in range(m):
-            Z.append(precondition(V[j]))
-            iterations += 1
-            w = apply(Z[j])
-            for i, v in enumerate(V):
-                R[i, j] = w @ v
-                w -= R[i, j] * v
-            h = float(np.linalg.norm(w))
-            for i in range(j):
-                R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
-                                        cs[i] * R[i + 1, j] - sn[i] * R[i, j])
-            d = np.hypot(R[j, j], h)
-            cs[j], sn[j] = R[j, j] / d, h / d
-            R[j, j] = d
-            g[j + 1] = -sn[j] * g[j]
-            g[j] *= cs[j]
-            if abs(g[j + 1]) <= tol:  # also on breakdown, h = 0
-                break
-            V.append(w / h)
-        k = len(Z)
-        for y, z in zip(solve_triangular(R[:k, :k], g[:k]), Z):
-            x += y * z
-        r = b - apply(x)
-        beta = float(np.linalg.norm(r))
-        if beta <= tol:
-            return x, iterations, True
-    return x, iterations, False
+    g[0] = beta
+    # the bases V and Z = M^-1 V grow one vector at a time, so a short solve
+    # allocates only the vectors it uses and frees them on return
+    V, Z = [b / beta], []
+    for j in range(m):
+        Z.append(precondition(V[j]))
+        w = apply(Z[j])
+        for i, v in enumerate(V):
+            R[i, j] = w @ v
+            w -= R[i, j] * v
+        h = float(np.linalg.norm(w))
+        for i in range(j):
+            R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
+                                    cs[i] * R[i + 1, j] - sn[i] * R[i, j])
+        d = np.hypot(R[j, j], h)
+        cs[j], sn[j] = R[j, j] / d, h / d
+        R[j, j] = d
+        g[j + 1] = -sn[j] * g[j]
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= tol:  # also on breakdown, h = 0
+            break
+        V.append(w / h)
+    k = len(Z)
+    for y, z in zip(solve_triangular(R[:k, :k], g[:k]), Z):
+        x += y * z
+    return x, k, float(np.linalg.norm(b - apply(x))) <= tol
 
 
 class HeldFactor:
@@ -235,7 +225,7 @@ class HeldFactor:
             s, converged = self._gmres(b)
         if not converged:
             raise RuntimeError(f"GMRES missed relative residual {KRYLOV_RTOL:g} "
-                               f"in {KRYLOV_MAXITER} restart cycles")
+                               f"in {KRYLOV_MAXITER} iterations")
         return s
 
     def _gmres(self, b):

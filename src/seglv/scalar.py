@@ -215,6 +215,26 @@ def _subgrid_start(sp_params, domain, newton_tol):
     return start, sub.n_interior, report.newton_iterations
 
 
+def _h_solve(sp_params, domain, start, newton_tol, levels, name):
+    """Global profile solve on `domain` from `start`, logged as `name` in
+    `levels`.  Returns (report, failure): report is None when the solve
+    raises, and failure is the NonlinearSolveError when it raises or
+    converges to a non-positive state (None otherwise)."""
+    try:
+        report = solve_ball(sp_params, domain.interior_mask, domain, start,
+                            newton_tol=newton_tol)
+    except NonlinearSolveError as exc:
+        levels.append(f"h solve from {name}, raised")
+        return None, exc
+    levels.append(f"h solve from {name}, Newton iterations "
+                  f"{report.newton_iterations}")
+    if report.positive:
+        return report, None
+    return report, NonlinearSolveError(
+        "global profile solve converged to a non-positive state",
+        last_iterate=report.solution, residual_history=[report.final_residual])
+
+
 def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
                       newton_tol=NEWTON_TOL, eig_tol=EIG_TOL) -> ScalarField:
     """Positive profile of -Lap u = f(u) on the whole interior.
@@ -233,11 +253,12 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     carries to a positive state gives the same profile; Newton from an
     interpolated coarse solution takes a number of steps that does not
     grow with refinement (Allgower, Boehmer, Potra & Rheinboldt, SIAM J.
-    Numer. Anal. 23, 1986).  When the subgrid has no interior node, its
-    solve fails or ends non-positive, or the h solve from the interpolant
-    fails or ends non-positive, the h solve starts from u = 1 instead.
-    One DEBUG line per call gives the subgrid's node count, the start
-    taken and each level's Newton iterations.
+    Numer. Anal. 23, 1986).  When the subgrid yields no start or the h
+    solve from its interpolant raises, the h solve starts from u = 1; when
+    that solve converges to a non-positive state, lambda_1 decides first
+    and only lambda > lambda_1 goes on from u = 1.  One DEBUG line per call
+    gives the subgrid's node count and Newton iterations, and each h
+    solve's start and Newton iterations or "raised".
 
     A positive result u certifies lambda > lambda_1 without an eigen-solve
     when its Rayleigh quotient u.A u / u.u, which bounds lambda_1 from
@@ -245,45 +266,31 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     lambda - lambda sum |u|^(p+1) / u.u.  A state within the Newton
     tolerance of zero, which can pass for positive just below the
     threshold, fails that test.  Only a result that is not certified
-    computes lambda_1.
+    computes lambda_1, and at most once.
     """
     start, sub_nodes, sub_iterations = _subgrid_start(sp_params, domain,
                                                       newton_tol)
-    report = failure = None
+    levels = [f"2h subgrid of {sub_nodes} interior nodes, Newton iterations "
+              f"{sub_iterations}"]
+    lam1 = report = failure = None
     if start is not None:
-        try:
-            report = solve_ball(sp_params, domain.interior_mask, domain, start,
-                                newton_tol=newton_tol)
-        except NonlinearSolveError:
-            pass
+        report, failure = _h_solve(sp_params, domain, start, newton_tol, levels,
+                                   "the subgrid profile")
         start = None  # dropped before the u = 1 solve factors
-        if report is not None and not report.positive:
-            report = None
-    from_subgrid = report is not None
-    if report is None:
+        if report is not None and failure is not None:  # not positive
+            lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)
+    if report is None or (failure is not None and sp_params.lam > lam1):
         one = ScalarField(domain, domain.interior_mask.astype(float))
-        try:
-            report = solve_ball(sp_params, domain.interior_mask, domain, one,
-                                newton_tol=newton_tol)
-        except NonlinearSolveError as exc:
-            failure = exc
-        else:
-            if not report.positive:
-                failure = NonlinearSolveError(
-                    "global profile solve converged to a non-positive state",
-                    last_iterate=report.solution,
-                    residual_history=[report.final_residual])
-    log.debug("global profile: 2h subgrid of %d interior nodes, Newton "
-              "iterations %s; h solve from %s, Newton iterations %s",
-              sub_nodes, sub_iterations,
-              "the subgrid profile" if from_subgrid else "u = 1",
-              None if report is None else report.newton_iterations)
+        report, failure = _h_solve(sp_params, domain, one, newton_tol, levels,
+                                   "u = 1")
+    log.debug("global profile: %s", "; ".join(levels))
     if failure is None:
         A, _ = domain.laplacian()
         u = report.solution.values[domain.interior_mask]
         if u @ (A @ u) < sp_params.lam * (u @ u):
             return report.solution
-    lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)
+    if lam1 is None:
+        lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)
     if sp_params.lam <= lam1:
         raise PhiUnavailable(
             f"lambda {sp_params.lam:.6g} <= lambda_1 {lam1:.6g}; "

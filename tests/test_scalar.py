@@ -497,19 +497,23 @@ def _forced_solve_ball(failing_call=None, kind=None):
 
 
 @pytest.mark.parametrize("failing_call, kind", [
-    (0, "raise"), (0, "non-positive"), (1, "raise")],
-    ids=["subgrid_raises", "subgrid_non_positive", "h_from_interpolant_raises"])
+    (0, "raise"), (0, "non-positive"), (1, "raise"), (1, "non-positive")],
+    ids=["subgrid_raises", "subgrid_non_positive", "h_from_interpolant_raises",
+         "h_from_interpolant_non_positive"])
 def test_phi_falls_back_to_plain_start(dumbbell2_setup, monkeypatch,
                                        failing_call, kind):
     sp, dom = dumbbell2_setup["species"][0], dumbbell2_setup["domain"]
     plain = _plain_phi(sp, dom)
     forced, domains = _forced_solve_ball(failing_call, kind)
     monkeypatch.setattr(scalar_module, "solve_ball", forced)
+    eigen_solves = count_calls(monkeypatch, scalar_module, "principal_eigenvalue")
     phi = supersolution_phi(sp, dom)
     # the subgrid, then h from u = 1 (after the interpolant's h solve)
     assert domains[0].h == 2 * dom.h
     assert domains[1:] == [dom] * (failing_call + 1)
     np.testing.assert_array_equal(phi.values, plain.values)
+    # a non-positive state from the interpolant asks lambda_1 first, once
+    assert len(eigen_solves) == (failing_call == 1 and kind == "non-positive")
 
 
 @pytest.mark.parametrize("n, sub_nodes", [(8, 9), (9, 16)])
@@ -527,14 +531,67 @@ def test_phi_subgrid_on_unit_square(n, sub_nodes, monkeypatch):
     assert norm(phi - plain, "H1") <= 1e-12 * norm(plain, "H1")
 
 
-def test_phi_logs_both_levels(dumbbell2_setup, caplog):
+def test_phi_logs_both_levels(dumbbell2_setup, monkeypatch, caplog):
+    # every h solve is named, the discarded one from the interpolant too
     sp, dom = dumbbell2_setup["species"][0], dumbbell2_setup["domain"]
     with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
         supersolution_phi(sp, dom)
-    [line] = [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"]
+        forced, _ = _forced_solve_ball(1, "raise")
+        monkeypatch.setattr(scalar_module, "solve_ball", forced)
+        supersolution_phi(sp, dom)
+    direct, retried = [r.getMessage() for r in caplog.records
+                       if r.name == "seglv.scalar"]
+    subgrid = r"global profile: 2h subgrid of \d+ interior nodes, Newton iterations \d+"
     assert re.fullmatch(
-        r"global profile: 2h subgrid of \d+ interior nodes, Newton iterations "
-        r"\d+; h solve from the subgrid profile, Newton iterations \d+", line)
+        subgrid + r"; h solve from the subgrid profile, Newton iterations \d+",
+        direct)
+    assert re.fullmatch(
+        subgrid + r"; h solve from the subgrid profile, raised; h solve from "
+        r"u = 1, Newton iterations \d+", retried)
+
+
+def test_phi_below_fine_threshold_skips_plain_start(chain3_domain, monkeypatch):
+    # lambda = 5.60 lies between the subgrid's lambda_1 = 5.5475 and the
+    # fine grid's 5.6314: the subgrid profile is positive, the h solve from
+    # its interpolant converges to the trivial state, and lambda_1 decides
+    # before a u = 1 solve would reach the same state
+    solves = count_calls(monkeypatch, scalar_module, "solve_ball")
+    with pytest.raises(PhiUnavailable, match="lambda 5.6 <= lambda_1 5.63142"):
+        supersolution_phi(SpeciesParams(lam=5.60, p=2.0), chain3_domain)
+    assert len(solves) == 2
+
+
+def test_phi_retries_plain_start_when_interpolant_solve_raises(caplog):
+    # at lambda = 30 lambda_1 on the 9 x 9 square the h solve from the
+    # subgrid's interpolant raises and the u = 1 solve converges
+    dom = sg.unit_square_domain(9)
+    lam1, _ = principal_eigenvalue(None, dom)
+    sp = SpeciesParams(lam=30 * lam1, p=2.0)
+    plain = _plain_phi(sp, dom)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        phi = supersolution_phi(sp, dom)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"]
+    assert line.endswith("h solve from the subgrid profile, raised; "
+                         "h solve from u = 1, Newton iterations 5")
+    np.testing.assert_array_equal(phi.values, plain.values)
+
+
+def test_phi_with_empty_subgrid(caplog):
+    # one interior node at h = 1/2, where -Lap u = f(u) reads
+    # 16 u = lambda u (1 - u) and lambda_1 = 16; the 2h subgrid is empty
+    dom = sg.unit_square_domain(2)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        phi = supersolution_phi(SpeciesParams(lam=20.0, p=2.0), dom)
+        with pytest.raises(PhiUnavailable, match="lambda 12 <= lambda_1 16;"):
+            supersolution_phi(SpeciesParams(lam=12.0, p=2.0), dom)
+    assert phi.values[dom.interior_mask] == pytest.approx([1 - 16 / 20],
+                                                          rel=1e-14)
+    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"]
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("global profile: 2h subgrid of 0 interior "
+                               "nodes, Newton iterations None; h solve from "
+                               "u = 1, ")
 
 
 def _bad_region(domain, kind):

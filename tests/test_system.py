@@ -442,6 +442,42 @@ def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
     assert sg.h1_distance(state, direct) / sg.state_h1_norm(direct) <= 1e-12
 
 
+def test_probe_start_far_into_ramp_misses_in_one_gmres_cycle(monkeypatch):
+    """The dumbbell of ``configs/dumbbell2.json`` (h = 1/8, 413 nodes) ramped
+    to kappa = 262144 (9 steps of factor 4), solved from a probe start of
+    H1 size 0.02 (seed 1): the block Gauss-Seidel preconditioner fails the
+    first Newton step on fresh block LUs, and that GMRES solve stops after
+    its one cycle of KRYLOV_MAXITER iterations.  A Newton step that holds
+    off the center (an open item of ROADMAP.md) would make this start
+    converge, and this test would then assert that it does."""
+    balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((3.0, 0.0), 1.0, 1)]
+    domain = sg.build_domain(balls, [sg.CorridorSpec(0, 1, 0.5)],
+                             (-1.25, -1.25, 4.25, 1.25), 0.125)
+    species = [SpeciesParams(lam=12.0, p=2.0)] * 2
+    baselines = []
+    for i, sp in enumerate(species):
+        region = domain.species_ball_mask(i)
+        guess, _ = sg.positive_branch_guess(domain, region)
+        baselines.append(sg.solve_ball(sp, region, domain, guess).solution)
+    model = ModelKind.barrier(StateField(baselines))
+    trace = sg.continuation_run(domain, species, model,
+                                sg.ContinuationSchedule(4.0, 4.0, 9))
+    assert trace.failure is None and trace.kappas()[-1] == 262144.0
+    start = trace.final_state() + sg.seeded_perturbation(domain, 2, 0.02, 1)
+    right_gmres, iterations = newton.right_gmres, []
+
+    def recording_gmres(apply, b, precondition):
+        x, its, converged = right_gmres(apply, b, precondition)
+        iterations.append(its)
+        return x, its, converged
+
+    monkeypatch.setattr(newton, "right_gmres", recording_gmres)
+    with pytest.raises(NonlinearSolveError, match="GMRES missed relative "
+                       "residual 1e-06 in 50 iterations"):
+        solve_system(start, species, model, 262144.0, 1e-10)
+    assert iterations == [newton.KRYLOV_MAXITER]
+
+
 @pytest.mark.parametrize("converges", [True, False], ids=["converged", "failed"])
 def test_solve_releases_held_blocks(warm_solve, monkeypatch, converges):
     start, species, model, kappa = warm_solve
