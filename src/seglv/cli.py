@@ -4,12 +4,15 @@ Subcommands select how far the pipeline runs on one shared config:
 solve-baseline, nd-check, continue, probe-uniqueness, plus a standalone
 convergence-study.  Exit code 0 on full success; on failure the stage name
 goes to stderr and the exit code is nonzero.  Partial outputs and the
-summary are flushed either way.
+summary are flushed either way.  ``-v/--verbose`` sends the package's
+DEBUG log (LUs and their fill, Newton-step and chord-round decisions) to
+stderr; the outputs are the same with or without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -43,12 +46,30 @@ def _build_parser():
         if name != "convergence-study":
             p.add_argument("config", help="path to the JSON run config")
         p.add_argument("--output", help="override the output directory")
+        p.add_argument("-v", "--verbose", action="store_true",
+                       help="log the solvers' DEBUG lines to stderr")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if not args.verbose:
+        return _main(args)
+    # the package-wide logger, on the stderr of this call only
+    logger = logging.getLogger("seglv")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return _main(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
+
+def _main(args) -> int:
     if args.command == "convergence-study":
         outdir = Path(args.output or "out")
         outdir.mkdir(parents=True, exist_ok=True)

@@ -42,10 +42,14 @@ terms use that D too, also on block LUs held from an earlier iterate.
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
 once at a converged center and runs every start in lockstep chord rounds
-on that exact LU, one multi-column triangular solve per round for all
-starts still on chord steps.  A start builds a linearization of its own
-only when a chord step stalls; it then leaves the rounds and goes on by
-the kernel's damped Newton once they end.
+on that LU, one multi-column triangular solve per round for all starts
+still on chord steps.  A start builds a linearization of its own only
+when a chord step stalls; it then leaves the rounds and goes on by the
+kernel's damped Newton once they end.  The assembly leaves out every
+coupling entry below round-off, |J_ij| <= eps sqrt(|J_ii| |J_jj|) with eps
+the machine epsilon (``_System.jacobian``): far into the ramp most
+entries kappa P_i lie where species i is nearly extinct, and without them
+the center LU of the chain3 probe has a third less fill.
 """
 
 from __future__ import annotations
@@ -183,16 +187,36 @@ class _System:
         return D
 
     def jacobian(self, x):
-        """Assembled block Jacobian of the residual at the stacked state x."""
+        """Assembled block Jacobian of the residual at the stacked state x,
+        without its coupling entries below round-off.
+
+        An off-diagonal coupling entry J_ij (i != j, at one node) is left
+        out when |J_ij| <= eps sqrt(|J_ii| |J_jj|), eps the machine epsilon
+        and J_ii = A_ii + D[i, i] the diagonal entries of its row and
+        column; the clipped models' exact zeros are among them.  Such an
+        entry lies within the round-off of its row, so the LU of the
+        result solves the full Jacobian to its own backward error
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+        ed., SIAM 2002, ch. 9), while the ones far out in a foreign ball
+        (kappa P_i of a species nearly extinct there) no longer add fill.
+        Logs how many were left out at DEBUG level.
+        """
         D = self._coupling(x)
         k, n = self.k, self.n
+        i = np.arange(k)
+        diagonal = np.abs(self.A.diagonal() + D[i, i])  # |J_ii|, (k, n)
+        keep = np.abs(D) > np.finfo(float).eps * np.sqrt(
+            diagonal[:, None] * diagonal)
+        keep[i, i] = True
+        log.debug("assembled Jacobian of order %d: %d of %d couplings below "
+                  "round-off dropped", k * n, D.size - keep.sum(),
+                  k * (k - 1) * n)
         # block (i, j) of the coupling is diagonal: entry m of it sits at
         # row i n + m, column j n + m
         index = np.arange(k * n, dtype=np.int32).reshape(k, n)
-        rows = np.repeat(index, k, axis=0).ravel()
-        cols = np.tile(index, (k, 1)).ravel()
-        # the sum drops the coupling's zero entries (clipped nodes)
-        return (sp.csc_matrix((D.ravel(), (rows, cols)), shape=(k * n, k * n))
+        rows, cols = np.broadcast_arrays(index[:, None], index)
+        return (sp.csc_matrix((D[keep], (rows[keep], cols[keep])),
+                              shape=(k * n, k * n))
                 + sp.block_diag([self.A] * k, format="csc"))
 
     def linearize(self, x):
@@ -291,8 +315,10 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
                tol=NEWTON_TOL) -> NearOutcomes:
     """Solve the model at fixed kappa from every start near `center`.
 
-    Factors the assembled block Jacobian at `center` once and runs the
-    starts in lockstep chord rounds on that LU.  Each round stacks the
+    Factors the assembled block Jacobian at `center` once, without its
+    coupling entries below round-off (``_System.jacobian``), and runs the
+    starts in lockstep chord rounds on that LU; it solves the full
+    Jacobian to the LU's own backward error.  Each round stacks the
     residuals of every start still in the rounds into one (k n, m) block
     and solves it in one multi-column triangular solve; each start then
     takes its full step when it more than halves that start's residual

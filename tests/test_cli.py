@@ -40,6 +40,21 @@ def write_config(tmp_path, overrides=None, name="run.json"):
     return path
 
 
+def assert_same_outputs(out1, out2):
+    """The two output directories hold the same files, byte for byte, apart
+    from summary.json's wall_clock block."""
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        a, b = (out1 / name).read_bytes(), (out2 / name).read_bytes()
+        if name == "summary.json":
+            da, db = json.loads(a), json.loads(b)
+            da.pop("wall_clock"), db.pop("wall_clock")
+            assert da == db
+        else:
+            assert a == b, name
+
+
 def test_cli_solve_baseline(tmp_path, capsys):
     cfg = write_config(tmp_path, {"output.directory": str(tmp_path / "out")})
     assert main(["solve-baseline", str(cfg)]) == 0
@@ -77,16 +92,24 @@ def test_cli_determinism_byte_identical(tmp_path):
     cfg2 = write_config(tmp_path, {"output.directory": str(out2)}, "c2.json")
     assert main(["probe-uniqueness", str(cfg1)]) == 0
     assert main(["probe-uniqueness", str(cfg2)]) == 0
-    names = sorted(p.name for p in out1.iterdir())
-    assert names == sorted(p.name for p in out2.iterdir())
-    for name in names:
-        a, b = (out1 / name).read_bytes(), (out2 / name).read_bytes()
-        if name == "summary.json":
-            da, db = json.loads(a), json.loads(b)
-            da.pop("wall_clock"), db.pop("wall_clock")
-            assert da == db
-        else:
-            assert a == b, name
+    assert_same_outputs(out1, out2)
+
+
+def test_cli_verbose_logs_to_stderr(tmp_path, capsys):
+    # -v sends the DEBUG lines to stderr and leaves the outputs as they are
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    cfg_quiet = write_config(tmp_path, {"output.directory": str(quiet)}, "q.json")
+    cfg_loud = write_config(tmp_path, {"output.directory": str(loud)}, "l.json")
+    assert main(["probe-uniqueness", str(cfg_quiet)]) == 0
+    assert "LU of order" not in capsys.readouterr().err
+    assert main(["probe-uniqueness", str(cfg_loud), "-v"]) == 0
+    err = capsys.readouterr().err
+    assert "seglv.newton: LU of order " in err
+    assert "seglv.system: assembled Jacobian of order " in err
+    assert_same_outputs(quiet, loud)
+    # the flag is scoped to its call
+    assert main(["solve-baseline", str(cfg_quiet)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_reports_baseline_failure(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -198,6 +201,25 @@ def test_probe_factors_coupled_jacobian_once(dumbbell2_setup, monkeypatch):
     assert report.all_converged and report.converged == 3
     assert report.chord_only == report.trials
     assert report.max_pairwise_h1_distance <= 1e-12
+
+
+def test_probe_logs_its_center_assembly(dumbbell2_setup, dumbbell2_trace,
+                                        caplog):
+    # far into the ramp each species is nearly extinct in the other's ball,
+    # and the center Jacobian leaves those round-off couplings out
+    setup = dumbbell2_setup
+    model = sg.ModelKind.barrier(setup["baseline"])
+    kappa = dumbbell2_trace.kappas()[-1]
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        report = uniqueness_probe(setup["domain"], setup["species"], model,
+                                  kappa, dumbbell2_trace.final_state(), 0.02,
+                                  2, 5)
+    assert report.all_converged and report.chord_only == 2
+    n = 2 * setup["domain"].n_interior
+    [assembly] = [m for m in caplog.messages if m.startswith("assembled")]
+    dropped = re.fullmatch(rf"assembled Jacobian of order {n}: (\d+) of {n} "
+                           "couplings below round-off dropped", assembly)
+    assert dropped and int(dropped[1]) >= 1000
 
 
 def test_probe_factors_laplacian_once(dumbbell2_setup, monkeypatch):

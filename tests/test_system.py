@@ -150,6 +150,75 @@ def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
     assert np.linalg.norm(applied - jv) <= 1e-12 * np.linalg.norm(jv)
 
 
+def trace_jacobian_case(dumbbell2_setup, dumbbell2_trace, kappa):
+    """The barrier system at the trace's `kappa` state and that state."""
+    [state] = [step.state for step in dumbbell2_trace.steps
+               if step.kappa == kappa]
+    system = _System(dumbbell2_setup["domain"], dumbbell2_setup["species"],
+                     ModelKind.barrier(dumbbell2_setup["baseline"]), kappa)
+    return system, system.stack(state)
+
+
+def full_jacobian(system, x):
+    """Dense Jacobian at x with every coupling entry: block (i, j) is
+    diag(D[i, j]), plus the Laplacian when i = j."""
+    D, A = system._coupling(x), system.A.toarray()
+    k, n = system.k, system.n
+    J = np.zeros((k * n, k * n))
+    for i in range(k):
+        for j in range(k):
+            J[i * n:(i + 1) * n, j * n:(j + 1) * n] = (
+                np.diag(D[i, j]) + (A if i == j else 0.0))
+    return J
+
+
+def test_jacobian_leaves_out_round_off_couplings(dumbbell2_setup,
+                                                 dumbbell2_trace, caplog):
+    system, x = trace_jacobian_case(dumbbell2_setup, dumbbell2_trace, 65536.0)
+    k, n = system.k, system.n
+    full = full_jacobian(system, x)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        J = system.jacobian(x)
+    # the coupling entries above eps sqrt(|J_ii| |J_jj|), and no other
+    diagonal = np.abs(np.diag(full))
+    bound = np.finfo(float).eps * np.sqrt(np.outer(diagonal, diagonal))
+    node = np.arange(k * n) % n
+    coupling = (node[:, None] == node[None, :]) & ~np.eye(k * n, dtype=bool)
+    kept = coupling & (np.abs(full) > bound)
+    rows, cols = J.nonzero()
+    stored = np.zeros_like(kept)
+    stored[rows, cols] = True
+    assert np.array_equal(stored & coupling, kept)
+    assert np.array_equal(stored & ~coupling, full * ~coupling != 0.0)
+    dropped = int(coupling.sum() - kept.sum())
+    assert dropped >= 1000  # 1568 of the 3502 couplings at this state
+    assert caplog.messages == [f"assembled Jacobian of order {k * n}: "
+                               f"{dropped} of {coupling.sum()} couplings "
+                               "below round-off dropped"]
+    # every kept entry is the full Jacobian's, and its LU solves that
+    assert np.array_equal(J.toarray()[stored], full[stored])
+    b = np.random.default_rng(9).standard_normal(k * n)
+    s = newton.factorize(J).solve(b)
+    assert np.linalg.norm(full @ s - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_jacobian_without_round_off_couplings_is_complete(dumbbell2_setup,
+                                                          dumbbell2_trace,
+                                                          caplog):
+    # at kappa = 64 no coupling is below round-off: the assembly stores
+    # every nonzero of the full Jacobian and nothing else, entry for entry
+    system, x = trace_jacobian_case(dumbbell2_setup, dumbbell2_trace, 64.0)
+    k, n = system.k, system.n
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        J = system.jacobian(x)
+    assert caplog.messages == [f"assembled Jacobian of order {k * n}: 0 of "
+                               f"{k * (k - 1) * n} couplings below round-off "
+                               "dropped"]
+    full = full_jacobian(system, x)
+    assert J.nnz == np.count_nonzero(full)
+    assert np.array_equal(J.toarray(), full)
+
+
 krylov_cases = pytest.mark.parametrize("kind, truncated", [
     ("barrier", False), ("positive_part", False), ("positive_part", True),
     ("lotka_volterra", False)])
@@ -637,7 +706,11 @@ def test_chord_rounds_logged(near64, caplog, monkeypatch):
     shapes = record_center_solves(monkeypatch, 2 * center.domain.n_interior)
     with caplog.at_level(logging.DEBUG, logger="seglv.system"):
         solve_near(center, starts, species, model, 64.0, 1e-10)
-    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.system"]
+    assembly, *lines = [r.getMessage() for r in caplog.records
+                        if r.name == "seglv.system"]
+    n = 2 * center.domain.n_interior
+    assert assembly == (f"assembled Jacobian of order {n}: 0 of {n} couplings "
+                        "below round-off dropped")
     assert len(lines) == len(shapes) >= 2
     assert lines[0] == ("chord round 1: 3 trials stepped, 3 steps accepted, "
                         "0 fell back")
