@@ -11,7 +11,7 @@ species.  It works on a flat unknown vector through three callables
   object whose ``solve(b)`` returns s with J(x) s ~ b, and which raises
   RuntimeError when it cannot (a singular factor, a Krylov solve that does
   not converge).  The system builds it through one ``HeldFactor`` per
-  solve (below).
+  solve (below); the polish runs on the last one.
 * Each step solves J(x) s = -r(x) with that solver and halves s until the
   residual norm falls by the Armijo-style factor (1 - 1e-4 t).  The budget
   is the kernel's, not the caller's: at most ``MAX_NEWTON`` steps of at
@@ -46,14 +46,16 @@ species.  It works on a flat unknown vector through three callables
   Z = M^-1 V, so x = Z y.  Each iteration makes exactly one preconditioner
   solve; the tolerance, the first Krylov vector and the update need none,
   and one matvec on x decides convergence by the true residual.
-* A polish step takes the full step on the solver at hand, and only when
-  it more than halves the residual norm (``full_step_taken``, the rule of
-  the chord steps of ``system.solve_near`` too); a solver that raises
-  RuntimeError takes none.  After convergence up to
-  ``POLISH_STEPS`` polish steps on the last Newton step's solver drive the
-  residual toward machine level, which the nodewise inequality diagnostics
-  rely on; the halving rule keeps round-off from adding iterations.  Only a
-  start that is already converged builds a solver for them.
+* One full-step rule (``full_steps``) serves every step taken without a
+  line search: full steps on one held solver, each taken only when it
+  more than halves the residual norm, until ``POLISH_STEPS`` steps after
+  the target is met; a solver that raises RuntimeError takes none.  After
+  convergence the kernel polishes by it on the last Newton step's solver,
+  which drives the residual toward machine level for the nodewise
+  inequality diagnostics; the halving rule keeps round-off from adding
+  iterations.  Only a start that is already converged builds a solver for
+  the polish.  The chord rounds of ``system.solve_near`` run the same rule
+  for many iterates on one LU, one multi-column solve per round.
 * A solve may go on from an iterate that other steps reached
   (``history=``): their residual norms start the history, and their steps
   count toward the budget.
@@ -114,13 +116,6 @@ def factorize(J):
               options={"SymmetricMode": True})
     log.debug("LU of order %d: fill %d", J.shape[0], lu.nnz)
     return lu
-
-
-def full_step_taken(rnorm, trial_norm):
-    """Whether a polish or chord step from residual norm `rnorm` to
-    `trial_norm` is taken: it must more than halve the norm (False on
-    NaN)."""
-    return trial_norm < 0.5 * rnorm
 
 
 def right_gmres(apply, b, precondition):
@@ -235,27 +230,96 @@ class HeldFactor:
         return s, converged
 
 
+def full_steps(X, R, rhs, histories, solve, residual, norm, tol):
+    """The kernel's full-step rule: full steps from the iterates X on one
+    held solver.
+
+    Column j of the Fortran-order block X is iterate j; column j of R and
+    rhs[j] are what residual(X[:, j]) returns, and histories[j] holds the
+    residual norms of iterate j, the last that of R[:, j].  Each round
+    solves J S = -R for the columns of every iterate still stepping in one
+    call ``solve(B)``, B their Fortran-order block, and takes the full
+    step of each iterate whose residual norm it more than halves; a solve
+    that raises RuntimeError refuses every step of its round.  A step
+    taken overwrites the iterate's columns of X and R and its rhs, and
+    appends its norm to its history.  An iterate that meets the target
+    norm(r) <= tol * max(1, rhs) takes up to ``POLISH_STEPS`` more steps,
+    and a refused one ends them.  Before the target, a refused step, or a
+    history of more than ``MAX_NEWTON`` norms, leaves the iterate short.
+    Returns (short, rounds): the set of indices of the short iterates and,
+    for each round, the number of steps tried, the number taken and the
+    number of iterates it left short.
+    """
+    polish = [-1] * X.shape[1]  # steps left after the target; -1 before it
+    short = set()
+
+    def stays(j):
+        """Whether iterate j takes another step."""
+        if polish[j] < 0 and histories[j][-1] <= tol * max(1.0, rhs[j]):
+            polish[j] = POLISH_STEPS
+        if polish[j] < 0 and len(histories[j]) > MAX_NEWTON:
+            short.add(j)
+            return False
+        return polish[j] != 0
+
+    def take(j, step):
+        """Whether iterate j takes the full step `step`: it must more than
+        halve the residual norm, which a NaN norm never does.  The trial
+        arrays die with the call, so none outlives its round."""
+        trial = X[:, j] + step
+        rt, rhs_t = residual(trial)
+        rtnorm = norm(rt)
+        if not rtnorm < 0.5 * histories[j][-1]:
+            return False
+        X[:, j], R[:, j], rhs[j] = trial, rt, rhs_t
+        histories[j].append(rtnorm)
+        return True
+
+    batch = [j for j in range(X.shape[1]) if stays(j)]
+    rounds = []
+    while batch:
+        try:
+            steps = solve(-R[:, batch])
+        except RuntimeError:  # every step of the round is refused
+            steps = None
+        stepped, batch = batch, []
+        fell, taken = len(short), 0
+        for c, j in enumerate(stepped):
+            if steps is None or not take(j, steps[:, c]):
+                if polish[j] < 0:
+                    short.add(j)
+                continue  # a refused step after the target ends the polish
+            taken += 1
+            if polish[j] > 0:
+                polish[j] -= 1
+            if stays(j):
+                batch.append(j)
+        rounds.append((len(stepped), taken, len(short) - fell))
+    return short, rounds
+
+
 def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
                   history=()):
-    """Solve residual(x) = 0 from the flat start vector x.
+    """Solve residual(x) = 0 from the flat start vector x, which is the
+    kernel's to overwrite.
 
-    `residual(x)` returns (r, rhs), the residual and its right-hand side's
-    norm; iterates until norm(r) <= tol * max(1, rhs).  Returns (x,
-    norm(r), iterations); accepted polish steps count as iterations.
-    `linearize(x)` returns the linear solver of the Jacobian at x (see the
-    module docstring).  `history`, when given, holds the residual norms
-    after every step that reached x from an earlier start, that start's
-    first; those steps count as iterations.  Raises NonlinearSolveError
-    when the budget of ``MAX_NEWTON`` steps runs out, a linear solver
-    raises RuntimeError during a Newton step, or a step cannot reduce the
-    residual after ``MAX_BACKTRACKS`` halvings; its last_iterate is
-    as_iterate(x) and its residual_history holds the norm after every
-    accepted step.
+    `residual(x)` returns (r, rhs), a new residual array and its
+    right-hand side's norm; iterates until norm(r) <= tol * max(1, rhs),
+    then polishes in place by ``full_steps`` on the last step's solver.
+    Returns (x, norm(r), iterations); polish steps taken count as
+    iterations.  `linearize(x)` returns the linear solver of the Jacobian
+    at x (see the module docstring).  `history`, when given, holds the
+    residual norms after every step that reached x from an earlier start,
+    that start's first; those steps count as iterations.  Raises
+    NonlinearSolveError when the budget of ``MAX_NEWTON`` steps runs out,
+    a linear solver raises RuntimeError during a Newton step, or a step
+    cannot reduce the residual after ``MAX_BACKTRACKS`` halvings; its
+    last_iterate is as_iterate(x) and its residual_history holds the norm
+    after every accepted step.
     """
     r, rhs = residual(x)
     rnorm = norm(r)
     history = [*history[:-1], rnorm]
-    iterations = len(history) - 1
     solver = None
 
     def failure(message):
@@ -263,7 +327,7 @@ def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
                                    residual_history=history)
 
     while rnorm > tol * max(1.0, rhs):
-        if iterations >= MAX_NEWTON:
+        if len(history) > MAX_NEWTON:
             raise failure(f"newton budget exhausted at residual {rnorm:.3e}")
         solver = None
         try:
@@ -283,20 +347,14 @@ def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
             raise failure(f"newton stalled at residual {rnorm:.3e}")
         x, r, rhs, rnorm = trial, rt, rhs_t, rtnorm
         history.append(rnorm)
-        iterations += 1
 
-    for _ in range(POLISH_STEPS):
-        try:
-            if solver is None:
-                solver = linearize(x)
-            trial = x + solver.solve(-r)
-        except RuntimeError:
-            break
-        rt, rhs_t = residual(trial)
-        rtnorm = norm(rt)
-        if not full_step_taken(rnorm, rtnorm):
-            break
-        x, r, rhs, rnorm = trial, rt, rhs_t, rtnorm
-        history.append(rnorm)
-        iterations += 1
-    return x, rnorm, iterations
+    def polish(B):
+        # only a start that is already converged builds a solver here
+        nonlocal solver
+        if solver is None:
+            solver = linearize(x)
+        return solver.solve(B[:, 0])[:, None]
+
+    full_steps(x[:, None], r[:, None], [rhs], [history], polish, residual,
+               norm, tol)
+    return x, history[-1], len(history) - 1

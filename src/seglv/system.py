@@ -41,15 +41,14 @@ terms use that D too, also on block LUs held from an earlier iterate.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
-once at a converged center and runs every start in lockstep chord rounds
-on that LU, one multi-column triangular solve per round for all starts
-still on chord steps.  A start builds a linearization of its own only
-when a chord step stalls; it then leaves the rounds and goes on by the
-kernel's damped Newton once they end.  The assembly leaves out every
-coupling entry below round-off, |J_ij| <= eps sqrt(|J_ii| |J_jj|) with eps
-the machine epsilon (``_System.jacobian``): far into the ramp most
-entries kappa P_i lie where species i is nearly extinct, and without them
-the center LU of the chain3 probe has a third less fill.
+once at a converged center and hands every start to the kernel's
+full-step rule (``newton.full_steps``) on that LU, one multi-column
+triangular solve per chord round.  A start the rule leaves short goes on
+by the kernel's damped Newton once the rounds end.  The assembly leaves
+out every coupling entry below round-off, |J_ij| <= eps sqrt(|J_ii|
+|J_jj|) with eps the machine epsilon (``_System.jacobian``): far into the
+ramp most entries kappa P_i lie where species i is nearly extinct, and
+without them the center LU of the chain3 probe has a third less fill.
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError, NonlinearSolveError
-from . import newton
-from .newton import (NEWTON_TOL, POLISH_STEPS, HeldFactor, damped_newton,
-                     factorize, full_step_taken)
+from .newton import (NEWTON_TOL, HeldFactor, damped_newton, factorize,
+                     full_steps)
 from .operators import ScalarField, StateField
 from .reaction import f_truncated_eval, f_truncated_prime
 
@@ -316,21 +314,16 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
     """Solve the model at fixed kappa from every start near `center`.
 
     Factors the assembled block Jacobian at `center` once, without its
-    coupling entries below round-off (``_System.jacobian``), and runs the
-    starts in lockstep chord rounds on that LU; it solves the full
-    Jacobian to the LU's own backward error.  Each round stacks the
-    residuals of every start still in the rounds into one (k n, m) block
-    and solves it in one multi-column triangular solve; each start then
-    takes its full step when it more than halves that start's residual
-    norm (``newton.full_step_taken``).  A converged start, one converged
-    at the outset too, takes up to ``newton.POLISH_STEPS`` more such steps
-    as polish and is done.  A start whose chord step is refused, or whose
-    chord steps spend the kernel's ``MAX_NEWTON`` budget, leaves the
-    rounds; once they end the center LU is dropped, and each such start
-    goes on by ordinary damped Newton (its own block-preconditioned GMRES
-    steps, on block LUs held within that start only) from where it left,
-    its chord steps counted in its budget and history.  Convergence,
-    budget and failures are those of ``solve_system``.
+    coupling entries below round-off (``_System.jacobian``); its LU solves
+    the full Jacobian to its own backward error.  All starts then take
+    chord steps on that LU by the kernel's full-step rule
+    (``newton.full_steps``), one multi-column triangular solve per round,
+    and each round logs its counts at DEBUG level.  Once the rounds end
+    the center LU is dropped, and each start the rule left short goes on
+    by ordinary damped Newton (its own block-preconditioned GMRES steps,
+    on block LUs held within that start only) from where it left, its
+    chord steps counted in its budget and history.  Convergence, budget
+    and failures are those of ``solve_system``.
 
     Returns a ``NearOutcomes`` list with one entry per start.  Raises
     NonlinearSolveError when the Jacobian at the center cannot be factored,
@@ -351,49 +344,16 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
                                   last_iterate=center) from exc
 
     R = np.empty_like(X)
-    rhs, rnorm = [0.0] * m, [0.0] * m
+    rhs = [0.0] * m
     for j in range(m):
         R[:, j], rhs[j] = system.residual(X[:, j])
-        rnorm[j] = system.res_norm(R[:, j])
-    histories = [[r] for r in rnorm]
-    polish = [-1] * m  # polish steps left; -1 while on chord steps
-    fallback = set()  # starts that leave the rounds for the kernel
-
-    def stays(j):
-        """Whether start j takes another step on the center LU."""
-        if polish[j] < 0 and rnorm[j] <= tol * max(1.0, rhs[j]):
-            polish[j] = POLISH_STEPS
-        if polish[j] < 0 and len(histories[j]) > newton.MAX_NEWTON:
-            fallback.add(j)  # the kernel ends it on its budget
-            return False
-        return polish[j] != 0
-
-    batch = [j for j in range(m) if stays(j)]
-    rounds, steps = 0, None
-    while batch:
-        rounds += 1
-        fell, accepted = len(fallback), 0
-        steps = lu.solve(-R[:, batch])
-        stepped, batch = batch, []
-        for c, j in enumerate(stepped):
-            trial = X[:, j] + steps[:, c]
-            rt, rhs_t = system.residual(trial)
-            rtnorm = system.res_norm(rt)
-            if not full_step_taken(rnorm[j], rtnorm):
-                if polish[j] < 0:
-                    fallback.add(j)
-                continue  # a refused polish step ends the polish
-            X[:, j], R[:, j], rhs[j], rnorm[j] = trial, rt, rhs_t, rtnorm
-            histories[j].append(rtnorm)
-            accepted += 1
-            if polish[j] > 0:
-                polish[j] -= 1
-            if stays(j):
-                batch.append(j)
+    histories = [[system.res_norm(R[:, j])] for j in range(m)]
+    fallback, rounds = full_steps(X, R, rhs, histories, lu.solve,
+                                  system.residual, system.res_norm, tol)
+    for number, counts in enumerate(rounds, 1):
         log.debug("chord round %d: %d trials stepped, %d steps accepted, "
-                  "%d fell back", rounds, len(stepped), accepted,
-                  len(fallback) - fell)
-    del lu, R, steps  # released before a fallback start factors its blocks
+                  "%d fell back", number, *counts)
+    del lu, R  # released before a fallback start factors its blocks
 
     outcomes = NearOutcomes()
     outcomes.chord_only = m - len(fallback)

@@ -58,14 +58,22 @@ def test_converged_start_that_cannot_linearize_skips_polish():
 
 
 class _ScaledSolver:
-    """Returns b times the next of `scales`: the first solve is the Newton
-    step, the later ones are the polish steps."""
+    """Returns b times the next of `scales`, or raises RuntimeError where
+    that scale is None, and records the shape of every b.  In damped Newton
+    the first solve is the Newton step and the later ones are the polish
+    steps; in ``full_steps`` each solve is one round's block."""
 
     def __init__(self, scales):
         self.scales = iter(scales)
+        self.shapes = []
 
     def solve(self, b):
-        return next(self.scales) * b
+        assert b.flags.f_contiguous
+        self.shapes.append(b.shape)
+        scale = next(self.scales)
+        if scale is None:
+            raise RuntimeError("Factor is exactly singular")
+        return scale * b
 
 
 @pytest.mark.parametrize("polish, accepted", [(0.01, 0), (0.9, 2)],
@@ -77,6 +85,81 @@ def test_polish_must_halve_the_residual(polish, accepted):
         [1.0], lambda x: _ScaledSolver([1 - 1e-11, polish, polish]))
     assert iterations == 1 + accepted
     assert rnorm == pytest.approx(1e-11 * (1 - polish) ** accepted, rel=1e-4)
+
+
+def _full_steps(x0s, solver):
+    # residual(x) = x with a zero right-hand side, as in _run; a step of
+    # scale 0.75 quarters the residual norm, and the target is 2^-10.  An
+    # iterate is a column (v, 0), so that a block of them is Fortran-order
+    # only when it is stored by columns
+    def residual(x):
+        return x.copy(), 0.0
+
+    X = np.array([[v, 0.0] for v in x0s]).T
+    histories = [[abs(v)] for v in x0s]
+    short, rounds = newton.full_steps(
+        X, X.copy(order="F"), [0.0] * len(x0s), histories, solver.solve,
+        residual, lambda r: float(np.linalg.norm(r)), 2.0 ** -10)
+    return list(X[0]), short, rounds, histories
+
+
+def test_full_steps_one_solve_per_round():
+    # from 1 the target takes 5 steps, from 2^-4 it takes 3, and 2^-12 is
+    # already there; each then takes the 2 polish steps
+    solver = _ScaledSolver([0.75] * 7)
+    xs, short, rounds, histories = _full_steps([1.0, 2.0 ** -4, 2.0 ** -12],
+                                               solver)
+    assert [cols for _, cols in solver.shapes] == [3, 3, 2, 2, 2, 1, 1]
+    assert rounds == [(3, 3, 0)] * 2 + [(2, 2, 0)] * 3 + [(1, 1, 0)] * 2
+    assert not short
+    assert xs == [2.0 ** -14, 2.0 ** -14, 2.0 ** -16]
+    assert [len(h) - 1 for h in histories] == [7, 5, 2]
+
+
+def test_full_steps_refusal_before_and_after_target():
+    # a step of scale 0.01 removes 1% of the residual and is refused: the
+    # iterate not yet at the target is left short, and the converged one
+    # only ends its polish
+    solver = _ScaledSolver([0.75, 0.01])
+    xs, short, rounds, histories = _full_steps([1.0, 2.0 ** -12], solver)
+    assert short == {0}
+    assert rounds == [(2, 2, 0), (2, 0, 1)]
+    assert xs == [0.25, 2.0 ** -14]
+    assert histories == [[1.0, 0.25], [2.0 ** -12, 2.0 ** -14]]
+
+
+@pytest.mark.parametrize("polish", [0, 1, 3])
+def test_full_steps_polish_count(monkeypatch, polish):
+    # the rule reads POLISH_STEPS when it runs
+    monkeypatch.setattr(newton, "POLISH_STEPS", polish)
+    solver = _ScaledSolver([0.75] * 10)
+    _, short, _, histories = _full_steps([1.0, 2.0 ** -12], solver)
+    assert not short
+    assert [len(h) - 1 for h in histories] == [5 + polish, polish]
+    assert len(solver.shapes) == 5 + polish
+
+
+def test_full_steps_budget(monkeypatch):
+    # 3 steps reach the target from 2^-4 but not from 1: the target is
+    # checked first, so only the start at 1 is left short, after its third
+    # step; the polish steps of the other are not counted against it
+    monkeypatch.setattr(newton, "MAX_NEWTON", 3)
+    solver = _ScaledSolver([0.75] * 5)
+    xs, short, rounds, histories = _full_steps([1.0, 2.0 ** -4], solver)
+    assert short == {0}
+    assert len(histories[0]) == newton.MAX_NEWTON + 1
+    assert xs[0] == 2.0 ** -6
+    assert rounds[2] == (2, 2, 1)
+    assert [len(h) - 1 for h in histories] == [3, 5]
+
+
+def test_full_steps_solver_failure_refuses_the_round():
+    solver = _ScaledSolver([0.75, None])
+    xs, short, rounds, histories = _full_steps([1.0, 2.0 ** -12], solver)
+    assert short == {0}
+    assert rounds == [(2, 2, 0), (2, 0, 1)]
+    assert xs == [0.25, 2.0 ** -14]
+    assert [len(h) - 1 for h in histories] == [1, 1]
 
 
 def _convection_diffusion(m):
