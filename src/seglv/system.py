@@ -30,14 +30,17 @@ H_j, with S_i = sum_{j != i} P_j and H_i the generalized derivative of P_i
 (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  Every block of the
 coupling is diagonal, so it is held as one (k, k, n) array D.
 
-A Newton step does not factor the (k n)^2 Jacobian.  It runs the
-kernel's held-factor GMRES step (``newton.HeldFactor``) with the k LUs of
-the diagonal blocks A + diag(D[i, i]) as the held factors and one forward
-block Gauss-Seidel sweep over them as the preconditioner (a Newton-Krylov
-method with a physics-block preconditioner, Knoll & Keyes, J. Comput.
-Phys. 193, 2004).  J is applied as A on each species plus the coupling D
-at the current iterate and is not assembled; the sweep's off-diagonal
-terms use that D too, also on block LUs held from an earlier iterate.
+A Newton step factors the (k n)^2 Jacobian only when GMRES misses.  It
+runs the kernel's held-factor GMRES step (``newton.HeldFactor``) with the
+k LUs of the diagonal blocks A + diag(D[i, i]) as the held factors and one
+forward block Gauss-Seidel sweep over them as the preconditioner (a
+Newton-Krylov method with a physics-block preconditioner, Knoll & Keyes,
+J. Comput. Phys. 193, 2004).  J is applied as A on each species plus the
+coupling D at the current iterate and is not assembled; the sweep's
+off-diagonal terms use that D too, also on block LUs held from an earlier
+iterate.  Off a solved state far into the kappa ramp the sweep can
+precondition too weakly for GMRES to meet its tolerance; such a step goes
+on the LU of the assembled Jacobian at that iterate (``_System.jacobian``).
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -225,6 +228,7 @@ class _System:
         LUs of the k diagonal blocks, and one forward block Gauss-Seidel
         sweep over them preconditions GMRES.  The sweep's off-diagonal
         terms use D at x, also when the LUs come from an earlier iterate.
+        A step whose GMRES solve misses goes on the LU of ``jacobian(x)``.
         """
         A, D = self.A, self._coupling(x)
         k, n = self.k, self.n
@@ -246,7 +250,8 @@ class _System:
                 z[i + 1:] -= D[i + 1:, i] * z[i]
             return z.ravel()
 
-        return self._held.linearize(apply, factor, sweep)
+        return self._held.linearize(apply, factor, sweep,
+                                    lambda: factorize(self.jacobian(x)))
 
     def stack(self, U: StateField):
         """Stacked interior vector of the state U; raises ValueError unless
@@ -289,11 +294,12 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     or below tol * max(1, ||RHS||).  A step is accepted when the residual
     norm decreases by the Armijo-style factor (1 - 1e-4 t).  GMRES solves
     each Newton system on block LUs held across the steps
-    (``newton.HeldFactor``), released before the result is built.  Raises
-    NonlinearSolveError when a step cannot reduce the residual within the
-    kernel's budget of halvings, a diagonal block is singular, GMRES misses
-    its tolerance on freshly factored blocks, or the kernel's step budget
-    runs out.
+    (``newton.HeldFactor``), released before the result is built; a step
+    whose GMRES solve misses goes on an LU of the assembled Jacobian.
+    Raises NonlinearSolveError when a step cannot reduce the residual
+    within the kernel's budget of halvings, a diagonal block or the
+    assembled Jacobian of a missed step is singular, or the kernel's step
+    budget runs out.
     """
     system = _System(guess.domain, species, model, kappa)
     state, _, iterations = system.solve(guess, tol)
@@ -321,8 +327,9 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
     and each round logs its counts at DEBUG level.  Once the rounds end
     the center LU is dropped, and each start the rule left short goes on
     by ordinary damped Newton (its own block-preconditioned GMRES steps,
-    on block LUs held within that start only) from where it left, its
-    chord steps counted in its budget and history.  Convergence, budget
+    on block LUs held within that start only, and the assembled
+    Jacobian's LU for a step whose GMRES solve misses) from where it left,
+    its chord steps counted in its budget and history.  Convergence, budget
     and failures are those of ``solve_system``.
 
     Returns a ``NearOutcomes`` list with one entry per start.  Raises

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import seglv as sg
+from seglv import newton
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +79,20 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def singular_after(monkeypatch, count):
+    """Wrap newton.splu so that every LU after the first `count` raises
+    RuntimeError, as SuperLU does on a singular matrix; returns the list of
+    the orders of the matrices it was asked to factor."""
+    orders = []
+    splu = newton.splu
+
+    def splu_or_singular(J, *args, **kwargs):
+        orders.append(J.shape[0])
+        if len(orders) > count:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", splu_or_singular)
+    return orders

@@ -126,13 +126,30 @@ def test_cli_reports_baseline_failure(tmp_path, capsys):
     assert summary["failure"]["stage"] == "baseline"
 
 
+def test_cli_hard_kappa_step_recovers(tmp_path):
+    # kappa 16 -> 1.6e7 -> 1.6e13: GMRES misses the first Newton step at
+    # 1.6e7, and that step goes on the assembled Jacobian's LU
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "output.directory": str(out),
+        "schedule.kappa_start": 16.0,
+        "schedule.factor": 1e6,
+        "schedule.steps": 3,
+    })
+    assert main(["continue", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failure"] is None and summary["continuation_failure"] is None
+    assert [step["kappa"] for step in summary["continuation"]] == [16.0, 1.6e7,
+                                                                   1.6e13]
+
+
 def test_cli_partial_trace_flushed_on_continuation_failure(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {
         "output.directory": str(out),
         # absurd ramp factor: the second solve has no warm-start basin
         "schedule.kappa_start": 16.0,
-        "schedule.factor": 1e6,
+        "schedule.factor": 1e12,
         "schedule.steps": 3,
     })
     assert main(["continue", str(cfg)]) == 1

@@ -14,7 +14,7 @@ from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
 from seglv import newton
 from seglv import scalar as scalar_module
 from seglv import system as system_module
-from conftest import count_calls
+from conftest import count_calls, singular_after
 
 
 def test_single_node_eigenvalue(tiny3):
@@ -190,8 +190,9 @@ def test_ball_solve_forced_refactor_matches_held_lu(dumbbell2, dumbbell2_ball,
 def test_ball_solve_gmres_miss_on_held_lu_refactors(dumbbell2, dumbbell2_ball,
                                                     monkeypatch, misses,
                                                     converges):
-    # call 1 solves on a fresh LU, call 2 on the held one; a miss there
-    # refactors, and call 3 solves on the fresh LU
+    # call 1 solves on a fresh LU, call 2 on the held one; a miss on either
+    # takes its step on the LU of the assembled Jacobian, for one species a
+    # fresh LU of the same block, and fails only when that LU is singular
     region, guess, sp = dumbbell2_ball
     direct = solve_ball(sp, region, dumbbell2, guess)
     calls = 0
@@ -205,13 +206,18 @@ def test_ball_solve_gmres_miss_on_held_lu_refactors(dumbbell2, dumbbell2_ball,
         return right_gmres(apply, b, precondition)
 
     monkeypatch.setattr(newton, "right_gmres", missing_gmres)
-    factorizations = count_calls(monkeypatch, newton, "splu")
     if not converges:
+        orders = singular_after(monkeypatch, 1)
         with pytest.raises(NonlinearSolveError,
-                           match="singular linearization: GMRES missed"):
+                           match="singular linearization: Factor is exactly "
+                           "singular") as err:
             solve_ball(sp, region, dumbbell2, guess)
-        assert calls == 1 and len(factorizations) == 1
+        assert calls == 1
+        assert orders == [np.count_nonzero(region)] * 2
+        assert err.value.residual_history
+        assert err.value.last_iterate is not None
         return
+    factorizations = count_calls(monkeypatch, newton, "splu")
     report = solve_ball(sp, region, dumbbell2, guess)
     assert len(factorizations) == 2
     assert rel_h1(report.solution, direct.solution) <= 1e-12

@@ -9,7 +9,7 @@ from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_near, solve_system)
 from seglv.system import _System
 
-from conftest import count_calls
+from conftest import count_calls, singular_after
 
 
 @pytest.fixture(scope="module")
@@ -247,10 +247,13 @@ def krylov_case(request, dumbbell2_caps, geometry, kind, truncated):
 @pytest.mark.parametrize("geometry", ["dumbbell2", "tiny3"])
 @krylov_cases
 def test_block_solver_meets_krylov_tolerance(request, dumbbell2_caps, geometry,
-                                             kind, truncated):
+                                             kind, truncated, monkeypatch):
     system, x, b, _ = krylov_case(request, dumbbell2_caps, geometry, kind,
                                   truncated)
-    s = system.linearize(x).solve(b)
+    solver = system.linearize(x)
+    lus = count_calls(monkeypatch, newton, "splu")
+    s = solver.solve(b)
+    assert not lus  # GMRES met its tolerance: no assembled LU
     J = system.jacobian(x)
     assert np.linalg.norm(J @ s - b) <= 1e-6 * np.linalg.norm(b)
 
@@ -258,15 +261,18 @@ def test_block_solver_meets_krylov_tolerance(request, dumbbell2_caps, geometry,
 @pytest.mark.parametrize("geometry", ["dumbbell2", "tiny3"])
 @krylov_cases
 def test_held_block_solver_meets_krylov_tolerance(request, dumbbell2_caps,
-                                                  geometry, kind, truncated):
+                                                  geometry, kind, truncated,
+                                                  monkeypatch):
     system, x, b, rng = krylov_case(request, dumbbell2_caps, geometry, kind,
                                     truncated)
     # block LUs from a nearby state precondition the solve at x
     blocks = system.linearize(
         x + 0.05 * rng.uniform(-1.0, 1.0, system.k * system.n)).factors
     solver = system.linearize(x)
+    lus = count_calls(monkeypatch, newton, "splu")
     s = solver.solve(b)
-    assert solver.held and solver.factors is blocks
+    assert solver.factors is blocks
+    assert not lus  # GMRES met its tolerance: no assembled LU
     J = system.jacobian(x)
     assert np.linalg.norm(J @ s - b) <= 1e-6 * np.linalg.norm(b)
 
@@ -420,20 +426,20 @@ def test_solver_failure_carries_history(dumbbell2_setup, monkeypatch):
 
 
 @pytest.mark.parametrize("failure, message", [
-    ("gmres", "singular linearization: GMRES missed"),
+    ("gmres", "singular linearization: Factor"),
     ("singular_block", "singular linearization: Factor is exactly singular")])
 def test_krylov_failure_carries_history(dumbbell2_setup, monkeypatch, failure,
                                         message):
+    # a GMRES miss takes its step on the assembled Jacobian's LU, so it
+    # fails only when that LU is singular too
     def failing_gmres(apply, b, precondition):
         return np.zeros_like(b), 3, False
 
-    def singular_splu(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
     if failure == "gmres":
         monkeypatch.setattr(newton, "right_gmres", failing_gmres)
+        singular_after(monkeypatch, 2)  # the two block LUs
     else:
-        monkeypatch.setattr(newton, "splu", singular_splu)
+        singular_after(monkeypatch, 0)
     U0 = dumbbell2_setup["baseline"]
     with pytest.raises(NonlinearSolveError, match=message) as err:
         solve_system(U0, dumbbell2_setup["species"], ModelKind.barrier(U0),
@@ -480,12 +486,13 @@ def test_forced_refactor_matches_held_blocks(warm_solve, monkeypatch):
     assert sg.h1_distance(held, refactored) / sg.state_h1_norm(held) <= 1e-12
 
 
-@pytest.mark.parametrize("misses, converges", [({2}, True), ({2, 3}, False)],
+@pytest.mark.parametrize("misses, converges", [({2}, True), ({1}, False)],
                          ids=["held_miss_retried", "fresh_miss_raises"])
 def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
                                              converges):
-    # call 1 solves on fresh blocks, call 2 on held ones; a miss there
-    # refactors, and call 3 solves on the fresh blocks
+    # call 1 solves on fresh blocks, call 2 on held ones; a miss on either
+    # takes its step on the LU of the assembled Jacobian, and fails only
+    # when that LU is singular
     start, species, model, kappa = warm_solve
     direct, _ = solve_system(start, species, model, kappa, 1e-10)
     calls = 0
@@ -499,26 +506,54 @@ def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
         return right_gmres(apply, b, precondition)
 
     monkeypatch.setattr(newton, "right_gmres", missing_gmres)
-    factorizations = count_calls(monkeypatch, newton, "splu")
+    k, n = len(species), start.domain.n_interior
     if not converges:
+        orders = singular_after(monkeypatch, k)
         with pytest.raises(NonlinearSolveError,
-                           match="singular linearization: GMRES missed"):
+                           match="singular linearization: Factor is exactly "
+                           "singular") as err:
             solve_system(start, species, model, kappa, 1e-10)
-        assert calls == 3
+        assert calls == 1
+        assert orders == [n] * k + [k * n]
+        assert err.value.residual_history
+        assert err.value.last_iterate is not None
         return
+    factorizations = count_calls(monkeypatch, newton, "splu")
     state, _ = solve_system(start, species, model, kappa, 1e-10)
-    assert len(factorizations) == 2 * len(species)
+    # the held blocks stay: the miss left the mock's 3 iterations behind
+    assert len(factorizations) == k + 1
     assert sg.h1_distance(state, direct) / sg.state_h1_norm(direct) <= 1e-12
 
 
-def test_probe_start_far_into_ramp_misses_in_one_gmres_cycle(monkeypatch):
-    """The dumbbell of ``configs/dumbbell2.json`` (h = 1/8, 413 nodes) ramped
-    to kappa = 262144 (9 steps of factor 4), solved from a probe start of
-    H1 size 0.02 (seed 1): the block Gauss-Seidel preconditioner fails the
-    first Newton step on fresh block LUs, and that GMRES solve stops after
-    its one cycle of KRYLOV_MAXITER iterations.  A Newton step that holds
-    off the center (an open item of ROADMAP.md) would make this start
-    converge, and this test would then assert that it does."""
+def test_gmres_miss_logged(warm_solve, caplog, monkeypatch):
+    # the miss logs its iteration count, then the assembled Jacobian's LU
+    start, species, model, kappa = warm_solve
+    calls = 0
+    right_gmres = newton.right_gmres
+
+    def missing_gmres(apply, b, precondition):
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            return np.zeros_like(b), 3, False
+        return right_gmres(apply, b, precondition)
+
+    monkeypatch.setattr(newton, "right_gmres", missing_gmres)
+    with caplog.at_level(logging.DEBUG, logger="seglv.newton"):
+        solve_system(start, species, model, kappa, 1e-10)
+    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.newton"]
+    miss = ("GMRES missed in 3 iterations; solving on the assembled "
+            "Jacobian's LU")
+    assert lines.count(miss) == 1
+    order = len(species) * start.domain.n_interior
+    assert lines[lines.index(miss) + 1].startswith(f"LU of order {order}: fill ")
+
+
+@pytest.fixture(scope="module")
+def far_ramp():
+    """The dumbbell of ``configs/dumbbell2.json`` (h = 1/8, 413 nodes)
+    ramped to kappa = 262144 (9 steps of factor 4): its final state, the
+    species and the model."""
     balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((3.0, 0.0), 1.0, 1)]
     domain = sg.build_domain(balls, [sg.CorridorSpec(0, 1, 0.5)],
                              (-1.25, -1.25, 4.25, 1.25), 0.125)
@@ -532,19 +567,69 @@ def test_probe_start_far_into_ramp_misses_in_one_gmres_cycle(monkeypatch):
     trace = sg.continuation_run(domain, species, model,
                                 sg.ContinuationSchedule(4.0, 4.0, 9))
     assert trace.failure is None and trace.kappas()[-1] == 262144.0
-    start = trace.final_state() + sg.seeded_perturbation(domain, 2, 0.02, 1)
-    right_gmres, iterations = newton.right_gmres, []
+    return trace.final_state(), species, model
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_probe_start_far_into_ramp_steps_on_assembled_lu(far_ramp,
+                                                         monkeypatch, seed):
+    """From a probe start of H1 size 0.02 around the ramp's final state the
+    block Gauss-Seidel preconditioner fails the first Newton step on fresh
+    block LUs: that GMRES solve runs its one cycle of KRYLOV_MAXITER
+    iterations and misses.  The step then goes on one LU of the assembled
+    Jacobian, and the solve converges back to the ramp's final state."""
+    final, species, model = far_ramp
+    start = final + sg.seeded_perturbation(final.domain, 2, 0.02, seed)
+    right_gmres, splu = newton.right_gmres, newton.splu
+    events = []  # ("gmres", iterations, converged) and ("lu", order)
 
     def recording_gmres(apply, b, precondition):
         x, its, converged = right_gmres(apply, b, precondition)
-        iterations.append(its)
+        events.append(("gmres", its, converged))
         return x, its, converged
 
+    def recording_splu(J, *args, **kwargs):
+        events.append(("lu", J.shape[0]))
+        return splu(J, *args, **kwargs)
+
     monkeypatch.setattr(newton, "right_gmres", recording_gmres)
-    with pytest.raises(NonlinearSolveError, match="GMRES missed relative "
-                       "residual 1e-06 in 50 iterations"):
-        solve_system(start, species, model, 262144.0, 1e-10)
-    assert iterations == [newton.KRYLOV_MAXITER]
+    monkeypatch.setattr(newton, "splu", recording_splu)
+    state, _ = solve_system(start, species, model, 262144.0, 1e-10)
+    assert sg.h1_distance(state, final) / sg.state_h1_norm(final) <= 1e-12
+    order = len(species) * final.domain.n_interior
+    miss = ("gmres", newton.KRYLOV_MAXITER, False)
+    assert [e for e in events if e[1] == newton.KRYLOV_MAXITER] == [miss]
+    assert [e for e in events if e == ("lu", order)] == [("lu", order)]
+    assert events[events.index(miss) + 1] == ("lu", order)
+
+
+def test_solve_near_fallback_finishes_refused_starts(far_ramp, monkeypatch):
+    # every chord round is refused on the center LU, so every start goes on
+    # by damped Newton, whose first step misses in GMRES as above
+    final, species, model = far_ramp
+    starts = [final + sg.seeded_perturbation(final.domain, 2, 0.02, seed)
+              for seed in (1, 2, 3)]
+    splu, made, refused = newton.splu, [], []
+
+    class RefusingLU:
+        nnz = 0
+
+        def solve(self, b):
+            refused.append(b.shape)
+            raise RuntimeError("refused")
+
+    def center_refuses(J, *args, **kwargs):
+        # the first LU solve_near makes is the center's
+        made.append(J.shape[0])
+        return RefusingLU() if len(made) == 1 else splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", center_refuses)
+    outcomes = solve_near(final, starts, species, model, 262144.0, 1e-10)
+    order = len(species) * final.domain.n_interior
+    assert made[0] == order and refused == [(order, 3)]
+    assert outcomes.chord_only == 0
+    for state in outcomes:
+        assert sg.h1_distance(state, final) / sg.state_h1_norm(final) <= 1e-12
 
 
 @pytest.mark.parametrize("converges", [True, False], ids=["converged", "failed"])
