@@ -9,9 +9,9 @@ species.  It works on a flat unknown vector through three callables
   formed from; a solve converges once norm(r) <= tol * max(1, that norm).
 * ``linearize(x)`` returns a linear solver for the Jacobian at x: any
   object whose ``solve(b)`` returns s with J(x) s ~ b, and which raises
-  RuntimeError when it cannot (a singular factor).  The system builds it
-  through one ``HeldFactor`` per solve (below); the polish runs on the
-  last one.
+  RuntimeError when it cannot (a singular factor).  The system is that
+  solver, under its one Newton-step policy (``system._System.linearize``);
+  the polish runs on the last linearization.
 * Each step solves J(x) s = -r(x) with that solver and halves s until the
   residual norm falls by the Armijo-style factor (1 - 1e-4 t).  The budget
   is the kernel's, not the caller's: at most ``MAX_NEWTON`` steps of at
@@ -26,30 +26,13 @@ species.  It works on a flat unknown vector through three callables
   same fill, a quarter to a third less factor time.  Poisson solves,
   eigen-solves, margins and the coupled solver's diagonal blocks factor
   through it too.
-* One held-factor rule serves every Newton step (``HeldFactor``).  A
-  solve factors once, the k diagonal-block LUs of its Jacobian (one LU
-  for a single species), and solves each Newton system by one GMRES
-  cycle on J(x) to a true relative residual of ``KRYLOV_RTOL``,
-  preconditioned by that factor.  The next linearization refactors only
-  when the last GMRES solve took more than ``KRYLOV_REFACTOR`` iterations.
-  This is the chord / Shamanskii lagging of the linearization (Kelley,
-  *Solving Nonlinear Equations with Newton's Method*, SIAM 2003, section
-  5.4) with the lagged factor as a preconditioner, so every step stays an
-  inexact Newton step on the current Jacobian (Knoll & Keyes, J. Comput.
-  Phys. 193, 2004).  A GMRES solve that misses its tolerance, on held or
-  on fresh factors, has one fallback: the step is solved on an LU of the
-  assembled Jacobian at the current iterate, made and dropped within that
-  step (for one species, a fresh LU of its one block).  Off a solved state
-  far into the kappa ramp, as at the uniqueness probe's starts, the block
-  sweep preconditions too weakly for one GMRES cycle even on fresh blocks,
-  while the exact steps converge.  Each linearization logs its decision,
-  and each miss its iteration count, at DEBUG level.
-* That GMRES (``right_gmres``) is preconditioned on the right (Saad, SIAM
-  J. Sci. Comput. 14, 1993): its Arnoldi residual for J M^-1 y = b is the
-  true residual of x = M^-1 y, and it keeps the preconditioned basis
-  Z = M^-1 V, so x = Z y.  Each iteration makes exactly one preconditioner
-  solve; the tolerance, the first Krylov vector and the update need none,
-  and one matvec on x decides convergence by the true residual.
+* The system's GMRES (``right_gmres``) is preconditioned on the right
+  (Saad, SIAM J. Sci. Comput. 14, 1993): its Arnoldi residual for
+  J M^-1 y = b is the true residual of x = M^-1 y, and it keeps the
+  preconditioned basis Z = M^-1 V, so x = Z y.  Each iteration makes
+  exactly one preconditioner solve; the tolerance, the first Krylov
+  vector and the update need none, and one matvec on x decides
+  convergence by the true residual.
 * One full-step rule (``full_steps``) serves every step taken without a
   line search: full steps on one held solver, each taken only when it
   more than halves the residual norm, until ``POLISH_STEPS`` steps after
@@ -64,11 +47,7 @@ species.  It works on a flat unknown vector through three callables
   (``history=``): their residual norms start the history, and their steps
   count toward the budget.
 * The kernel keeps at most one linear solver of its own alive; the
-  previous one is dropped before the next is built.  A ``HeldFactor``
-  carries its factors over from one linearization to the next, and the
-  caller releases them (``HeldFactor.release``) when its solve ends,
-  before it allocates the result: a result allocated above live LUs
-  leaves their freed memory unreturnable.
+  previous one is dropped before the next is built.
 """
 
 from __future__ import annotations
@@ -95,9 +74,6 @@ POLISH_STEPS = 2
 # KRYLOV_MAXITER iterations
 KRYLOV_RTOL = 1e-6
 KRYLOV_MAXITER = 50
-# a linearization keeps the held factors while the last GMRES solve on them
-# took at most KRYLOV_REFACTOR iterations
-KRYLOV_REFACTOR = 10
 
 
 def factorize(J):
@@ -167,57 +143,6 @@ def right_gmres(apply, b, precondition):
     for y, z in zip(solve_triangular(R[:k, :k], g[:k]), Z):
         x += y * z
     return x, k, float(np.linalg.norm(b - apply(x))) <= tol
-
-
-class HeldFactor:
-    """Newton-step solver whose factors are held across the steps of a solve.
-
-    ``linearize(apply, factor, precondition, exact)`` makes it the solver of
-    the Jacobian J that apply(v) = J v multiplies by, and returns it.
-    `factor()` makes the block LUs, and ``solve`` runs ``right_gmres`` on J
-    preconditioned by precondition(factors, c).  A linearization keeps the
-    factors of an earlier one while the last GMRES solve took at most
-    ``KRYLOV_REFACTOR`` iterations, and otherwise calls `factor`.  When
-    GMRES misses its tolerance, on held or on fresh factors, ``solve``
-    takes the step on `exact()`, an LU of the assembled J, made and
-    dropped within that solve.  Factoring raises RuntimeError when the
-    matrix is singular.
-    ``iterations`` is the GMRES iteration count, and so the number of
-    preconditioner solves, of the last solve (0 after a factoring); a miss
-    that ran out of iterations leaves it at ``KRYLOV_MAXITER``, so the next
-    linearization factors again.  `label` names the solve in the DEBUG log.
-    """
-
-    def __init__(self, label):
-        self.label = label
-        self.release()
-
-    def linearize(self, apply, factor, precondition, exact):
-        self.apply, self.precondition, self.exact = apply, precondition, exact
-        held = (self.iterations is not None
-                and self.iterations <= KRYLOV_REFACTOR)
-        log.debug("%s: %s block LUs; last GMRES iterations: %s", self.label,
-                  "holding" if held else "factoring", self.iterations)
-        if not held:
-            self.factors = None  # released before the new ones are made
-            self.factors = factor()
-            self.iterations = 0
-        return self
-
-    def release(self):
-        """Drop the factors and every reference to the linearization."""
-        self.factors = self.apply = self.precondition = self.exact = None
-        self.iterations = None
-
-    def solve(self, b):
-        factors, precondition = self.factors, self.precondition
-        s, self.iterations, converged = right_gmres(
-            self.apply, b, lambda c: precondition(factors, c))
-        if converged:
-            return s
-        log.debug("GMRES missed in %d iterations; solving on the assembled "
-                  "Jacobian's LU", self.iterations)
-        return self.exact().solve(b)
 
 
 def full_steps(X, R, rhs, histories, solve, residual, norm, tol):

@@ -80,7 +80,7 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     system = _System(domain, [sp_params],
                      ModelKind.barrier(StateField.zeros(domain, 1)), 0.0, region)
     try:
-        (u,), rnorm, iterations = system.solve(StateField([guess]), newton_tol)
+        (u,), rnorm, iterations = system.newton(StateField([guess]), newton_tol)
     except NonlinearSolveError as exc:
         exc.last_iterate = exc.last_iterate[0]
         raise

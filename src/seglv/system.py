@@ -30,17 +30,33 @@ H_j, with S_i = sum_{j != i} P_j and H_i the generalized derivative of P_i
 (1 where u_i + u_i^0 >= 0 or unclipped, else 0).  Every block of the
 coupling is diagonal, so it is held as one (k, k, n) array D.
 
-A Newton step factors the (k n)^2 Jacobian only when GMRES misses.  It
-runs the kernel's held-factor GMRES step (``newton.HeldFactor``) with the
-k LUs of the diagonal blocks A + diag(D[i, i]) as the held factors and one
-forward block Gauss-Seidel sweep over them as the preconditioner (a
-Newton-Krylov method with a physics-block preconditioner, Knoll & Keyes,
-J. Comput. Phys. 193, 2004).  J is applied as A on each species plus the
-coupling D at the current iterate and is not assembled; the sweep's
-off-diagonal terms use that D too, also on block LUs held from an earlier
-iterate.  Off a solved state far into the kappa ramp the sweep can
-precondition too weakly for GMRES to meet its tolerance; such a step goes
-on the LU of the assembled Jacobian at that iterate (``_System.jacobian``).
+One Newton-step policy serves every solve (``_System.linearize``): the
+chord / Shamanskii lagging of the linearization (Kelley, *Solving
+Nonlinear Equations with Newton's Method*, SIAM 2003, section 5.4) with
+the lagged factors as a physics-block preconditioner, so every step stays
+an inexact Newton step on the current Jacobian (Knoll & Keyes, J. Comput.
+Phys. 193, 2004).  A solve holds the k LUs of the diagonal blocks
+A + diag(D[i, i]) (one LU for a single species) and solves each Newton
+system by one GMRES cycle (``newton.right_gmres``) on J to a true
+relative residual of ``KRYLOV_RTOL``, preconditioned by one forward
+block Gauss-Seidel sweep over them.  J is applied as A on each species
+plus the coupling D at the current iterate and is not assembled; the
+sweep's off-diagonal terms use that D too, also on block LUs held from an
+earlier iterate.  A linearization refactors the blocks only when the last
+GMRES solve took more than ``KRYLOV_REFACTOR`` iterations.  A step whose
+GMRES solve misses goes on an LU of the assembled Jacobian at its iterate
+(``_System.jacobian``), made and dropped within that step: off a solved
+state far into the kappa ramp, as at the uniqueness probe's starts, the
+sweep preconditions too weakly for one GMRES cycle even on fresh blocks,
+while the exact steps converge.  After a solve's second miss its
+remaining steps go straight to the assembled Jacobian's LU at their
+iterates, without block LUs or GMRES; after the first they do not,
+because such a probe start misses once, at its first step, and finishes
+sooner on GMRES steps over fresh blocks than on exact ones.  Each
+linearization logs its decision, each miss its iteration count and the
+switch one line, at DEBUG level.  The solve releases its LUs when it
+ends, before it allocates the result: a result allocated above live LUs
+leaves their freed memory unreturnable.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -63,14 +79,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError, NonlinearSolveError
-from .newton import (NEWTON_TOL, HeldFactor, damped_newton, factorize,
-                     full_steps)
+from .newton import (NEWTON_TOL, damped_newton, factorize, full_steps,
+                     right_gmres)
 from .operators import ScalarField, StateField
 from .reaction import f_truncated_eval, f_truncated_prime
 
 log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
+
+# a linearization keeps the held block LUs while the last GMRES solve on
+# them took at most KRYLOV_REFACTOR iterations
+KRYLOV_REFACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -145,8 +165,7 @@ class _System:
             raise DomainMismatchError("truncation caps live on a different domain")
         self.caps = ([np.inf] * k if model.caps is None
                      else [u.values[mask] for u in model.caps])
-        # the Newton-step solver of the running solve, holding its block LUs
-        self._held = HeldFactor(f"kappa {self.kappa:g}")
+        self.release()
 
     def _reaction(self, fn, s):
         """Per-species truncated reaction term (or derivative) at the (k, n)
@@ -221,37 +240,71 @@ class _System:
                 + sp.block_diag([self.A] * k, format="csc"))
 
     def linearize(self, x):
-        """Newton-step solver of the Jacobian J at x (``newton.HeldFactor``).
+        """The Newton-step solver of the Jacobian J at x: this system, whose
+        ``solve(b)`` returns s with J s ~ b (see the module docstring).
 
         Block (i, j) of J is diag(D[i, j]), plus the Laplacian A when
-        i = j.  J is applied without being assembled; the held factors are
-        LUs of the k diagonal blocks, and one forward block Gauss-Seidel
-        sweep over them preconditions GMRES.  The sweep's off-diagonal
-        terms use D at x, also when the LUs come from an earlier iterate.
-        A step whose GMRES solve misses goes on the LU of ``jacobian(x)``.
+        i = j.  The linearization keeps x and D = ``_coupling(x)``; it
+        keeps the block LUs of an earlier one while the last GMRES solve
+        took at most ``KRYLOV_REFACTOR`` iterations (a miss that ran out
+        of iterations leaves it at ``newton.KRYLOV_MAXITER``), and
+        otherwise refactors them.  After the solve's second miss it keeps
+        x alone.  Factoring raises RuntimeError when a block is singular.
         """
-        A, D = self.A, self._coupling(x)
-        k, n = self.k, self.n
-
-        def apply(v):
-            return (self._laplacian(v)
-                    + np.einsum("ijm,jm->im", D, v.reshape(k, n))).ravel()
-
-        def factor():
+        self._x = x
+        if self._direct:
+            return self
+        self._D = self._coupling(x)
+        held = (self._iterations is not None
+                and self._iterations <= KRYLOV_REFACTOR)
+        log.debug("kappa %g: %s block LUs; last GMRES iterations: %s",
+                  self.kappa, "holding" if held else "factoring",
+                  self._iterations)
+        if not held:
+            self._blocks = None  # released before the new ones are made
             # a symmetric block's transpose is its CSC form, without a copy
-            return [factorize((A + sp.diags(D[i, i])).T) for i in range(k)]
+            self._blocks = [factorize((self.A + sp.diags(self._D[i, i])).T)
+                            for i in range(self.k)]
+            self._iterations = 0
+        return self
 
-        def sweep(blocks, c):
-            # forward substitution: solve block i, then take its coupling
-            # off the right-hand sides below
-            z = c.reshape(k, n).copy()
-            for i, lu in enumerate(blocks):
-                z[i] = lu.solve(z[i])
-                z[i + 1:] -= D[i + 1:, i] * z[i]
-            return z.ravel()
+    def release(self):
+        """Drop the linearization: its iterate, coupling, block LUs, GMRES
+        count and misses."""
+        self._x = self._D = self._blocks = self._iterations = None
+        self._missed = self._direct = False
 
-        return self._held.linearize(apply, factor, sweep,
-                                    lambda: factorize(self.jacobian(x)))
+    def apply(self, v):
+        """J v at the linearization's iterate, J not assembled."""
+        return (self._laplacian(v) + np.einsum(
+            "ijm,jm->im", self._D, v.reshape(self.k, self.n))).ravel()
+
+    def _sweep(self, c):
+        """One forward block Gauss-Seidel sweep: solve block i on its held
+        LU, then take its coupling off the right-hand sides below."""
+        z = c.reshape(self.k, self.n).copy()
+        for i, lu in enumerate(self._blocks):
+            z[i] = lu.solve(z[i])
+            z[i + 1:] -= self._D[i + 1:, i] * z[i]
+        return z.ravel()
+
+    def solve(self, b):
+        """The Newton step s with J s ~ b: one preconditioned GMRES cycle;
+        on a miss, and at every step after the solve's second miss, an LU
+        of the assembled Jacobian."""
+        if not self._direct:
+            s, self._iterations, converged = right_gmres(self.apply, b,
+                                                         self._sweep)
+            if converged:
+                return s
+            log.debug("GMRES missed in %d iterations; solving on the "
+                      "assembled Jacobian's LU", self._iterations)
+            self._direct, self._missed = self._missed, True
+            if self._direct:
+                log.debug("kappa %g: second GMRES miss; the remaining steps "
+                          "solve on the assembled Jacobian's LU", self.kappa)
+                self._D = self._blocks = None
+        return factorize(self.jacobian(self._x)).solve(b)
 
     def stack(self, U: StateField):
         """Stacked interior vector of the state U; raises ValueError unless
@@ -264,8 +317,8 @@ class _System:
         return StateField([ScalarField(self.domain, self.domain.insert(v, self.mask))
                            for v in x.reshape(self.k, self.n)])
 
-    def solve(self, guess: StateField, tol, *,
-              history=()) -> tuple[StateField, float, int]:
+    def newton(self, guess: StateField, tol, *,
+               history=()) -> tuple[StateField, float, int]:
         """Damped Newton from `guess`; see ``solve_system``.  Returns the
         state, its residual norm and the iterations.  `history` holds the
         residual norms of the steps that reached `guess` (the kernel's
@@ -276,7 +329,7 @@ class _System:
                 self.res_norm, tol, as_iterate=self.unstack, history=history)
         finally:
             # released before the result is allocated
-            self._held.release()
+            self.release()
         return self.unstack(x), rnorm, iterations
 
 
@@ -292,17 +345,17 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
 
     Returns (state, iterations) with the root-sum-square residual norm at
     or below tol * max(1, ||RHS||).  A step is accepted when the residual
-    norm decreases by the Armijo-style factor (1 - 1e-4 t).  GMRES solves
-    each Newton system on block LUs held across the steps
-    (``newton.HeldFactor``), released before the result is built; a step
-    whose GMRES solve misses goes on an LU of the assembled Jacobian.
-    Raises NonlinearSolveError when a step cannot reduce the residual
-    within the kernel's budget of halvings, a diagonal block or the
-    assembled Jacobian of a missed step is singular, or the kernel's step
-    budget runs out.
+    norm decreases by the Armijo-style factor (1 - 1e-4 t).  Each step
+    follows the system's one Newton-step policy (``_System.linearize``):
+    GMRES on block LUs held across the steps, and the assembled
+    Jacobian's LU for a step whose GMRES solve misses and for every step
+    after a second miss.  Raises NonlinearSolveError when a step cannot
+    reduce the residual within the kernel's budget of halvings, a diagonal
+    block or the assembled Jacobian of a missed step is singular, or the
+    kernel's step budget runs out.
     """
     system = _System(guess.domain, species, model, kappa)
-    state, _, iterations = system.solve(guess, tol)
+    state, _, iterations = system.newton(guess, tol)
     return state, iterations
 
 
@@ -326,10 +379,9 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
     (``newton.full_steps``), one multi-column triangular solve per round,
     and each round logs its counts at DEBUG level.  Once the rounds end
     the center LU is dropped, and each start the rule left short goes on
-    by ordinary damped Newton (its own block-preconditioned GMRES steps,
-    on block LUs held within that start only, and the assembled
-    Jacobian's LU for a step whose GMRES solve misses) from where it left,
-    its chord steps counted in its budget and history.  Convergence, budget
+    by ordinary damped Newton from where it left, its chord steps counted
+    in its budget and history; its steps follow the Newton-step policy of
+    ``_System.linearize`` within that start only.  Convergence, budget
     and failures are those of ``solve_system``.
 
     Returns a ``NearOutcomes`` list with one entry per start.  Raises
@@ -368,7 +420,7 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
         state = system.unstack(X[:, j])
         if j in fallback:
             try:
-                state, _, _ = system.solve(state, tol, history=histories[j])
+                state, _, _ = system.newton(state, tol, history=histories[j])
             except NonlinearSolveError as exc:
                 state = exc
         outcomes.append(state)

@@ -176,8 +176,9 @@ def test_ball_solve_forced_refactor_matches_held_lu(dumbbell2, dumbbell2_ball,
                                                     monkeypatch):
     region, guess, sp = dumbbell2_ball
     held = solve_ball(sp, region, dumbbell2, guess)
-    monkeypatch.setattr(newton, "KRYLOV_REFACTOR", 0)
-    linearizations = count_calls(monkeypatch, newton.HeldFactor, "linearize")
+    monkeypatch.setattr(system_module, "KRYLOV_REFACTOR", 0)
+    linearizations = count_calls(monkeypatch, system_module._System,
+                                 "linearize")
     factorizations = count_calls(monkeypatch, newton, "splu")
     refactored = solve_ball(sp, region, dumbbell2, guess)
     assert len(linearizations) >= 2
@@ -186,17 +187,17 @@ def test_ball_solve_forced_refactor_matches_held_lu(dumbbell2, dumbbell2_ball,
 
 
 @pytest.mark.parametrize("misses, converges", [({2}, True), ({1}, False)],
-                         ids=["held_miss_retried", "fresh_miss_raises"])
-def test_ball_solve_gmres_miss_on_held_lu_refactors(dumbbell2, dumbbell2_ball,
-                                                    monkeypatch, misses,
-                                                    converges):
+                         ids=["held_miss", "fresh_miss_singular_lu"])
+def test_ball_solve_gmres_miss_steps_on_assembled_lu(dumbbell2, dumbbell2_ball,
+                                                     monkeypatch, misses,
+                                                     converges):
     # call 1 solves on a fresh LU, call 2 on the held one; a miss on either
     # takes its step on the LU of the assembled Jacobian, for one species a
     # fresh LU of the same block, and fails only when that LU is singular
     region, guess, sp = dumbbell2_ball
     direct = solve_ball(sp, region, dumbbell2, guess)
     calls = 0
-    right_gmres = newton.right_gmres
+    right_gmres = system_module.right_gmres
 
     def missing_gmres(apply, b, precondition):
         nonlocal calls
@@ -205,7 +206,7 @@ def test_ball_solve_gmres_miss_on_held_lu_refactors(dumbbell2, dumbbell2_ball,
             return np.zeros_like(b), 3, False
         return right_gmres(apply, b, precondition)
 
-    monkeypatch.setattr(newton, "right_gmres", missing_gmres)
+    monkeypatch.setattr(system_module, "right_gmres", missing_gmres)
     if not converges:
         orders = singular_after(monkeypatch, 1)
         with pytest.raises(NonlinearSolveError,
@@ -226,7 +227,8 @@ def test_ball_solve_gmres_miss_on_held_lu_refactors(dumbbell2, dumbbell2_ball,
 def test_chain3_baseline_holds_its_lu(chain3_domain, monkeypatch):
     region = chain3_domain.species_ball_mask(1)
     guess, _ = positive_branch_guess(chain3_domain, region)
-    linearizations = count_calls(monkeypatch, newton.HeldFactor, "linearize")
+    linearizations = count_calls(monkeypatch, system_module._System,
+                                 "linearize")
     factorizations = count_calls(monkeypatch, newton, "splu")
     report = solve_ball(SpeciesParams(lam=11.3394, p=2.0), region,
                         chain3_domain, guess)
@@ -238,19 +240,19 @@ def test_chain3_baseline_holds_its_lu(chain3_domain, monkeypatch):
 def test_ball_solve_releases_held_lu(dumbbell2, dumbbell2_ball, monkeypatch):
     region, guess, sp = dumbbell2_ball
     helds, factors_at_insert = [], []
+    init = system_module._System.__init__
 
-    class RecordingHeldFactor(newton.HeldFactor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            helds.append(self)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        helds.append(self)
 
     insert = sg.GridDomain.insert
 
     def recording_insert(self, vec, region=None):
-        factors_at_insert.append([held.factors for held in helds])
+        factors_at_insert.append([held._blocks for held in helds])
         return insert(self, vec, region)
 
-    monkeypatch.setattr(system_module, "HeldFactor", RecordingHeldFactor)
+    monkeypatch.setattr(system_module._System, "__init__", recording_init)
     monkeypatch.setattr(sg.GridDomain, "insert", recording_insert)
     factorizations = count_calls(monkeypatch, newton, "splu")
     solve_ball(sp, region, dumbbell2, guess)
@@ -440,7 +442,7 @@ def test_phi_work_count(chain3_domain, monkeypatch):
     # h's, and every LU solve is a GMRES iteration: none is spent on norms,
     # a first Krylov vector or lambda_1
     lus, counts = [], {"iterations": 0}
-    splu, right_gmres = newton.splu, newton.right_gmres
+    splu, right_gmres = newton.splu, system_module.right_gmres
 
     def counting_splu(A, *args, **kwargs):
         lus.append((A.shape[0], {"solves": 0}))
@@ -452,7 +454,7 @@ def test_phi_work_count(chain3_domain, monkeypatch):
         return x, iterations, converged
 
     monkeypatch.setattr(newton, "splu", counting_splu)
-    monkeypatch.setattr(newton, "right_gmres", counting_gmres)
+    monkeypatch.setattr(system_module, "right_gmres", counting_gmres)
     supersolution_phi(SpeciesParams(lam=11.3394, p=2.0), chain3_domain)
     assert [order for order, _ in lus] == [2481, chain3_domain.n_interior]
     assert sum(lu["solves"] for _, lu in lus) == counts["iterations"]

@@ -5,6 +5,7 @@ import pytest
 
 import seglv as sg
 from seglv import newton
+from seglv import system as system_module
 from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_near, solve_system)
 from seglv.system import _System
@@ -267,11 +268,11 @@ def test_held_block_solver_meets_krylov_tolerance(request, dumbbell2_caps,
                                     truncated)
     # block LUs from a nearby state precondition the solve at x
     blocks = system.linearize(
-        x + 0.05 * rng.uniform(-1.0, 1.0, system.k * system.n)).factors
+        x + 0.05 * rng.uniform(-1.0, 1.0, system.k * system.n))._blocks
     solver = system.linearize(x)
     lus = count_calls(monkeypatch, newton, "splu")
     s = solver.solve(b)
-    assert solver.factors is blocks
+    assert solver._blocks is blocks
     assert not lus  # GMRES met its tolerance: no assembled LU
     J = system.jacobian(x)
     assert np.linalg.norm(J @ s - b) <= 1e-6 * np.linalg.norm(b)
@@ -436,7 +437,7 @@ def test_krylov_failure_carries_history(dumbbell2_setup, monkeypatch, failure,
         return np.zeros_like(b), 3, False
 
     if failure == "gmres":
-        monkeypatch.setattr(newton, "right_gmres", failing_gmres)
+        monkeypatch.setattr(system_module, "right_gmres", failing_gmres)
         singular_after(monkeypatch, 2)  # the two block LUs
     else:
         singular_after(monkeypatch, 0)
@@ -477,7 +478,7 @@ def test_warm_solve_factors_blocks_once(warm_solve, monkeypatch):
 def test_forced_refactor_matches_held_blocks(warm_solve, monkeypatch):
     start, species, model, kappa = warm_solve
     held, _ = solve_system(start, species, model, kappa, 1e-10)
-    monkeypatch.setattr(newton, "KRYLOV_REFACTOR", 0)
+    monkeypatch.setattr(system_module, "KRYLOV_REFACTOR", 0)
     linearizations = count_calls(monkeypatch, _System, "linearize")
     factorizations = count_calls(monkeypatch, newton, "splu")
     refactored, _ = solve_system(start, species, model, kappa, 1e-10)
@@ -487,16 +488,16 @@ def test_forced_refactor_matches_held_blocks(warm_solve, monkeypatch):
 
 
 @pytest.mark.parametrize("misses, converges", [({2}, True), ({1}, False)],
-                         ids=["held_miss_retried", "fresh_miss_raises"])
-def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
-                                             converges):
+                         ids=["held_miss", "fresh_miss_singular_lu"])
+def test_gmres_miss_steps_on_assembled_lu(warm_solve, monkeypatch, misses,
+                                          converges):
     # call 1 solves on fresh blocks, call 2 on held ones; a miss on either
     # takes its step on the LU of the assembled Jacobian, and fails only
     # when that LU is singular
     start, species, model, kappa = warm_solve
     direct, _ = solve_system(start, species, model, kappa, 1e-10)
     calls = 0
-    right_gmres = newton.right_gmres
+    right_gmres = system_module.right_gmres
 
     def missing_gmres(apply, b, precondition):
         nonlocal calls
@@ -505,7 +506,7 @@ def test_gmres_miss_on_held_blocks_refactors(warm_solve, monkeypatch, misses,
             return np.zeros_like(b), 3, False
         return right_gmres(apply, b, precondition)
 
-    monkeypatch.setattr(newton, "right_gmres", missing_gmres)
+    monkeypatch.setattr(system_module, "right_gmres", missing_gmres)
     k, n = len(species), start.domain.n_interior
     if not converges:
         orders = singular_after(monkeypatch, k)
@@ -529,7 +530,7 @@ def test_gmres_miss_logged(warm_solve, caplog, monkeypatch):
     # the miss logs its iteration count, then the assembled Jacobian's LU
     start, species, model, kappa = warm_solve
     calls = 0
-    right_gmres = newton.right_gmres
+    right_gmres = system_module.right_gmres
 
     def missing_gmres(apply, b, precondition):
         nonlocal calls
@@ -538,15 +539,51 @@ def test_gmres_miss_logged(warm_solve, caplog, monkeypatch):
             return np.zeros_like(b), 3, False
         return right_gmres(apply, b, precondition)
 
-    monkeypatch.setattr(newton, "right_gmres", missing_gmres)
-    with caplog.at_level(logging.DEBUG, logger="seglv.newton"):
+    monkeypatch.setattr(system_module, "right_gmres", missing_gmres)
+    with caplog.at_level(logging.DEBUG, logger="seglv"):
         solve_system(start, species, model, kappa, 1e-10)
-    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.newton"]
+    lines = [r.getMessage() for r in caplog.records
+             if r.name in ("seglv.newton", "seglv.system")]
     miss = ("GMRES missed in 3 iterations; solving on the assembled "
             "Jacobian's LU")
     assert lines.count(miss) == 1
     order = len(species) * start.domain.n_interior
-    assert lines[lines.index(miss) + 1].startswith(f"LU of order {order}: fill ")
+    after = lines[lines.index(miss) + 1:]
+    assert after[0].startswith(f"assembled Jacobian of order {order}: ")
+    assert after[1].startswith(f"LU of order {order}: fill ")
+
+
+def test_second_gmres_miss_ends_gmres(warm_solve, caplog, monkeypatch):
+    # GMRES misses at every step, out of iterations: the first miss and the
+    # second each come after fresh block LUs, and every later step goes
+    # straight to the assembled Jacobian's LU
+    start, species, model, kappa = warm_solve
+    direct, _ = solve_system(start, species, model, kappa, 1e-10)
+    calls = 0
+
+    def missing_gmres(apply, b, precondition):
+        nonlocal calls
+        calls += 1
+        return np.zeros_like(b), newton.KRYLOV_MAXITER, False
+
+    splu, orders = newton.splu, []
+
+    def recording_splu(J, *args, **kwargs):
+        orders.append(J.shape[0])
+        return splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(system_module, "right_gmres", missing_gmres)
+    monkeypatch.setattr(newton, "splu", recording_splu)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        state, _ = solve_system(start, species, model, kappa, 1e-10)
+    k, n = len(species), start.domain.n_interior
+    assert calls == 2
+    assert orders[:2 * k + 2] == [n] * k + [k * n] + [n] * k + [k * n]
+    assert set(orders[2 * k + 2:]) == {k * n}
+    assert caplog.messages.count("kappa 16384: second GMRES miss; the "
+                                 "remaining steps solve on the assembled "
+                                 "Jacobian's LU") == 1
+    assert sg.h1_distance(state, direct) / sg.state_h1_norm(direct) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -580,7 +617,7 @@ def test_probe_start_far_into_ramp_steps_on_assembled_lu(far_ramp,
     Jacobian, and the solve converges back to the ramp's final state."""
     final, species, model = far_ramp
     start = final + sg.seeded_perturbation(final.domain, 2, 0.02, seed)
-    right_gmres, splu = newton.right_gmres, newton.splu
+    right_gmres, splu = system_module.right_gmres, newton.splu
     events = []  # ("gmres", iterations, converged) and ("lu", order)
 
     def recording_gmres(apply, b, precondition):
@@ -592,7 +629,7 @@ def test_probe_start_far_into_ramp_steps_on_assembled_lu(far_ramp,
         events.append(("lu", J.shape[0]))
         return splu(J, *args, **kwargs)
 
-    monkeypatch.setattr(newton, "right_gmres", recording_gmres)
+    monkeypatch.setattr(system_module, "right_gmres", recording_gmres)
     monkeypatch.setattr(newton, "splu", recording_splu)
     state, _ = solve_system(start, species, model, 262144.0, 1e-10)
     assert sg.h1_distance(state, final) / sg.state_h1_norm(final) <= 1e-12
@@ -640,27 +677,28 @@ def test_solve_releases_held_blocks(warm_solve, monkeypatch, converges):
     held_at_unstack = []
 
     def recording_unstack(self, x):
-        held_at_unstack.append(self._held.factors)
+        held_at_unstack.append(self._blocks)
         return unstack(self, x)
 
     monkeypatch.setattr(_System, "unstack", recording_unstack)
     if not converges:
         monkeypatch.setattr(newton, "MAX_NEWTON", 1)
         with pytest.raises(NonlinearSolveError, match="budget exhausted"):
-            system.solve(start, 1e-10)
+            system.newton(start, 1e-10)
     else:
-        system.solve(start, 1e-10)
+        system.newton(start, 1e-10)
         # the result is allocated after the block LUs are released
         assert held_at_unstack[-1] is None
-    assert system._held.factors is None
+    assert system._blocks is None
 
 
 def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):
     start, species, model, kappa = warm_solve
     linearizations = count_calls(monkeypatch, _System, "linearize")
-    with caplog.at_level(logging.DEBUG, logger="seglv.newton"):
+    with caplog.at_level(logging.DEBUG, logger="seglv"):
         solve_system(start, species, model, kappa, 1e-10)
-    lines = [r.getMessage() for r in caplog.records if r.name == "seglv.newton"]
+    lines = [r.getMessage() for r in caplog.records
+             if r.name in ("seglv.newton", "seglv.system")]
     # the one factoring logs a line per block LU after its decision
     lus = lines[1:1 + len(species)]
     decisions = lines[:1] + lines[1 + len(species):]
