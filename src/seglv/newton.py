@@ -2,11 +2,12 @@
 
 One kernel serves every Newton solve: its caller is the coupled k-species
 system of ``system``, and a scalar region problem is that system with one
-species.  It works on a flat unknown vector through three callables
-(residual, linearization, residual norm) and a relative tolerance:
+species.  It works on a flat unknown vector through two callables
+(residual, linearization) and a relative tolerance:
 
-* ``residual(x)`` returns r(x) and the norm of the right-hand side it was
-  formed from; a solve converges once norm(r) <= tol * max(1, that norm).
+* ``residual(x)`` returns r(x), its norm and the norm of the right-hand
+  side it was formed from; a solve converges once the norm of r is at most
+  tol * max(1, that of the right-hand side).
 * ``linearize(x)`` returns a linear solver for the Jacobian at x: any
   object whose ``solve(b)`` returns s with J(x) s ~ b, and which raises
   RuntimeError when it cannot (a singular factor).  The system is that
@@ -48,11 +49,19 @@ species.  It works on a flat unknown vector through three callables
   count toward the budget.
 * The kernel keeps at most one linear solver of its own alive; the
   previous one is dropped before the next is built.
+* Every dense norm and inner product in the package reduces by one rule,
+  numpy's pairwise summation (``_l2``, or ``np.sum(a * b)``), never by
+  BLAS: OpenBLAS splits a long dot product across its threads, so its last
+  bits, and the outputs decided on them, would depend on the thread count.
+  Pairwise summation has a fixed order and an error bound that grows with
+  log n (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+  SIAM 2002, ch. 4).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -98,6 +107,11 @@ def factorize(J):
     return lu
 
 
+def _l2(v):
+    """Euclidean norm of the vector v, by numpy's pairwise sum."""
+    return math.sqrt(float(np.sum(v * v)))
+
+
 def right_gmres(apply, b, precondition):
     """Right-preconditioned GMRES for J x = b from x = 0, in one cycle.
 
@@ -110,7 +124,7 @@ def right_gmres(apply, b, precondition):
     after no solve.
     """
     x = np.zeros_like(b)
-    beta = float(np.linalg.norm(b))
+    beta = _l2(b)
     if beta == 0.0:
         return x, 0, True
     tol = KRYLOV_RTOL * beta
@@ -125,9 +139,9 @@ def right_gmres(apply, b, precondition):
         Z.append(precondition(V[j]))
         w = apply(Z[j])
         for i, v in enumerate(V):
-            R[i, j] = w @ v
+            R[i, j] = np.sum(w * v)
             w -= R[i, j] * v
-        h = float(np.linalg.norm(w))
+        h = _l2(w)
         for i in range(j):
             R[i, j], R[i + 1, j] = (cs[i] * R[i, j] + sn[i] * R[i + 1, j],
                                     cs[i] * R[i + 1, j] - sn[i] * R[i, j])
@@ -142,15 +156,16 @@ def right_gmres(apply, b, precondition):
     k = len(Z)
     for y, z in zip(solve_triangular(R[:k, :k], g[:k]), Z):
         x += y * z
-    return x, k, float(np.linalg.norm(b - apply(x))) <= tol
+    return x, k, _l2(b - apply(x)) <= tol
 
 
-def full_steps(X, R, rhs, histories, solve, residual, norm, tol):
+def full_steps(X, R, rhs, histories, solve, residual, tol):
     """The kernel's full-step rule: full steps from the iterates X on one
     held solver.
 
-    Column j of the Fortran-order block X is iterate j; column j of R and
-    rhs[j] are what residual(X[:, j]) returns, and histories[j] holds the
+    Column j of the Fortran-order block X is iterate j.  residual(x)
+    returns (r, rnorm, rhs) as in ``damped_newton``: column j of R and
+    rhs[j] are the r and rhs of X[:, j], and histories[j] holds the
     residual norms of iterate j, the last that of R[:, j].  Each round
     solves J S = -R for the columns of every iterate still stepping in one
     call ``solve(B)``, B their Fortran-order block, and takes the full
@@ -158,7 +173,7 @@ def full_steps(X, R, rhs, histories, solve, residual, norm, tol):
     that raises RuntimeError refuses every step of its round.  A step
     taken overwrites the iterate's columns of X and R and its rhs, and
     appends its norm to its history.  An iterate that meets the target
-    norm(r) <= tol * max(1, rhs) takes up to ``POLISH_STEPS`` more steps,
+    rnorm <= tol * max(1, rhs) takes up to ``POLISH_STEPS`` more steps,
     and a refused one ends them.  Before the target, a refused step, or a
     history of more than ``MAX_NEWTON`` norms, leaves the iterate short.
     Returns (short, rounds): the set of indices of the short iterates and,
@@ -182,8 +197,7 @@ def full_steps(X, R, rhs, histories, solve, residual, norm, tol):
         halve the residual norm, which a NaN norm never does.  The trial
         arrays die with the call, so none outlives its round."""
         trial = X[:, j] + step
-        rt, rhs_t = residual(trial)
-        rtnorm = norm(rt)
+        rt, rtnorm, rhs_t = residual(trial)
         if not rtnorm < 0.5 * histories[j][-1]:
             return False
         X[:, j], R[:, j], rhs[j] = trial, rt, rhs_t
@@ -213,15 +227,14 @@ def full_steps(X, R, rhs, histories, solve, residual, norm, tol):
     return short, rounds
 
 
-def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
-                  history=()):
+def damped_newton(x, residual, linearize, tol, *, as_iterate, history=()):
     """Solve residual(x) = 0 from the flat start vector x, which is the
     kernel's to overwrite.
 
-    `residual(x)` returns (r, rhs), a new residual array and its
-    right-hand side's norm; iterates until norm(r) <= tol * max(1, rhs),
-    then polishes in place by ``full_steps`` on the last step's solver.
-    Returns (x, norm(r), iterations); polish steps taken count as
+    `residual(x)` returns (r, rnorm, rhs): a new residual array, its norm
+    and its right-hand side's norm; iterates until rnorm <= tol * max(1,
+    rhs), then polishes in place by ``full_steps`` on the last step's
+    solver.  Returns (x, rnorm, iterations); polish steps taken count as
     iterations.  `linearize(x)` returns the linear solver of the Jacobian
     at x (see the module docstring).  `history`, when given, holds the
     residual norms after every step that reached x from an earlier start,
@@ -232,8 +245,7 @@ def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
     last_iterate is as_iterate(x) and its residual_history holds the norm
     after every accepted step.
     """
-    r, rhs = residual(x)
-    rnorm = norm(r)
+    r, rnorm, rhs = residual(x)
     history = [*history[:-1], rnorm]
     solver = None
 
@@ -253,8 +265,7 @@ def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
         t = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             trial = x + t * step
-            rt, rhs_t = residual(trial)
-            rtnorm = norm(rt)
+            rt, rtnorm, rhs_t = residual(trial)
             if rtnorm <= (1.0 - 1e-4 * t) * rnorm:
                 break
             t *= 0.5
@@ -270,6 +281,5 @@ def damped_newton(x, residual, linearize, norm, tol, *, as_iterate,
             solver = linearize(x)
         return solver.solve(B[:, 0])[:, None]
 
-    full_steps(x[:, None], r[:, None], [rhs], [history], polish, residual,
-               norm, tol)
+    full_steps(x[:, None], r[:, None], [rhs], [history], polish, residual, tol)
     return x, history[-1], len(history) - 1

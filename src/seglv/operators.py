@@ -10,9 +10,10 @@ the same domain the summation-by-parts identity
 
 holds to round-off, and apply_laplacian is symmetric positive definite on
 nonzero interior data.  Poisson solves go through the same sparse LU as
-every other linear solve in the package (``newton.factorize``).  All
-reductions use numpy's fixed C-order summation, so repeated runs produce
-identical scalars.
+every other linear solve in the package (``newton.factorize``).  Norms
+and inner products sum by numpy's pairwise summation, the package's one
+reduction rule (``newton._l2``), never by a BLAS call, so their values do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .domain import GridDomain
 from .errors import DomainMismatchError
-from .newton import factorize
+from .newton import _l2, factorize
 
 NORM_KINDS = ("L2", "H1_seminorm", "H1", "Linf")
 
@@ -160,7 +161,7 @@ def norm(u: ScalarField, kind: str = "L2") -> float:
     """
     v = u.values
     if kind == "L2":
-        return float(u.domain.h * math.sqrt(np.sum(v * v)))
+        return u.domain.h * _l2(v)
     if kind == "H1_seminorm":
         dx = np.diff(v, axis=1)
         dy = np.diff(v, axis=0)

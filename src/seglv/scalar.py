@@ -38,7 +38,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .domain import GridDomain
 from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
-from .newton import NEWTON_TOL, factorize
+from .newton import NEWTON_TOL, _l2, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
 from .system import ModelKind, _System
@@ -90,17 +90,19 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     return ScalarSolveReport(u, iterations, rnorm, positive)
 
 
-def _top_eigenpair(c, A, lu):
+def _top_eigenpair(c, A):
     """Largest nu of diag(c) w = nu A w, its w, and the LU solves made.
 
-    Lanczos (ARPACK) in the A-inner product on `lu`, the LU of A, started
-    from the constant vector so that runs are reproducible.  Regions with
-    fewer than 3 nodes, which ARPACK cannot take, use a dense eigensolve.
+    Lanczos (ARPACK) in the A-inner product on an LU of A, started from
+    the constant vector so that runs are reproducible.  Regions with fewer
+    than 3 nodes, which ARPACK cannot take, use a dense eigensolve and
+    factor nothing.
     """
     n = A.shape[0]
     if n < 3:
         nus, ws = scipy.linalg.eigh(np.diag(c), A.toarray())
         return float(nus[-1]), ws[:, -1], 0
+    lu = factorize(A)
     solves = 0
 
     def solve(b):
@@ -126,14 +128,14 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
     """
     A, index = domain.laplacian(region)
     mask = index >= 0
-    nu, w, _ = _top_eigenpair(np.ones(A.shape[0]), A, factorize(A))
+    nu, w, _ = _top_eigenpair(np.ones(A.shape[0]), A)
     lam = 1.0 / nu
     # on disconnected regions a repeated eigenvalue can come back as a
     # sign-changing mix of per-component eigenfields, whose modulus is an
     # eigenfield too; elsewhere abs only fixes the sign and round-off dust
     v = np.abs(w)
-    v /= domain.h * float(np.linalg.norm(v))
-    resid = domain.h * float(np.linalg.norm(A @ v - lam * v))
+    v /= domain.h * _l2(v)
+    resid = domain.h * _l2(A @ v - lam * v)
     if not resid <= eig_tol * lam:
         raise EigenSolveError(
             f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
@@ -153,10 +155,10 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
     c = f_prime(sp_params, u0.values)[index >= 0]
     if not np.any(c):
         return NDReport(margin=1.0, rayleigh_iterations=0)
-    nu, w, solves = _top_eigenpair(c, A, factorize(A))
+    nu, w, solves = _top_eigenpair(c, A)
     Aw = A @ w
-    resid = float(np.linalg.norm(c * w - nu * Aw))
-    if not resid <= eig_tol * float(np.linalg.norm(Aw)):
+    resid = _l2(c * w - nu * Aw)
+    if not resid <= eig_tol * _l2(Aw):
         raise EigenSolveError(
             f"nd pencil residual {resid:.3e} exceeds {eig_tol:.1e} * ||A w||")
     return NDReport(margin=1.0 - nu, rayleigh_iterations=solves)
@@ -287,7 +289,7 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     if failure is None:
         A, _ = domain.laplacian()
         u = report.solution.values[domain.interior_mask]
-        if u @ (A @ u) < sp_params.lam * (u @ u):
+        if np.sum(u * (A @ u)) < sp_params.lam * np.sum(u * u):
             return report.solution
     if lam1 is None:
         lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)

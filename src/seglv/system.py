@@ -79,7 +79,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainMismatchError, NonlinearSolveError
-from .newton import (NEWTON_TOL, damped_newton, factorize, full_steps,
+from .newton import (NEWTON_TOL, _l2, damped_newton, factorize, full_steps,
                      right_gmres)
 from .operators import ScalarField, StateField
 from .reaction import f_truncated_eval, f_truncated_prime
@@ -185,16 +185,15 @@ class _System:
         return np.stack([self.A @ u for u in x.reshape(self.k, self.n)])
 
     def residual(self, x):
-        """Stacked residual A u_i - RHS_i at the stacked state x, and the
-        root-sum-square L2 norm of the right-hand sides RHS_i."""
+        """(r, its norm, the norm of the RHS): the stacked residual
+        r = A u_i - RHS_i at the stacked state x, and the root-sum-square
+        L2 norms h ||.|| of r and of the right-hand sides RHS_i, reduced by
+        ``newton._l2``."""
         P, s, _ = self._parts(x)
         coupling = self.kappa * P * (P.sum(axis=0) - P)
         Ax = self._laplacian(x).ravel()
         r = Ax - self._reaction(f_truncated_eval, s).ravel() + coupling.ravel()
-        return r, self.h * float(np.linalg.norm(Ax - r))
-
-    def res_norm(self, r):
-        return self.h * float(np.linalg.norm(r))
+        return r, self.h * _l2(r), self.h * _l2(Ax - r)
 
     def _coupling(self, x):
         """(k, k, n) diagonals of the Jacobian's coupling blocks at x."""
@@ -325,8 +324,8 @@ class _System:
         ``history``)."""
         try:
             x, rnorm, iterations = damped_newton(
-                self.stack(guess), self.residual, self.linearize,
-                self.res_norm, tol, as_iterate=self.unstack, history=history)
+                self.stack(guess), self.residual, self.linearize, tol,
+                as_iterate=self.unstack, history=history)
         finally:
             # released before the result is allocated
             self.release()
@@ -403,12 +402,12 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
                                   last_iterate=center) from exc
 
     R = np.empty_like(X)
-    rhs = [0.0] * m
+    rhs, histories = [0.0] * m, [None] * m
     for j in range(m):
-        R[:, j], rhs[j] = system.residual(X[:, j])
-    histories = [[system.res_norm(R[:, j])] for j in range(m)]
+        R[:, j], rnorm, rhs[j] = system.residual(X[:, j])
+        histories[j] = [rnorm]
     fallback, rounds = full_steps(X, R, rhs, histories, lu.solve,
-                                  system.residual, system.res_norm, tol)
+                                  system.residual, tol)
     for number, counts in enumerate(rounds, 1):
         log.debug("chord round %d: %d trials stepped, %d steps accepted, "
                   "%d fell back", number, *counts)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,34 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert main(["probe-uniqueness", str(cfg1)]) == 0
     assert main(["probe-uniqueness", str(cfg2)]) == 0
     assert_same_outputs(out1, out2)
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """`seglv continue` writes the same bytes at 1 and 2 BLAS threads.
+
+    The dumbbell2 example at h = 1/32, 3 steps, runs in two concurrent
+    subprocesses, one per OPENBLAS_NUM_THREADS.  A reduction left to BLAS
+    splits across threads and changes its last bits with their number.  On
+    a one-core host both runs reduce alike and the test shows nothing.
+    """
+    repo = Path(__file__).resolve().parents[1]
+    doc = json.loads((repo / "configs" / "dumbbell2.json").read_text())
+    doc["domain"]["h"] = 1 / 32
+    doc["schedule"]["steps"] = 3
+    doc["output"]["emit_images"] = False
+    cfg = tmp_path / "dumbbell2.json"
+    cfg.write_text(json.dumps(doc))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(repo / "src"))
+        out = tmp_path / f"threads{threads}"
+        runs.append((out, subprocess.Popen(
+            [sys.executable, "-m", "seglv.cli", "continue", str(cfg),
+             "--output", str(out)], env=env, stdout=subprocess.DEVNULL)))
+    for _, process in runs:
+        assert process.wait(timeout=300) == 0
+    assert_same_outputs(*(out for out, _ in runs))
 
 
 def test_cli_verbose_logs_to_stderr(tmp_path, capsys):

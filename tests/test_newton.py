@@ -26,11 +26,10 @@ def _run(x0, linearize, residuals=None):
     def residual(x):
         if residuals is not None:
             residuals.append(x.copy())
-        return x.copy(), 0.0
+        return x.copy(), float(np.linalg.norm(x)), 0.0
 
     return damped_newton(np.asarray(x0, dtype=float), residual, linearize,
-                         lambda r: float(np.linalg.norm(r)), 1e-10,
-                         as_iterate=lambda x: x)
+                         1e-10, as_iterate=lambda x: x)
 
 
 def test_ascent_direction_stalls(monkeypatch):
@@ -93,13 +92,13 @@ def _full_steps(x0s, solver):
     # iterate is a column (v, 0), so that a block of them is Fortran-order
     # only when it is stored by columns
     def residual(x):
-        return x.copy(), 0.0
+        return x.copy(), float(np.linalg.norm(x)), 0.0
 
     X = np.array([[v, 0.0] for v in x0s]).T
     histories = [[abs(v)] for v in x0s]
     short, rounds = newton.full_steps(
         X, X.copy(order="F"), [0.0] * len(x0s), histories, solver.solve,
-        residual, lambda r: float(np.linalg.norm(r)), 2.0 ** -10)
+        residual, 2.0 ** -10)
     return list(X[0]), short, rounds, histories
 
 

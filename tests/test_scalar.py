@@ -339,6 +339,14 @@ def test_nd_margin_dense_path_on_single_node(tiny3):
     assert nd_margin(zero, SpeciesParams(lam=6.0, p=2.0), None).margin == pytest.approx(-0.5)
 
 
+def test_single_node_eigensolves_factor_nothing(tiny3, monkeypatch):
+    # the dense path takes no LU, so none is made for it
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    principal_eigenvalue(None, tiny3)
+    nd_margin(ScalarField.zeros(tiny3), SpeciesParams(lam=2.0, p=2.0), None)
+    assert not factorizations
+
+
 def test_supersolution_on_disconnected_domain_decouples():
     h = 1 / 8
     balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((3.0, 0.0), 1.0, 1)]
