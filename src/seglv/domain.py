@@ -24,6 +24,12 @@ from scipy.sparse import csgraph
 
 from .errors import DomainError
 
+# largest bbox lattice build_domain rasterizes, checked before any array is
+# built, so that a tiny h fails at once instead of allocating the lattice;
+# chain3's lattice at h = 1/128, the finest grid of the refinement study,
+# has 349,569 nodes
+MAX_GRID_NODES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -66,7 +72,9 @@ class GridDomain:
     ``(x0 + ix*h, y0 + iy*h)``.  ``ball_label`` holds the index of the ball
     containing each node (-1 for none); nodes where a corridor overlaps a
     ball are labeled ball so that ball regions cover the disks completely.
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share; the
+    Laplacians and the per-ball results of ``scalar`` (``ball_class``) are
+    cached on the instance.
     """
 
     def __init__(self, h, origin, interior_mask, ball_label, corridor_flag,
@@ -95,6 +103,7 @@ class GridDomain:
         for arr in (self.interior_mask, self.ball_label, self.corridor_flag):
             arr.setflags(write=False)
         self._lap_cache: dict[bytes, tuple[sp.csr_matrix, np.ndarray]] = {}
+        self._ball_results: dict[tuple, tuple] = {}
 
     # -- coordinates -------------------------------------------------------
 
@@ -115,6 +124,23 @@ class GridDomain:
             if spec.species_index == species_index:
                 return self.ball_mask(b)
         raise DomainError(f"no ball hosts species {species_index}")
+
+    def ball_class(self, region):
+        """Translation-class key of `region`, or None unless it is exactly
+        one ball's whole mask: the region cropped to its bounding box, as
+        (shape, bytes).  Grid translates share the key, and with it the CSR
+        Laplacian and the C-order node numbering."""
+        if region is None:
+            return None
+        region = np.asarray(region, dtype=bool)
+        iy, ix = np.nonzero(region)
+        if region.shape != self.ball_label.shape or iy.size == 0:
+            return None
+        b = self.ball_label[iy[0], ix[0]]
+        if b < 0 or not np.array_equal(region, self.ball_label == b):
+            return None
+        crop = region[iy[0]:iy[-1] + 1, ix.min():ix.max() + 1]
+        return crop.shape, crop.tobytes()
 
     def connected_components(self):
         """Number of 4-connected components of the interior mask, counted
@@ -220,6 +246,9 @@ def _validate_geometry(balls, corridors, bbox, h):
     ny = int(math.floor((y1 - y0) / h + 1e-12)) + 1
     if nx < 3 or ny < 3:
         raise DomainError("bbox holds fewer than 3 nodes per direction")
+    if nx * ny > MAX_GRID_NODES:
+        raise DomainError(f"bbox lattice of {nx} x {ny} nodes exceeds "
+                          f"{MAX_GRID_NODES} nodes")
     # strict containment against the node lattice hull, so the border ring
     # of nodes can never rasterize as interior
     xmax = x0 + (nx - 1) * h

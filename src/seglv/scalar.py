@@ -24,6 +24,19 @@ c = f'(u0) gives the nondegeneracy margin of a state u0,
 
 the infimum of the Rayleigh quotient (|grad w|^2 - f'(u0) w^2) / |grad w|^2
 over the region.
+
+Congruent balls solve once.  ``principal_eigenvalue``, ``solve_ball`` and
+``nd_margin`` on a region that is exactly one ball's mask store their
+result on the domain, keyed by the ball's translation class (its mask
+cropped to its bounding box), the function, the species, the tolerance
+and the bytes of the input field on the region; a grid translate of that
+ball calling with equal inputs gets the stored region vectors back as
+fresh fields at its own nodes, with one DEBUG line.  This is exact: a
+translate has the same CSR Laplacian and the same C-order node
+numbering, so every operation of the solve sees the same numbers in the
+same order.  A raise is never stored.  The global profile is not shared:
+its region, the whole interior of a domain of several balls, is no
+ball, and its 2h subgrid carries no ball labels.
 """
 
 from __future__ import annotations
@@ -63,6 +76,35 @@ class NDReport:
     rayleigh_iterations: int
 
 
+def _per_ball(stage, domain, region, inputs, compute):
+    """compute(), done once per translation class of a ball.
+
+    A region that is exactly one ball's mask (``GridDomain.ball_class``)
+    shares the result with every grid translate of that ball on `domain`
+    that calls `stage` with equal `inputs`; any other region computes.
+    compute() returns a tuple of numbers and ScalarFields, and the fields
+    of `inputs` and of the result are held as their values on the region:
+    the bytes of the former key the result, the latter are stored and
+    rebuilt at `region` on reuse.  A raise stores nothing.
+    """
+    ball = domain.ball_class(region)
+    if ball is None:
+        return compute()
+    mask = np.asarray(region, dtype=bool)
+    key = (ball, stage) + tuple(x.values[mask].tobytes() if isinstance(x, ScalarField)
+                                else x for x in inputs)
+    stored = domain._ball_results.get(key)
+    if stored is not None:
+        log.debug("%s: reusing a congruent ball's result on %d nodes", stage,
+                  np.count_nonzero(mask))
+        return tuple(ScalarField(domain, domain.insert(x, mask))
+                     if isinstance(x, np.ndarray) else x for x in stored)
+    result = compute()
+    domain._ball_results[key] = tuple(x.values[mask] if isinstance(x, ScalarField)
+                                      else x for x in result)
+    return result
+
+
 def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
                guess: ScalarField, *, newton_tol=NEWTON_TOL) -> ScalarSolveReport:
     """Damped Newton for -Lap u = f(u) on `region` with zero exterior data.
@@ -77,17 +119,20 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     trivial branch up to solver resolution; it is snapped to exactly zero
     and flagged non-positive.
     """
-    system = _System(domain, [sp_params],
-                     ModelKind.barrier(StateField.zeros(domain, 1)), 0.0, region)
-    try:
-        (u,), rnorm, iterations = system.newton(StateField([guess]), newton_tol)
-    except NonlinearSolveError as exc:
-        exc.last_iterate = exc.last_iterate[0]
-        raise
-    if norm(u, "Linf") <= 1e3 * newton_tol:
-        u, rnorm = ScalarField.zeros(domain), 0.0  # f(0) = 0
-    positive = bool(np.min(u.values[system.mask]) > 0.0)
-    return ScalarSolveReport(u, iterations, rnorm, positive)
+    def compute():
+        system = _System(domain, [sp_params],
+                         ModelKind.barrier(StateField.zeros(domain, 1)), 0.0, region)
+        try:
+            (u,), rnorm, iterations = system.newton(StateField([guess]), newton_tol)
+        except NonlinearSolveError as exc:
+            exc.last_iterate = exc.last_iterate[0]
+            raise
+        if norm(u, "Linf") <= 1e3 * newton_tol:
+            u, rnorm = ScalarField.zeros(domain), 0.0  # f(0) = 0
+        return u, iterations, rnorm, bool(np.min(u.values[system.mask]) > 0.0)
+
+    return ScalarSolveReport(*_per_ball("solve_ball", domain, region,
+                                        (sp_params, newton_tol, guess), compute))
 
 
 def _top_eigenpair(c, A):
@@ -126,20 +171,22 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
     with c = 1); the eigenfield comes back L2-normalized and nonnegative.
     Raises EigenSolveError unless ||A e - lam e||_L2 <= eig_tol * lam.
     """
-    A, index = domain.laplacian(region)
-    mask = index >= 0
-    nu, w, _ = _top_eigenpair(np.ones(A.shape[0]), A)
-    lam = 1.0 / nu
-    # on disconnected regions a repeated eigenvalue can come back as a
-    # sign-changing mix of per-component eigenfields, whose modulus is an
-    # eigenfield too; elsewhere abs only fixes the sign and round-off dust
-    v = np.abs(w)
-    v /= domain.h * _l2(v)
-    resid = domain.h * _l2(A @ v - lam * v)
-    if not resid <= eig_tol * lam:
-        raise EigenSolveError(
-            f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
-    return lam, ScalarField(domain, domain.insert(v, mask))
+    def compute():
+        A, index = domain.laplacian(region)
+        nu, w, _ = _top_eigenpair(np.ones(A.shape[0]), A)
+        lam = 1.0 / nu
+        # on disconnected regions a repeated eigenvalue can come back as a
+        # sign-changing mix of per-component eigenfields, whose modulus is an
+        # eigenfield too; elsewhere abs only fixes the sign and round-off dust
+        v = np.abs(w)
+        v /= domain.h * _l2(v)
+        resid = domain.h * _l2(A @ v - lam * v)
+        if not resid <= eig_tol * lam:
+            raise EigenSolveError(
+                f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
+        return lam, ScalarField(domain, domain.insert(v, index >= 0))
+
+    return _per_ball("principal_eigenvalue", domain, region, (eig_tol,), compute)
 
 
 def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
@@ -151,17 +198,21 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
     the dense path and for f'(u0) = 0, whose margin is 1).  Raises
     EigenSolveError unless ||f'(u0) w - nu A w|| <= eig_tol * ||A w||.
     """
-    A, index = u0.domain.laplacian(region)
-    c = f_prime(sp_params, u0.values)[index >= 0]
-    if not np.any(c):
-        return NDReport(margin=1.0, rayleigh_iterations=0)
-    nu, w, solves = _top_eigenpair(c, A)
-    Aw = A @ w
-    resid = _l2(c * w - nu * Aw)
-    if not resid <= eig_tol * _l2(Aw):
-        raise EigenSolveError(
-            f"nd pencil residual {resid:.3e} exceeds {eig_tol:.1e} * ||A w||")
-    return NDReport(margin=1.0 - nu, rayleigh_iterations=solves)
+    def compute():
+        A, index = u0.domain.laplacian(region)
+        c = f_prime(sp_params, u0.values)[index >= 0]
+        if not np.any(c):
+            return 1.0, 0
+        nu, w, solves = _top_eigenpair(c, A)
+        Aw = A @ w
+        resid = _l2(c * w - nu * Aw)
+        if not resid <= eig_tol * _l2(Aw):
+            raise EigenSolveError(
+                f"nd pencil residual {resid:.3e} exceeds {eig_tol:.1e} * ||A w||")
+        return 1.0 - nu, solves
+
+    return NDReport(*_per_ball("nd_margin", u0.domain, region,
+                               (sp_params, eig_tol, u0), compute))
 
 
 def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=EIG_TOL):

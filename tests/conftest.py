@@ -26,12 +26,17 @@ def ball16():
                            (-1 - m, -1 - m, 1 + m, 1 + m), h)
 
 
+def dumbbell2_domain(radii=(1.0, 1.0)):
+    """Two balls of the given radii at x = 0 and 4, joined by a width-0.3
+    corridor, at h = 1/16."""
+    balls = [sg.BallSpec((4.0 * i, 0.0), r, i) for i, r in enumerate(radii)]
+    corridors = [sg.CorridorSpec(0, 1, 0.3)]
+    return sg.build_domain(balls, corridors, (-1.25, -1.25, 5.25, 1.25), 1 / 16)
+
+
 @pytest.fixture(scope="session")
 def dumbbell2():
-    h = 1 / 16
-    balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((4.0, 0.0), 1.0, 1)]
-    corridors = [sg.CorridorSpec(0, 1, 0.3)]
-    return sg.build_domain(balls, corridors, (-1.25, -1.25, 5.25, 1.25), h)
+    return dumbbell2_domain()
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +64,15 @@ def dumbbell2_trace(dumbbell2_setup):
     trace = sg.continuation_run(setup["domain"], setup["species"], model, schedule)
     assert trace.failure is None
     return trace
+
+
+def rebuilt(domain):
+    """A new GridDomain on the grid and regions of `domain`, with empty
+    caches, so that a ball solve on it takes no stored result of a
+    congruent ball."""
+    return sg.GridDomain(domain.h, domain.origin, domain.interior_mask,
+                         domain.ball_label, domain.corridor_flag,
+                         domain.balls, domain.corridors)
 
 
 def random_field(domain, rng, scale=1.0):

@@ -86,6 +86,8 @@ def test_corridor_endpoint_validation():
      "bbox must have positive extent"),
     (lambda: build_domain(THREE_BALLS[:1], [], BBOX, 0.0), "spacing must be positive"),
     (lambda: build_domain([], [], (0.0, 0.0, 0.1, 1.0), H), "fewer than 3 nodes"),
+    # 8.5e6 x 3e6 nodes: refused before any array is built
+    (lambda: build_domain(THREE_BALLS, [], BBOX, 1e-6), "exceeds 4194304 nodes"),
     # disjoint disks whose nodes 0.925 and 1.05 are grid neighbours
     (lambda: build_domain([BallSpec((0.0, 0.0), 1.0, 0), BallSpec((2.02, 0.0), 1.0, 1)],
                           [], (-1.45, -1.5, 3.6, 1.5), H), "grid-adjacent"),
@@ -96,7 +98,7 @@ def test_corridor_endpoint_validation():
                            -np.ones((3, 3)), np.zeros((4, 4), dtype=bool)),
      "label arrays must match"),
 ], ids=["radius", "species_index", "corridor_width", "bbox", "spacing", "tiny_bbox",
-        "adjacent_balls", "unhosted_species", "mask_dims", "label_shape"])
+        "unbounded_grid", "adjacent_balls", "unhosted_species", "mask_dims", "label_shape"])
 def test_invalid_geometry_rejected(build, message):
     with pytest.raises(DomainError, match=message):
         build()
@@ -167,6 +169,22 @@ def test_species_ball_mask_respects_permutation():
     dom = build_domain(balls, [], (-1.5, -1.5, 4.5, 1.5), H)
     m0 = dom.species_ball_mask(0)
     assert np.array_equal(m0, dom.ball_mask(1))
+
+
+def test_ball_class_keys_whole_balls_by_shape():
+    # unit disks at x = 0, 3, 6 are grid translates at h = 1/8; a disk of
+    # radius 0.9 rasterizes to another shape
+    balls = THREE_BALLS[:2] + [BallSpec((6.0, 0.0), 0.9, 2)]
+    dom = build_domain(balls, [CorridorSpec(0, 1, 0.5)], BBOX, H)
+    keys = [dom.ball_class(dom.ball_mask(b)) for b in range(3)]
+    assert keys[0] is not None and keys[0] == keys[1] != keys[2]
+    shape, _ = keys[0]
+    assert shape == (15, 15)
+    part = dom.ball_mask(0).copy()
+    part[np.nonzero(part)[0][0], np.nonzero(part)[1][0]] = False
+    both = dom.ball_mask(0) | dom.ball_mask(1)
+    for region in (None, dom.interior_mask, part, both, np.zeros_like(part)):
+        assert dom.ball_class(region) is None
 
 
 def test_mask_may_not_touch_border():

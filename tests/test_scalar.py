@@ -14,7 +14,7 @@ from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
 from seglv import newton
 from seglv import scalar as scalar_module
 from seglv import system as system_module
-from conftest import count_calls, singular_after
+from conftest import count_calls, dumbbell2_domain, rebuilt, singular_after
 
 
 def test_single_node_eigenvalue(tiny3):
@@ -115,6 +115,7 @@ def test_ball_solve_positive_branch(ball16):
 
 
 def test_ball_solve_budget_failure_carries_history(ball16, monkeypatch):
+    ball16 = rebuilt(ball16)
     region = ball16.species_ball_mask(0)
     guess, lam1 = positive_branch_guess(ball16, region)
     sp = SpeciesParams(lam=2 * lam1, p=2.0)
@@ -169,7 +170,8 @@ def test_ball_solve_meets_scalar_residual_target(dumbbell2, dumbbell2_ball):
 
 
 def rel_h1(u, ref):
-    return norm(u - ref, "H1") / norm(ref, "H1")
+    """Relative H1 distance of u to ref, read on ref's domain."""
+    return norm(ScalarField(ref.domain, u.values) - ref, "H1") / norm(ref, "H1")
 
 
 def test_ball_solve_forced_refactor_matches_held_lu(dumbbell2, dumbbell2_ball,
@@ -177,10 +179,11 @@ def test_ball_solve_forced_refactor_matches_held_lu(dumbbell2, dumbbell2_ball,
     region, guess, sp = dumbbell2_ball
     held = solve_ball(sp, region, dumbbell2, guess)
     monkeypatch.setattr(system_module, "KRYLOV_REFACTOR", 0)
+    domain = rebuilt(dumbbell2)
     linearizations = count_calls(monkeypatch, system_module._System,
                                  "linearize")
     factorizations = count_calls(monkeypatch, newton, "splu")
-    refactored = solve_ball(sp, region, dumbbell2, guess)
+    refactored = solve_ball(sp, region, domain, ScalarField(domain, guess.values))
     assert len(linearizations) >= 2
     assert len(factorizations) == len(linearizations)
     assert rel_h1(refactored.solution, held.solution) <= 1e-12
@@ -207,24 +210,27 @@ def test_ball_solve_gmres_miss_steps_on_assembled_lu(dumbbell2, dumbbell2_ball,
         return right_gmres(apply, b, precondition)
 
     monkeypatch.setattr(system_module, "right_gmres", missing_gmres)
+    domain = rebuilt(dumbbell2)
+    guess = ScalarField(domain, guess.values)
     if not converges:
         orders = singular_after(monkeypatch, 1)
         with pytest.raises(NonlinearSolveError,
                            match="singular linearization: Factor is exactly "
                            "singular") as err:
-            solve_ball(sp, region, dumbbell2, guess)
+            solve_ball(sp, region, domain, guess)
         assert calls == 1
         assert orders == [np.count_nonzero(region)] * 2
         assert err.value.residual_history
         assert err.value.last_iterate is not None
         return
     factorizations = count_calls(monkeypatch, newton, "splu")
-    report = solve_ball(sp, region, dumbbell2, guess)
+    report = solve_ball(sp, region, domain, guess)
     assert len(factorizations) == 2
     assert rel_h1(report.solution, direct.solution) <= 1e-12
 
 
 def test_chain3_baseline_holds_its_lu(chain3_domain, monkeypatch):
+    chain3_domain = rebuilt(chain3_domain)
     region = chain3_domain.species_ball_mask(1)
     guess, _ = positive_branch_guess(chain3_domain, region)
     linearizations = count_calls(monkeypatch, system_module._System,
@@ -239,6 +245,8 @@ def test_chain3_baseline_holds_its_lu(chain3_domain, monkeypatch):
 
 def test_ball_solve_releases_held_lu(dumbbell2, dumbbell2_ball, monkeypatch):
     region, guess, sp = dumbbell2_ball
+    domain = rebuilt(dumbbell2)
+    guess = ScalarField(domain, guess.values)
     helds, factors_at_insert = [], []
     init = system_module._System.__init__
 
@@ -255,10 +263,86 @@ def test_ball_solve_releases_held_lu(dumbbell2, dumbbell2_ball, monkeypatch):
     monkeypatch.setattr(system_module._System, "__init__", recording_init)
     monkeypatch.setattr(sg.GridDomain, "insert", recording_insert)
     factorizations = count_calls(monkeypatch, newton, "splu")
-    solve_ball(sp, region, dumbbell2, guess)
+    solve_ball(sp, region, domain, guess)
     assert len(helds) == 1 and factorizations
     # the result field is built after the LU is released
     assert factors_at_insert == [[None]]
+
+
+def _ball_stages(domain, ball, sp):
+    """The runner's per-ball stages on ball `ball`: guess and lambda_1,
+    baseline report, ND report."""
+    region = domain.species_ball_mask(ball)
+    guess, lam1 = positive_branch_guess(domain, region)
+    report = solve_ball(sp, region, domain, guess)
+    return guess, lam1, report, nd_margin(report.solution, sp, region)
+
+
+def test_congruent_ball_reuses_the_first_balls_results(monkeypatch, caplog):
+    # the dumbbell's balls are grid translates: the second takes every stage
+    # from the first, bit for bit what a domain solving it alone gives
+    sp = SpeciesParams(lam=12.0, p=2.0)
+    shared, alone = dumbbell2_domain(), dumbbell2_domain()
+    _ball_stages(shared, 0, sp)
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        guess, lam1, report, nd = _ball_stages(shared, 1, sp)
+    assert factorizations == []
+    nodes = np.count_nonzero(shared.ball_mask(1))
+    assert [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"] == [
+        f"{stage}: reusing a congruent ball's result on {nodes} nodes"
+        for stage in ("principal_eigenvalue", "solve_ball", "nd_margin")]
+    own_guess, own_lam1, own_report, own_nd = _ball_stages(alone, 1, sp)
+    assert factorizations
+    np.testing.assert_array_equal(guess.values, own_guess.values)
+    np.testing.assert_array_equal(report.solution.values, own_report.solution.values)
+    assert report.solution.domain is shared
+    assert (lam1, report.newton_iterations, report.final_residual, report.positive,
+            nd.margin, nd.rayleigh_iterations) == (
+        own_lam1, own_report.newton_iterations, own_report.final_residual,
+        own_report.positive, own_nd.margin, own_nd.rayleigh_iterations)
+
+
+def test_balls_of_different_radii_share_nothing(monkeypatch):
+    domain = dumbbell2_domain(radii=(1.0, 0.9))
+    sp = SpeciesParams(lam=12.0, p=2.0)
+    orders, splu = [], newton.splu
+
+    def recording_splu(J, *args, **kwargs):
+        orders.append(J.shape[0])
+        return splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", recording_splu)
+    for ball in range(2):
+        made = len(orders)
+        _ball_stages(domain, ball, sp)
+        # an LU each for lambda_1 and the ND margin, one or more for the solve
+        assert len(orders) - made >= 3
+        assert set(orders[made:]) == {np.count_nonzero(domain.ball_mask(ball))}
+
+
+def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
+    domain = rebuilt(ball16)
+    region = domain.species_ball_mask(0)
+    sp = SpeciesParams(lam=12.0, p=2.0)
+    u0 = solve_ball(sp, region, domain, positive_branch_guess(domain, region)[0])
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    for _ in range(2):
+        with pytest.raises(EigenSolveError, match="residual"):
+            nd_margin(u0.solution, sp, region, eig_tol=1e-18)
+    assert len(factorizations) == 2
+
+
+def test_phi_is_not_shared(monkeypatch):
+    # the interior of two balls is no ball: each call solves both levels
+    domain = dumbbell2_domain()
+    sp = SpeciesParams(lam=12.0, p=2.0)
+    factorizations = count_calls(monkeypatch, newton, "splu")
+    first = supersolution_phi(sp, domain)
+    assert len(factorizations) == 2
+    second = supersolution_phi(sp, domain)
+    assert len(factorizations) == 4
+    np.testing.assert_array_equal(first.values, second.values)
 
 
 def test_isolation_predicate(ball16):
@@ -326,8 +410,9 @@ def test_nd_margin_failures_raise(ball16, monkeypatch):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr("seglv.scalar.eigsh", no_convergence)
+    domain = rebuilt(ball16)
     with pytest.raises(EigenSolveError, match="lanczos"):
-        nd_margin(u0, sp, region)
+        nd_margin(ScalarField(domain, u0.values), sp, region)
 
 
 def test_nd_margin_dense_path_on_single_node(tiny3):
@@ -422,6 +507,8 @@ def test_uncertified_positive_phi_above_threshold_returned(chain3_domain,
 
 def test_phi_newton_failure_above_threshold_raises_solve_error(ball16,
                                                                monkeypatch):
+    # the interior of a one-ball domain is that ball's region
+    ball16 = rebuilt(ball16)
     lam1, _ = principal_eigenvalue(None, ball16)
     eigen_solves = count_calls(monkeypatch, scalar_module, "principal_eigenvalue")
     monkeypatch.setattr(newton, "MAX_NEWTON", 1)
