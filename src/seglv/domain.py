@@ -73,8 +73,8 @@ class GridDomain:
     containing each node (-1 for none); nodes where a corridor overlaps a
     ball are labeled ball so that ball regions cover the disks completely.
     Instances are immutable after construction and safe to share; the
-    Laplacians and the per-ball results of ``scalar`` (``ball_class``) are
-    cached on the instance.
+    Laplacians, their folds along mirrors (``fold``) and the per-ball
+    results of ``scalar`` (``ball_class``) are cached on the instance.
     """
 
     def __init__(self, h, origin, interior_mask, ball_label, corridor_flag,
@@ -103,6 +103,7 @@ class GridDomain:
         for arr in (self.interior_mask, self.ball_label, self.corridor_flag):
             arr.setflags(write=False)
         self._lap_cache: dict[bytes, tuple[sp.csr_matrix, np.ndarray]] = {}
+        self._fold_cache: dict[tuple, tuple] = {}
         self._ball_results: dict[tuple, tuple] = {}
 
     # -- coordinates -------------------------------------------------------
@@ -209,6 +210,70 @@ class GridDomain:
         index_map.setflags(write=False)
         self._lap_cache[key] = (A, index_map)
         return A, index_map
+
+    # -- mirror symmetry ---------------------------------------------------
+
+    def mirrors(self, region=None):
+        """The lattice mirrors of `region` (default: the interior).
+
+        A mirror is a horizontal or vertical line, on a node row or column
+        or midway between two, that maps the mask onto itself.  It is keyed
+        (axis, c): it sends index i along array axis `axis` (0 for a line
+        y = const, 1 for x = const) to c - i, so the line runs on a node
+        line for even c and midway between two for odd c.  Returns a dict
+        from each mirror's key to its image array: entry m is the row, in
+        the C-order numbering of ``laplacian(region)``, of the mirror image
+        of node m.
+        """
+        _, index_map = self.laplacian(region)
+        iy, ix = np.nonzero(index_map >= 0)
+        found = {}
+        for axis, i in ((0, iy), (1, ix)):
+            c = int(i.min() + i.max())  # the only line the extent allows
+            image = [iy, ix]
+            image[axis] = c - i
+            rows = index_map[image[0], image[1]]
+            if (rows >= 0).all():
+                found[(axis, c)] = rows
+        return found
+
+    def fold(self, region, mirrors):
+        """The Laplacian of `region` on one node per orbit of `mirrors`.
+
+        `mirrors` holds keys of ``mirrors(region)``.  Each orbit is
+        represented by its first node in C order, the one with index
+        i <= c - i along every mirror.  With P the (n, q) map that copies a
+        representative's value to its whole orbit and R the (q, n)
+        selection of the representatives' rows, returns (nodes, A_f, orbit,
+        w): the (ny, nx) mask of the q representatives, A_f = R A P in CSR
+        over them in C order, the row in A_f of each region node's
+        representative (so P v = v[orbit]) and the orbit sizes (1, 2 or 4).
+        A vector invariant under the mirrors is P v, and A P v = P A_f v.
+        A_f is not symmetric: a representative on a mirror couples twice to
+        its neighbour off the line, which couples once back.  Results are
+        cached.
+        """
+        A, index_map = self.laplacian(region)
+        mask = index_map >= 0
+        key = (mask.tobytes(), tuple(sorted(mirrors)))
+        hit = self._fold_cache.get(key)
+        if hit is not None:
+            return hit
+        rep = list(np.nonzero(mask))
+        for axis, c in mirrors:
+            rep[axis] = np.minimum(rep[axis], c - rep[axis])
+        nodes = np.zeros_like(mask)
+        nodes[rep[0], rep[1]] = True
+        numbering = np.cumsum(nodes).reshape(nodes.shape) - 1
+        orbit = numbering[rep[0], rep[1]]
+        n, q = orbit.size, int(nodes.sum())
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), orbit)), shape=(n, q))
+        A_f = (A[index_map[nodes]] @ P).tocsr()
+        w = np.bincount(orbit, minlength=q)
+        for arr in (nodes, orbit, w):
+            arr.setflags(write=False)
+        self._fold_cache[key] = (nodes, A_f, orbit, w)
+        return nodes, A_f, orbit, w
 
     @classmethod
     def from_mask(cls, mask, h, origin=(0.0, 0.0)):

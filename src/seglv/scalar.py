@@ -4,7 +4,10 @@ nondegeneracy margin of baseline states.
 The scalar problem  -Lap u = f(u)  on a node subset R (a single ball, or
 the whole connected domain for the global profile) is the competition
 system of ``system`` with one species and a zero baseline, whose coupling
-vanishes, and is solved by that system's damped Newton solve.  On a ball
+vanishes, and is solved by that system's damped Newton solve, folded
+along the mirrors of R that leave the guess invariant (``system``): a
+ball of chain3 and its global profile solve on a quarter of their nodes,
+and the result is exactly mirror-invariant.  On a ball
 the positive branch is reliably selected by seeding with half the
 principal Dirichlet eigenfield.  The global profile is solved on two
 grids (``supersolution_phi``): from the supersolution u = 1 on the 2h

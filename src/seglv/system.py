@@ -58,6 +58,34 @@ switch one line, at DEBUG level.  The solve releases its LUs when it
 ends, before it allocates the result: a result allocated above live LUs
 leaves their freed memory unreturnable.
 
+A Newton solve whose problem is invariant under lattice mirrors runs on
+the folded lattice (``_System.newton``; Bossavit, Comput. Methods Appl.
+Mech. Engrg. 56, 1986).  A region's mirrors are the horizontal and
+vertical lines, on a node line or midway between two, that map its mask
+onto itself (``GridDomain.mirrors``).  The solve folds along each of them
+under which the guess, the baselines and the caps all match their mirror
+images to ``MIRROR_RTOL``: it keeps one representative node per orbit,
+solves with A_f = R A P in place of A, P copying a representative to its
+orbit and R taking the representatives' rows (``GridDomain.fold``), and
+copies the solution back to every node of its orbit.  This is exact.  The
+reaction and the coupling act node by node, so at x = P x_f the residual
+is P r_f(x_f), and the Newton step of an invariant problem is invariant,
+P s_f with J_f s_f = -r_f.  The residual's norms weigh each representative
+by its orbit size, so every tolerance, Armijo and halving test sees the
+full lattice's norm (GMRES takes its relative tolerance on the folded
+vectors), and the returned fields are exactly invariant.  A_f is not
+symmetric, since a representative on a mirror couples twice to its
+neighbour off it, so the block LUs factor A_f + diag(D[i, i]) as it is.
+The chain3 ramp folds along y = 0, onto half the nodes; a ball solve and
+the global profile fold along both axes, onto a quarter.  Nothing else
+folds: a start that fails the test (a probe trial that falls back to
+damped Newton), a mirror that swaps species (chain3's x = 3 sends species
+0 to 2, so its baselines fail the test), ``solve_near``'s center LU and
+chord rounds, the eigen-solves of ``scalar`` and the public
+``residual``.  Each Newton solve logs
+one DEBUG line: the mirrors it folds along and "q of n nodes", or "not
+folded" with the largest relative asymmetry found.
+
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
 once at a converged center and hands every start to the kernel's
@@ -72,7 +100,9 @@ without them the center LU of the chain3 probe has a third less fill.
 
 from __future__ import annotations
 
+import copy
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +121,15 @@ MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
 # a linearization keeps the held block LUs while the last GMRES solve on
 # them took at most KRYLOV_REFACTOR iterations
 KRYLOV_REFACTOR = 10
+
+# a Newton solve folds along a mirror of its region when the guess, the
+# baselines and the caps each match their mirror image to this relative
+# max-norm asymmetry (9.1e-13): far above the round-off of fields computed
+# on the full lattice (the ARPACK eigenfield that seeds chain3's ball
+# solves is asymmetric by 21 eps at h = 1/32 and 86 eps at h = 1/128, its
+# ramp states by about 5 eps) and far below any perturbation a caller
+# makes (chain3's probe starts, of H1 size 0.02 as in A6, by 2e-3 to 3e-3)
+MIRROR_RTOL = 4096 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -139,8 +178,9 @@ class _System:
 
     The stacked vector x holds the k species one after another on the n
     nodes of `region` (default: the whole interior), with zero Dirichlet
-    data outside it; its (k, n) reshape is the per-species view every
-    formula works on.
+    data outside it, or on a folded system (``_fold``) on the region's n
+    representatives of mirror orbits; its (k, n) reshape is the
+    per-species view every formula works on.
     """
 
     def __init__(self, domain, species, model: ModelKind, kappa, region=None):
@@ -165,6 +205,10 @@ class _System:
             raise DomainMismatchError("truncation caps live on a different domain")
         self.caps = ([np.inf] * k if model.caps is None
                      else [u.values[mask] for u in model.caps])
+        # the nodes of the unknowns: the region's, or on a folded system
+        # (``_fold``) its representatives
+        self.nodes = mask
+        self._orbit = self._weight = None
         self.release()
 
     def _reaction(self, fn, s):
@@ -193,7 +237,14 @@ class _System:
         coupling = self.kappa * P * (P.sum(axis=0) - P)
         Ax = self._laplacian(x).ravel()
         r = Ax - self._reaction(f_truncated_eval, s).ravel() + coupling.ravel()
-        return r, self.h * _l2(r), self.h * _l2(Ax - r)
+        return r, self._norm(r), self._norm(Ax - r)
+
+    def _norm(self, r):
+        """h times the L2 norm of the stacked r over the whole region: a
+        folded system weighs each representative by its orbit size."""
+        if self._weight is None:
+            return self.h * _l2(r)
+        return self.h * math.sqrt(float(np.sum(self._weight * (r * r))))
 
     def _coupling(self, x):
         """(k, k, n) diagonals of the Jacobian's coupling blocks at x."""
@@ -261,8 +312,7 @@ class _System:
                   self._iterations)
         if not held:
             self._blocks = None  # released before the new ones are made
-            # a symmetric block's transpose is its CSC form, without a copy
-            self._blocks = [factorize((self.A + sp.diags(self._D[i, i])).T)
+            self._blocks = [factorize(self.A + sp.diags(self._D[i, i]))
                             for i in range(self.k)]
             self._iterations = 0
         return self
@@ -306,30 +356,88 @@ class _System:
         return factorize(self.jacobian(self._x)).solve(b)
 
     def stack(self, U: StateField):
-        """Stacked interior vector of the state U; raises ValueError unless
-        U has one component per species."""
+        """Stacked vector of the state U on the system's nodes; raises
+        ValueError unless U has one component per species."""
         if U.k != self.k:
             raise ValueError("species list and state size disagree")
-        return np.concatenate([u.values[self.mask] for u in U])
+        return np.concatenate([u.values[self.nodes] for u in U])
 
     def unstack(self, x) -> StateField:
-        return StateField([ScalarField(self.domain, self.domain.insert(v, self.mask))
-                           for v in x.reshape(self.k, self.n)])
+        """The state of the stacked x, zero outside the region; a folded
+        system copies each representative's value to its whole orbit."""
+        v = x.reshape(self.k, self.n)
+        if self._orbit is not None:
+            v = v[:, self._orbit]
+        return StateField([ScalarField(self.domain, self.domain.insert(u, self.mask))
+                           for u in v])
+
+    def _fold(self, mirrors):
+        """A copy of this system on one representative node per orbit of
+        `mirrors` (``GridDomain.fold``): its operator is A_f, its
+        unknowns, baselines and caps live on the representatives, its
+        residual norms weigh each representative by its orbit size, and
+        its ``unstack`` fills every orbit."""
+        nodes, A, orbit, w = self.domain.fold(self.mask, mirrors)
+        keep = nodes[self.mask]
+        folded = copy.copy(self)
+        folded.A, folded.n, folded.nodes, folded._orbit = A, A.shape[0], nodes, orbit
+        folded._weight = np.tile(w, self.k)
+        folded.u0 = self.u0[:, keep]
+        folded.caps = [c if np.isscalar(c) else c[keep] for c in self.caps]
+        return folded
+
+    def _line(self, mirror):
+        """The mirror line (axis, c) as an equation, e.g. 'y = 0'."""
+        axis, c = mirror
+        return f"{'yx'[axis]} = {self.domain.origin[1 - axis] + 0.5 * c * self.h:g}"
+
+    def _folded_for(self, x):
+        """This system folded along every mirror of its region under which
+        the stacked x, the baselines and the caps are invariant to
+        ``MIRROR_RTOL``, or the system itself when there is none.  Logs
+        the decision at DEBUG level."""
+        mirrors = self.domain.mirrors(self.mask)
+        if not mirrors:
+            log.debug("kappa %g: not folded; the region has no lattice mirror",
+                      self.kappa)
+            return self
+        fields = np.vstack([x.reshape(self.k, self.n), self.u0,
+                            *(c for c in self.caps if not np.isscalar(c))])
+        peak = np.max(np.abs(fields), axis=1)
+        scale = np.where(peak > 0.0, peak, 1.0)
+        asymmetry = {m: float(np.max(np.max(np.abs(fields - fields[:, image]),
+                                            axis=1) / scale))
+                     for m, image in mirrors.items()}
+        invariant = [m for m, a in asymmetry.items() if a <= MIRROR_RTOL]
+        if not invariant:
+            log.debug("kappa %g: not folded; largest relative asymmetry %.3g "
+                      "under %s", self.kappa, max(asymmetry.values()),
+                      ", ".join(map(self._line, mirrors)))
+            return self
+        folded = self._fold(invariant)
+        log.debug("kappa %g: folded along %s: %d of %d nodes%s", self.kappa,
+                  ", ".join(map(self._line, invariant)), folded.n, self.n,
+                  "".join(f"; not along {self._line(m)}, relative asymmetry "
+                          f"{a:.3g}" for m, a in asymmetry.items()
+                          if m not in invariant))
+        return folded
 
     def newton(self, guess: StateField, tol, *,
                history=()) -> tuple[StateField, float, int]:
         """Damped Newton from `guess`; see ``solve_system``.  Returns the
         state, its residual norm and the iterations.  `history` holds the
         residual norms of the steps that reached `guess` (the kernel's
-        ``history``)."""
+        ``history``).  Runs on this system folded along the mirrors that
+        leave the problem invariant (``_folded_for``)."""
+        system = self._folded_for(self.stack(guess))
         try:
             x, rnorm, iterations = damped_newton(
-                self.stack(guess), self.residual, self.linearize, tol,
-                as_iterate=self.unstack, history=history)
+                system.stack(guess), system.residual, system.linearize, tol,
+                as_iterate=system.unstack, history=history)
         finally:
             # released before the result is allocated
-            self.release()
-        return self.unstack(x), rnorm, iterations
+            system.release()
+        return system.unstack(x), rnorm, iterations
 
 
 def residual(U: StateField, species, model: ModelKind, kappa) -> StateField:

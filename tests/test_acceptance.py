@@ -239,6 +239,20 @@ def test_a3_a7_thresholds_met_past_pinned_ramp(a3_trace, chain3):
           f"differences {[f'{d:.3e}' for d in window]} non-increasing={mono}")
 
 
+def test_pinned_ramp_iterations_and_violation_counts(a3_trace):
+    """The pinned ramp's per-step Newton iterations and its inequality and
+    box violation counts at every step: a change to how the solves run
+    moves the states at round-off at most, and none of these."""
+    assert [s.newton_iterations for s in a3_trace.steps] == [
+        3, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3]
+    reports = [s.diagnostics for s in a3_trace.steps]
+    assert [[v.count for v in r.sub_violations] for r in reports] == (
+        [[5338, 8123, 5338]] + [[0, 0, 0]] * 16)
+    assert [[v.count for v in r.super_violations] for r in reports] == (
+        [[5451, 0, 5451]] + [[0, 0, 0]] * 16)
+    assert [r.box_violations for r in reports] == [11066] + [0] * 16
+
+
 def test_a8_apriori_box(chain3, chain3_phi):
     domain, species, baseline = (chain3["domain"], chain3["species"],
                                  chain3["baseline"])

@@ -196,3 +196,35 @@ def test_mask_may_not_touch_border():
 def test_domain_arrays_immutable(dumbbell2):
     with pytest.raises(ValueError):
         dumbbell2.interior_mask[0, 0] = True
+
+
+def test_chain3_mirrors_and_folds():
+    # chain3 at h = 1/32: node row 40 is y = 0 and node column 136 is x = 3
+    corridors = [CorridorSpec(0, 1, 0.2), CorridorSpec(1, 2, 0.2)]
+    dom = build_domain(THREE_BALLS, corridors, (-1.25, -1.25, 7.25, 1.25), 1 / 32)
+    mirrors = dom.mirrors()
+    assert list(mirrors) == [(0, 80), (1, 272)]
+    A, index_map = dom.laplacian()
+    iy, ix = np.nonzero(index_map >= 0)
+    np.testing.assert_array_equal(mirrors[(0, 80)], index_map[80 - iy, ix])
+    ball = dom.ball_mask(1)
+    assert list(dom.mirrors(ball)) == [(0, 80), (1, 272)]
+    assert dom.mirrors(dom.ball_mask(0)).keys() == {(0, 80), (1, 80)}
+    for region, axes, order in ((None, [(0, 80)], 5166),
+                                (None, list(mirrors), 2599),
+                                (ball, list(mirrors), 833)):
+        nodes, A_f, orbit, w = dom.fold(region, axes)
+        assert A_f.shape == (order, order) and nodes.sum() == order
+        assert w.sum() == orbit.size == np.count_nonzero(
+            dom.interior_mask if region is None else region)
+        assert dom.fold(region, axes)[1] is A_f  # cached
+        A, _ = dom.laplacian(region)
+        v = np.random.default_rng(order).standard_normal(order)
+        # A P v = P A_f v
+        np.testing.assert_allclose(A @ v[orbit], (A_f @ v)[orbit], rtol=1e-14,
+                                   atol=1e-12)
+    # balls 0 and 1 without their corridor: also x = 1.5, on column 88
+    pair = dom.ball_mask(0) | dom.ball_mask(1)
+    assert dom.mirrors(pair).keys() == {(0, 80), (1, 176)}
+    # ball 0 and the corridor up to x = 2: y = 0 alone
+    assert dom.mirrors(dom.interior_mask & (dom.coords()[0] < 2.0)).keys() == {(0, 80)}

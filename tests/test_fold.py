@@ -1,0 +1,166 @@
+"""Newton solves on the folded lattice: a solve whose region, guess,
+baselines and caps are invariant under lattice mirrors runs on one node per
+mirror orbit and gives the full lattice's result to round-off.  The full
+lattice is forced by a mirror finder that finds none."""
+
+import logging
+
+import numpy as np
+import pytest
+
+import seglv as sg
+from seglv import newton
+from seglv import ModelKind, ScalarField, SpeciesParams, StateField
+from seglv.system import _System
+
+from conftest import dumbbell2_domain, folded_order
+
+
+def no_mirrors(monkeypatch):
+    monkeypatch.setattr(sg.GridDomain, "mirrors", lambda self, region=None: {})
+
+
+def record_orders(monkeypatch):
+    orders, splu = [], newton.splu
+
+    def recording_splu(J, *args, **kwargs):
+        orders.append(J.shape[0])
+        return splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", recording_splu)
+    return orders
+
+
+def fold_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "seglv.system"
+            and ("folded" in r.getMessage())]
+
+
+def max_rel(U, V):
+    """Largest nodewise difference of U and V relative to V's peak."""
+    a = np.stack([u.values for u in U])
+    b = np.stack([v.values for v in V])
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def baselines(domain, species):
+    states = []
+    for i, sp in enumerate(species):
+        region = domain.species_ball_mask(i)
+        guess, _ = sg.positive_branch_guess(domain, region)
+        states.append(sg.solve_ball(sp, region, domain, guess).solution)
+    return StateField(states)
+
+
+@pytest.fixture(scope="module")
+def dumbbell():
+    """A dumbbell of its own with its baselines and barrier model."""
+    domain = dumbbell2_domain()
+    species = [SpeciesParams(lam=12.0, p=2.0)] * 2
+    return domain, species, ModelKind.barrier(baselines(domain, species))
+
+
+def test_ramp_folded_matches_full_lattice(dumbbell, monkeypatch):
+    domain, species, model = dumbbell
+    schedule = sg.ContinuationSchedule(4.0, 4.0, 8)
+    orders = record_orders(monkeypatch)
+    folded = sg.continuation_run(domain, species, model, schedule)
+    # every block LU on the nodes at or below y = 0
+    assert set(orders) == {folded_order(domain, axes=(0,))}
+    made = len(orders)
+    no_mirrors(monkeypatch)
+    full = sg.continuation_run(domain, species, model, schedule)
+    assert set(orders[made:]) == {domain.n_interior}
+    assert folded.failure is None and full.failure is None
+    assert ([s.newton_iterations for s in folded.steps]
+            == [s.newton_iterations for s in full.steps])
+    assert max_rel(folded.final_state(), full.final_state()) <= 1e-14
+
+
+def test_folded_residual_norm_and_unfold(dumbbell):
+    # a state invariant under y = 0: a random one plus its mirror image
+    domain, species, model = dumbbell
+    system = _System(domain, species, model, 256.0)
+    [(mirror, image)] = [(m, i) for m, i in domain.mirrors().items() if m[0] == 0]
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, system.n))
+    x = (x + x[:, image]).ravel()
+    state = system.unstack(x)
+    folded = system._fold([mirror])
+    assert folded.n == folded_order(domain, axes=(0,)) < system.n
+    r, rnorm, rhs = system.residual(x)
+    r_f, rnorm_f, rhs_f = folded.residual(folded.stack(state))
+    assert rnorm_f == pytest.approx(rnorm, rel=1e-14)
+    assert rhs_f == pytest.approx(rhs, rel=1e-14)
+    assert max_rel(folded.unstack(r_f), system.unstack(r)) <= 1e-14
+    for u, v in zip(folded.unstack(folded.stack(state)), state):
+        np.testing.assert_array_equal(u.values, v.values)
+
+
+def test_perturbed_start_not_folded(dumbbell, monkeypatch, caplog):
+    domain, species, model = dumbbell
+    center, _ = sg.solve_system(model.baseline, species, model, 64.0)
+    start = center + sg.seeded_perturbation(domain, 2, 0.02, 1)
+    orders = record_orders(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        state, _ = sg.solve_system(start, species, model, 64.0)
+    [line] = fold_lines(caplog)
+    assert line.startswith("kappa 64: not folded; largest relative asymmetry ")
+    assert line.endswith(" under y = 0, x = 2")
+    assert orders and set(orders) <= {domain.n_interior, 2 * domain.n_interior}
+    assert domain.n_interior in orders
+    assert sg.h1_distance(state, center) / sg.state_h1_norm(center) <= 1e-12
+
+
+def test_ball_off_the_axis_not_folded(monkeypatch, caplog):
+    balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((4.0, 0.25), 1.0, 1)]
+    domain = sg.build_domain(balls, [sg.CorridorSpec(0, 1, 0.3)],
+                             (-1.25, -1.25, 5.25, 1.5), 1 / 16)
+    species = [SpeciesParams(lam=12.0, p=2.0)] * 2
+    model = ModelKind.barrier(baselines(domain, species))
+    assert domain.mirrors() == {}
+    orders = record_orders(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        sg.solve_system(model.baseline, species, model, 64.0)
+    assert fold_lines(caplog) == ["kappa 64: not folded; the region has no "
+                                  "lattice mirror"]
+    assert orders and set(orders) == {domain.n_interior}
+
+
+def test_chain3_phi_folds_on_both_axes(monkeypatch, caplog):
+    balls = [sg.BallSpec((3.0 * i, 0.0), 1.0, i) for i in range(3)]
+    corridors = [sg.CorridorSpec(0, 1, 0.2), sg.CorridorSpec(1, 2, 0.2)]
+    domain = sg.build_domain(balls, corridors, (-1.25, -1.25, 7.25, 1.25), 1 / 32)
+    sp = SpeciesParams(lam=11.3394, p=2.0)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        folded = sg.supersolution_phi(sp, domain)
+    # the 2h subgrid's solve, then h's
+    assert fold_lines(caplog) == [
+        "kappa 0: folded along y = 0, x = 3: 660 of 2481 nodes",
+        f"kappa 0: folded along y = 0, x = 3: 2599 of {domain.n_interior} nodes"]
+    no_mirrors(monkeypatch)
+    full = sg.supersolution_phi(sp, domain)
+    assert max_rel([folded], [full]) <= 1e-14
+
+
+def test_axis_midway_between_rows_folds(monkeypatch):
+    # 6 rows: the y mirror runs midway between rows 3 and 4; 9 columns: the
+    # x mirror runs on column 5
+    mask = np.zeros((8, 11), dtype=bool)
+    mask[1:7, 1:10] = True
+    mask[1, 1] = mask[1, 9] = mask[6, 1] = mask[6, 9] = False
+    domain = sg.GridDomain.from_mask(mask, 0.1)
+    assert list(domain.mirrors()) == [(0, 7), (1, 10)]
+    nodes, A_f, orbit, w = domain.fold(None, [(0, 7), (1, 10)])
+    assert A_f.shape == (14, 14) and sorted(set(w)) == [2, 4]
+    A, _ = domain.laplacian()
+    v = np.random.default_rng(2).standard_normal(14)
+    np.testing.assert_allclose(A @ v[orbit], (A_f @ v)[orbit], rtol=1e-14)
+    sp = SpeciesParams(lam=60.0, p=2.0)
+    one = ScalarField(domain, mask.astype(float))
+    folded = sg.solve_ball(sp, mask, domain, one)
+    no_mirrors(monkeypatch)
+    full = sg.solve_ball(sp, mask, domain, one)
+    assert folded.positive and full.positive
+    assert folded.newton_iterations == full.newton_iterations
+    assert max_rel([folded.solution], [full.solution]) <= 1e-14

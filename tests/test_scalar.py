@@ -14,7 +14,8 @@ from seglv import (EigenSolveError, NonlinearSolveError, PhiUnavailable,
 from seglv import newton
 from seglv import scalar as scalar_module
 from seglv import system as system_module
-from conftest import count_calls, dumbbell2_domain, rebuilt, singular_after
+from conftest import (count_calls, dumbbell2_domain, folded_order, rebuilt,
+                      singular_after)
 
 
 def test_single_node_eigenvalue(tiny3):
@@ -219,7 +220,8 @@ def test_ball_solve_gmres_miss_steps_on_assembled_lu(dumbbell2, dumbbell2_ball,
                            "singular") as err:
             solve_ball(sp, region, domain, guess)
         assert calls == 1
-        assert orders == [np.count_nonzero(region)] * 2
+        # the ball folds along both its mirrors
+        assert orders == [folded_order(domain, region)] * 2
         assert err.value.residual_history
         assert err.value.last_iterate is not None
         return
@@ -260,13 +262,21 @@ def test_ball_solve_releases_held_lu(dumbbell2, dumbbell2_ball, monkeypatch):
         factors_at_insert.append([held._blocks for held in helds])
         return insert(self, vec, region)
 
+    fold = system_module._System._fold
+
+    def recording_fold(self, mirrors):
+        helds.append(fold(self, mirrors))
+        return helds[-1]
+
     monkeypatch.setattr(system_module._System, "__init__", recording_init)
+    monkeypatch.setattr(system_module._System, "_fold", recording_fold)
     monkeypatch.setattr(sg.GridDomain, "insert", recording_insert)
     factorizations = count_calls(monkeypatch, newton, "splu")
     solve_ball(sp, region, domain, guess)
-    assert len(helds) == 1 and factorizations
+    # the ball's system and its fold, which holds the LU
+    assert len(helds) == 2 and factorizations
     # the result field is built after the LU is released
-    assert factors_at_insert == [[None]]
+    assert factors_at_insert == [[None, None]]
 
 
 def _ball_stages(domain, ball, sp):
@@ -316,9 +326,12 @@ def test_balls_of_different_radii_share_nothing(monkeypatch):
     for ball in range(2):
         made = len(orders)
         _ball_stages(domain, ball, sp)
-        # an LU each for lambda_1 and the ND margin, one or more for the solve
+        # an LU each for lambda_1 and the ND margin, one or more for the
+        # solve, which folds along the ball's mirrors
+        region = domain.ball_mask(ball)
         assert len(orders) - made >= 3
-        assert set(orders[made:]) == {np.count_nonzero(domain.ball_mask(ball))}
+        assert set(orders[made:]) == {np.count_nonzero(region),
+                                      folded_order(domain, region)}
 
 
 def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
@@ -551,7 +564,9 @@ def test_phi_work_count(chain3_domain, monkeypatch):
     monkeypatch.setattr(newton, "splu", counting_splu)
     monkeypatch.setattr(system_module, "right_gmres", counting_gmres)
     supersolution_phi(SpeciesParams(lam=11.3394, p=2.0), chain3_domain)
-    assert [order for order, _ in lus] == [2481, chain3_domain.n_interior]
+    # the subgrid's 2481 nodes and h's 10077, each folded along x = 3 and
+    # y = 0
+    assert [order for order, _ in lus] == [660, folded_order(chain3_domain)]
     assert sum(lu["solves"] for _, lu in lus) == counts["iterations"]
     # from the subgrid profile, against 48 from u = 1
     assert lus[1][1]["solves"] <= 12

@@ -10,7 +10,7 @@ from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_near, solve_system)
 from seglv.system import _System
 
-from conftest import count_calls, singular_after
+from conftest import count_calls, folded_order, singular_after
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,8 @@ def dumbbell2_caps(dumbbell2_setup):
 @pytest.fixture(scope="module")
 def warm_solve(dumbbell2_setup, dumbbell2_trace):
     """The barrier solve at kappa = 16384 from the trace's kappa = 8192
-    state: a warm solve of two Newton steps."""
+    state: a warm solve of two Newton steps, folded along y = 0 (the
+    dumbbell's x = 2 mirror swaps its species)."""
     [start] = [step.state for step in dumbbell2_trace.steps if step.kappa == 8192.0]
     model = ModelKind.barrier(dumbbell2_setup["baseline"])
     return start, dumbbell2_setup["species"], model, 16384.0
@@ -507,7 +508,7 @@ def test_gmres_miss_steps_on_assembled_lu(warm_solve, monkeypatch, misses,
         return right_gmres(apply, b, precondition)
 
     monkeypatch.setattr(system_module, "right_gmres", missing_gmres)
-    k, n = len(species), start.domain.n_interior
+    k, n = len(species), folded_order(start.domain, axes=(0,))
     if not converges:
         orders = singular_after(monkeypatch, k)
         with pytest.raises(NonlinearSolveError,
@@ -547,7 +548,7 @@ def test_gmres_miss_logged(warm_solve, caplog, monkeypatch):
     miss = ("GMRES missed in 3 iterations; solving on the assembled "
             "Jacobian's LU")
     assert lines.count(miss) == 1
-    order = len(species) * start.domain.n_interior
+    order = len(species) * folded_order(start.domain, axes=(0,))
     after = lines[lines.index(miss) + 1:]
     assert after[0].startswith(f"assembled Jacobian of order {order}: ")
     assert after[1].startswith(f"LU of order {order}: fill ")
@@ -576,7 +577,7 @@ def test_second_gmres_miss_ends_gmres(warm_solve, caplog, monkeypatch):
     monkeypatch.setattr(newton, "splu", recording_splu)
     with caplog.at_level(logging.DEBUG, logger="seglv.system"):
         state, _ = solve_system(start, species, model, kappa, 1e-10)
-    k, n = len(species), start.domain.n_interior
+    k, n = len(species), folded_order(start.domain, axes=(0,))
     assert calls == 2
     assert orders[:2 * k + 2] == [n] * k + [k * n] + [n] * k + [k * n]
     assert set(orders[2 * k + 2:]) == {k * n}
@@ -674,9 +675,11 @@ def test_solve_releases_held_blocks(warm_solve, monkeypatch, converges):
     start, species, model, kappa = warm_solve
     system = _System(start.domain, species, model, kappa)
     unstack = _System.unstack
-    held_at_unstack = []
+    solving, held_at_unstack = [], []
 
     def recording_unstack(self, x):
+        # the solving system: this one's fold along y = 0
+        solving.append(self)
         held_at_unstack.append(self._blocks)
         return unstack(self, x)
 
@@ -689,7 +692,7 @@ def test_solve_releases_held_blocks(warm_solve, monkeypatch, converges):
         system.newton(start, 1e-10)
         # the result is allocated after the block LUs are released
         assert held_at_unstack[-1] is None
-    assert system._blocks is None
+    assert solving[-1] is not system and solving[-1]._blocks is None
 
 
 def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):
@@ -699,15 +702,19 @@ def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):
         solve_system(start, species, model, kappa, 1e-10)
     lines = [r.getMessage() for r in caplog.records
              if r.name in ("seglv.newton", "seglv.system")]
-    # the one factoring logs a line per block LU after its decision
-    lus = lines[1:1 + len(species)]
-    decisions = lines[:1] + lines[1 + len(species):]
+    # the fold comes first; the one factoring logs a line per block LU
+    # after its decision
+    n = folded_order(start.domain, axes=(0,))
+    assert lines[0] == (f"kappa 16384: folded along y = 0: {n} of "
+                        f"{start.domain.n_interior} nodes; not along x = 2, "
+                        "relative asymmetry 1")
+    lus = lines[2:2 + len(species)]
+    decisions = lines[1:2] + lines[2 + len(species):]
     assert len(decisions) == len(linearizations) >= 2
     assert decisions[0] == ("kappa 16384: factoring block LUs; last GMRES "
                             "iterations: None")
     assert all(line.startswith("kappa 16384: holding block LUs; last GMRES "
                                "iterations: ") for line in decisions[1:])
-    n = start.domain.n_interior
     assert all(line.startswith(f"LU of order {n}: fill ") for line in lus)
 
 
