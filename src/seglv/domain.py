@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +66,21 @@ class CorridorSpec:
             raise DomainError(f"corridor width must be positive, got {self.width}")
 
 
+class Mirror(NamedTuple):
+    """A lattice mirror of a region (``GridDomain.mirrors``).
+
+    ``image[m]`` is the row, in the C-order numbering of the region's
+    Laplacian, of the mirror image of node m.  ``species`` is the mirror's
+    species map: entry i is the species native to the image of species i's
+    ball.  It is None unless the region holds balls, the mirror sends every
+    ball node to a ball node and each species' balls to balls of one
+    species, and the region's species are exactly 0, ..., K-1.
+    """
+
+    image: np.ndarray
+    species: tuple[int, ...] | None
+
+
 class GridDomain:
     """Uniform grid with an interior mask and per-node region labels.
 
@@ -73,7 +89,8 @@ class GridDomain:
     containing each node (-1 for none); nodes where a corridor overlaps a
     ball are labeled ball so that ball regions cover the disks completely.
     Instances are immutable after construction and safe to share; the
-    Laplacians, their folds along mirrors (``fold``) and the per-ball
+    Laplacians, the regions' mirrors (``mirrors``), their folds (``fold``),
+    the folds of ``system`` on (species, node) pairs and the per-ball
     results of ``scalar`` (``ball_class``) are cached on the instance.
     """
 
@@ -103,7 +120,9 @@ class GridDomain:
         for arr in (self.interior_mask, self.ball_label, self.corridor_flag):
             arr.setflags(write=False)
         self._lap_cache: dict[bytes, tuple[sp.csr_matrix, np.ndarray]] = {}
+        self._mirror_cache: dict[bytes, dict] = {}
         self._fold_cache: dict[tuple, tuple] = {}
+        self._pair_folds: dict[tuple, tuple] = {}
         self._ball_results: dict[tuple, tuple] = {}
 
     # -- coordinates -------------------------------------------------------
@@ -221,12 +240,18 @@ class GridDomain:
         (axis, c): it sends index i along array axis `axis` (0 for a line
         y = const, 1 for x = const) to c - i, so the line runs on a node
         line for even c and midway between two for odd c.  Returns a dict
-        from each mirror's key to its image array: entry m is the row, in
-        the C-order numbering of ``laplacian(region)``, of the mirror image
-        of node m.
+        from each mirror's key to its ``Mirror``: the image of every node
+        and the species map that the region's balls give.  Results are
+        cached.
         """
         _, index_map = self.laplacian(region)
-        iy, ix = np.nonzero(index_map >= 0)
+        mask = index_map >= 0
+        key = mask.tobytes()
+        hit = self._mirror_cache.get(key)
+        if hit is not None:
+            return hit
+        iy, ix = np.nonzero(mask)
+        labels = self.ball_label[mask]
         found = {}
         for axis, i in ((0, iy), (1, ix)):
             c = int(i.min() + i.max())  # the only line the extent allows
@@ -234,8 +259,31 @@ class GridDomain:
             image[axis] = c - i
             rows = index_map[image[0], image[1]]
             if (rows >= 0).all():
-                found[(axis, c)] = rows
+                # int32 halves the cached maps; no lattice that fits in
+                # memory has 2**31 nodes
+                rows = rows.astype(np.int32)
+                rows.setflags(write=False)
+                found[(axis, c)] = Mirror(rows, self._species_map(labels,
+                                                                  labels[rows]))
+        self._mirror_cache[key] = found
         return found
+
+    def _species_map(self, labels, images):
+        """The species map of a mirror that sends nodes of ball labels
+        `labels` to nodes of labels `images`, or None (see ``Mirror``)."""
+        inside = labels >= 0
+        if not inside.any() or not np.array_equal(inside, images >= 0):
+            return None
+        species, count = {}, len(self.balls)
+        for pair in np.unique(labels[inside] * count + images[inside]):
+            a, b = divmod(int(pair), count)
+            s, t = self.balls[a].species_index, self.balls[b].species_index
+            if species.setdefault(s, t) != t:
+                return None
+        ordered = list(range(len(species)))
+        if sorted(species) != ordered or sorted(species.values()) != ordered:
+            return None
+        return tuple(species[i] for i in ordered)
 
     def fold(self, region, mirrors):
         """The Laplacian of `region` on one node per orbit of `mirrors`.

@@ -19,9 +19,9 @@ species.  It works on a flat unknown vector through two callables
   most ``MAX_BACKTRACKS`` halvings each.
 * Every matrix that is factored goes through ``factorize``: minimum-degree
   ordering on the pattern of J^T + J with diagonal pivots preferred
-  (SuperLU's symmetric mode).  The 5-point Laplacian and the Jacobians
-  built on it are structurally symmetric, so this ordering keeps the fill
-  of L and U far below the default column ordering's.  That ordering
+  (SuperLU's symmetric mode).  The 5-point Laplacian is structurally
+  symmetric and the Jacobians built on it nearly so, so this ordering
+  keeps the fill of L and U far below the default column ordering's.  That ordering
   makes only narrow supernodes, so SuperLU factors column at a time
   (panel size 1) rather than in its default panels of 20 columns: the
   same fill, a quarter to a third less factor time.  Poisson solves,
@@ -86,8 +86,15 @@ KRYLOV_MAXITER = 50
 
 
 def factorize(J):
-    """Sparse LU of the structurally symmetric matrix J (SuperLU object).
+    """Sparse LU of J (SuperLU object), ordered on the pattern of J^T + J.
 
+    The 5-point Laplacian is structurally symmetric, and the matrices
+    built on it nearly so: a folded Laplacian A_f and the blocks and
+    Jacobians on it are not symmetric in value, and an assembled Jacobian,
+    folded or not, keeps one entry of a coupling pair and leaves out the
+    other when that one lies below round-off or is an exact zero where a
+    species is clipped.  The symmetrized pattern holds every entry either
+    way.
     SuperLU factors column at a time (``panel_size=1``): the minimum-degree
     ordering of a 5-point-stencil matrix makes only narrow supernodes, on
     which panel updates cost more than their BLAS-3 kernels save.  The

@@ -62,29 +62,53 @@ A Newton solve whose problem is invariant under lattice mirrors runs on
 the folded lattice (``_System.newton``; Bossavit, Comput. Methods Appl.
 Mech. Engrg. 56, 1986).  A region's mirrors are the horizontal and
 vertical lines, on a node line or midway between two, that map its mask
-onto itself (``GridDomain.mirrors``).  The solve folds along each of them
-under which the guess, the baselines and the caps all match their mirror
-images to ``MIRROR_RTOL``: it keeps one representative node per orbit,
-solves with A_f = R A P in place of A, P copying a representative to its
-orbit and R taking the representatives' rows (``GridDomain.fold``), and
-copies the solution back to every node of its orbit.  This is exact.  The
-reaction and the coupling act node by node, so at x = P x_f the residual
-is P r_f(x_f), and the Newton step of an invariant problem is invariant,
-P s_f with J_f s_f = -r_f.  The residual's norms weigh each representative
-by its orbit size, so every tolerance, Armijo and halving test sees the
+onto itself (``GridDomain.mirrors``).  Each comes with a species map sigma
+read from the images of the region's balls: chain3's x = 3 sends ball 0
+onto ball 2, so sigma = (2, 1, 0), while y = 0 keeps every species in
+place.  The solve folds along each mirror whose permuted species have
+equal parameters and under which the guess, the baselines and the caps
+satisfy u_sigma(i) = u_i o mirror to ``MIRROR_RTOL``.  The solution then
+lies in the fixed-point subspace of the group that the mirrors generate
+on (species, node) pairs (Golubitsky, Stewart & Schaeffer,
+*Singularities and Groups in Bifurcation Theory II*, Springer 1988), and
+the solve keeps one unknown per orbit of pairs (``_fold``):
+
+* the mirrors that keep every species fold the nodes, onto one
+  representative per orbit, with A_f = R A P in place of A (P copies a
+  representative to its orbit, R takes the representatives' rows;
+  ``GridDomain.fold``);
+* on those nodes, a mirror that moves species leaves the first pair of
+  each orbit: on chain3, species 0 on the 5166 nodes at or below y = 0,
+  species 1 on the 2599 of those at or left of x = 3, and species 2 none,
+  since it is species 0's image.
+
+The residual, the coupling D and the reaction stay node-wise on the k
+species of the folded nodes: one gather G makes that (k, n) array from
+the unknowns, and one selection takes the unknowns' rows back.  This is
+exact.  The reaction and the coupling act node by node, so at an
+equivariant state the residual is equivariant, and so is the Newton step
+of an equivariant problem: the folded Jacobian is R J G.  Each species
+that keeps unknowns is a block: its Laplacian among them (A_f folded once
+more by the mirrors that fix the species) plus the coupling's diagonal on
+them, D[i, i] and every D[i, j] that the permutation moves onto the
+diagonal, where a node is its own image.  The other moved couplings,
+D[0, 2] at (m, pi m) on chain3, live in ``apply``, in the sweep (through
+every species gathered from a block) and in the assembled ``jacobian``.
+The residual's norms weigh each unknown by the number of the region's
+pairs in its orbit, so every tolerance, Armijo and halving test sees the
 full lattice's norm (GMRES takes its relative tolerance on the folded
-vectors), and the returned fields are exactly invariant.  A_f is not
+vectors), and the returned fields are exactly equivariant.  A_f is not
 symmetric, since a representative on a mirror couples twice to its
-neighbour off it, so the block LUs factor A_f + diag(D[i, i]) as it is.
-The chain3 ramp folds along y = 0, onto half the nodes; a ball solve and
-the global profile fold along both axes, onto a quarter.  Nothing else
-folds: a start that fails the test (a probe trial that falls back to
-damped Newton), a mirror that swaps species (chain3's x = 3 sends species
-0 to 2, so its baselines fail the test), ``solve_near``'s center LU and
-chord rounds, the eigen-solves of ``scalar`` and the public
-``residual``.  Each Newton solve logs
-one DEBUG line: the mirrors it folds along and "q of n nodes", or "not
-folded" with the largest relative asymmetry found.
+neighbour off it, so the block LUs factor their matrices as they are.
+The chain3 ramp factors one block of order 5166 and one of 2599 per
+linearization (three of 10077 on the full lattice); a ball solve and the global profile
+fold along both axes, onto a quarter of the nodes.  Nothing else folds:
+a start that fails the test (a probe trial that falls back to damped
+Newton), ``solve_near``'s center LU and chord rounds, the eigen-solves of
+``scalar`` and the public ``residual``.  Each Newton solve logs one DEBUG
+line: the mirrors it folds along, each with the species it swaps, and "q
+of N unknowns", or "not folded" with the largest relative asymmetry
+found; a mirror it does not fold along is named with its reason.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -104,6 +128,7 @@ import copy
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,12 +148,15 @@ MODEL_KINDS = ("lotka_volterra", "barrier", "positive_part")
 KRYLOV_REFACTOR = 10
 
 # a Newton solve folds along a mirror of its region when the guess, the
-# baselines and the caps each match their mirror image to this relative
+# baselines and the caps of every species i each match those of species
+# sigma(i), the mirror's species map, at the mirror image to this relative
 # max-norm asymmetry (9.1e-13): far above the round-off of fields computed
 # on the full lattice (the ARPACK eigenfield that seeds chain3's ball
-# solves is asymmetric by 21 eps at h = 1/32 and 86 eps at h = 1/128, its
-# ramp states by about 5 eps) and far below any perturbation a caller
-# makes (chain3's probe starts, of H1 size 0.02 as in A6, by 2e-3 to 3e-3)
+# solves is asymmetric by 21 eps at h = 1/32 and 86 eps at h = 1/128, and
+# its ramp states solved without the species swap, species 0 against the
+# image of 2 included, by at most 234 eps) and far below any perturbation
+# a caller makes (chain3's probe starts, of H1 size 0.02 as in A6, by 2e-3
+# to 3e-3)
 MIRROR_RTOL = 4096 * np.finfo(float).eps
 
 
@@ -173,14 +201,47 @@ class ModelKind:
         return cls("positive_part", baseline, caps)
 
 
+class _Block(NamedTuple):
+    """The unknowns of one species that a system solves for: all of its
+    nodes, unless a fold makes the species another one's mirror image
+    (none) or its own (one per orbit).
+
+    ``unknowns`` is their slice of the stacked vector, ``nodes`` their nodes
+    in the node-wise layout (an index, or a whole slice) and ``A`` the
+    Laplacian among them.  ``members`` pairs every species gathered from
+    these unknowns with the index, into the block, of its value at each
+    node.  ``diagonal`` pairs each such species j other than the block's
+    own with the mask of the unknowns that species j's value at the same
+    node is gathered from: the nodes that are their own images, where the
+    coupling D[i, j] adds onto the diagonal.
+    """
+
+    species: int
+    unknowns: slice
+    nodes: np.ndarray | slice
+    A: sp.csr_matrix
+    members: tuple
+    diagonal: tuple
+
+
+def _species_blocks(k, A):
+    """One block per species of k, on all nodes of the Laplacian A."""
+    n = A.shape[0]
+    return [_Block(i, slice(i * n, (i + 1) * n), slice(None), A,
+                   ((i, slice(None)),), ()) for i in range(k)]
+
+
 class _System:
     """Interior-vector view of one model at fixed kappa.
 
-    The stacked vector x holds the k species one after another on the n
-    nodes of `region` (default: the whole interior), with zero Dirichlet
+    Every formula works node-wise on a (k, n) array: the k species on the
+    n nodes of `region` (default: the whole interior), with zero Dirichlet
     data outside it, or on a folded system (``_fold``) on the region's n
-    representatives of mirror orbits; its (k, n) reshape is the
-    per-species view every formula works on.
+    representatives of node orbits.  The stacked vector x of unknowns is
+    that array's ravel, unless the fold sends species to one another's
+    mirror images: then it holds one entry per orbit of (species, node)
+    pairs, the node-wise array is gathered from it and each residual takes
+    its rows back.
     """
 
     def __init__(self, domain, species, model: ModelKind, kappa, region=None):
@@ -205,11 +266,28 @@ class _System:
             raise DomainMismatchError("truncation caps live on a different domain")
         self.caps = ([np.inf] * k if model.caps is None
                      else [u.values[mask] for u in model.caps])
-        # the nodes of the unknowns: the region's, or on a folded system
-        # (``_fold``) its representatives
+        # the nodes of the node-wise layout: the region's, or on a folded
+        # system (``_fold``) its representatives; a fold that moves species
+        # also gathers the layout from fewer unknowns and picks their rows
         self.nodes = mask
-        self._orbit = self._weight = None
+        self._orbit = self._weight = self._gather = self._pick = None
+        self._layout = _species_blocks(k, self.A)
         self.release()
+
+    @property
+    def size(self):
+        """The number of unknowns."""
+        return self.k * self.n if self._pick is None else self._pick.size
+
+    def _nodewise(self, x):
+        """The (k, n) node-wise array of the stacked unknowns x."""
+        return (x if self._gather is None else x[self._gather]).reshape(
+            self.k, self.n)
+
+    def _unknowns(self, a):
+        """The rows of the unknowns in the node-wise (k, n) array a, stacked."""
+        a = a.ravel()
+        return a if self._pick is None else a[self._pick]
 
     def _reaction(self, fn, s):
         """Per-species truncated reaction term (or derivative) at the (k, n)
@@ -218,15 +296,16 @@ class _System:
 
     def _parts(self, x):
         """(P, s, v): interacting parts, reaction argument and u + u^0 at x."""
-        v = x.reshape(self.k, self.n) + self.u0
+        u = self._nodewise(x)
+        v = u + self.u0
         if not self.clip:
-            return v, x.reshape(self.k, self.n), v
+            return v, u, v
         P = np.maximum(v, 0.0)
         return P, P - self.u0, v
 
-    def _laplacian(self, x):
-        """(k, n) array of A u_i for every species u_i of the stacked x."""
-        return np.stack([self.A @ u for u in x.reshape(self.k, self.n)])
+    def _laplacian(self, u):
+        """(k, n) array of A u_i for every species u_i of the (k, n) u."""
+        return np.stack([self.A @ u_i for u_i in u])
 
     def residual(self, x):
         """(r, its norm, the norm of the RHS): the stacked residual
@@ -235,13 +314,14 @@ class _System:
         ``newton._l2``."""
         P, s, _ = self._parts(x)
         coupling = self.kappa * P * (P.sum(axis=0) - P)
-        Ax = self._laplacian(x).ravel()
-        r = Ax - self._reaction(f_truncated_eval, s).ravel() + coupling.ravel()
+        Ax = self._unknowns(self._laplacian(self._nodewise(x)))
+        r = (Ax - self._unknowns(self._reaction(f_truncated_eval, s))
+             + self._unknowns(coupling))
         return r, self._norm(r), self._norm(Ax - r)
 
     def _norm(self, r):
         """h times the L2 norm of the stacked r over the whole region: a
-        folded system weighs each representative by its orbit size."""
+        folded system weighs each unknown by the size of its orbit."""
         if self._weight is None:
             return self.h * _l2(r)
         return self.h * math.sqrt(float(np.sum(self._weight * (r * r))))
@@ -257,19 +337,24 @@ class _System:
         return D
 
     def jacobian(self, x):
-        """Assembled block Jacobian of the residual at the stacked state x,
+        """Assembled Jacobian of the residual at the stacked state x,
         without its coupling entries below round-off.
 
         An off-diagonal coupling entry J_ij (i != j, at one node) is left
         out when |J_ij| <= eps sqrt(|J_ii| |J_jj|), eps the machine epsilon
         and J_ii = A_ii + D[i, i] the diagonal entries of its row and
-        column; the clipped models' exact zeros are among them.  Such an
-        entry lies within the round-off of its row, so the LU of the
-        result solves the full Jacobian to its own backward error
-        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+        column in the node-wise layout; the clipped models' exact zeros are
+        among them.  Such an entry lies within the round-off of its row, so
+        the LU of the result solves the full Jacobian to its own backward
+        error (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
         ed., SIAM 2002, ch. 9), while the ones far out in a foreign ball
         (kappa P_i of a species nearly extinct there) no longer add fill.
-        Logs how many were left out at DEBUG level.
+        On a fold that moves species the Jacobian is R J G: the node-wise
+        one with its columns summed onto the unknowns they are gathered
+        from and the unknowns' rows.  A coupling then moves with its
+        column, e.g. D[0, 2] at node m to the unknown of species 0 at the
+        image of m, and adds onto the diagonal where m is its own image.
+        Logs how many couplings were left out at DEBUG level.
         """
         D = self._coupling(x)
         k, n = self.k, self.n
@@ -278,28 +363,40 @@ class _System:
         keep = np.abs(D) > np.finfo(float).eps * np.sqrt(
             diagonal[:, None] * diagonal)
         keep[i, i] = True
+        # block (i, j) of the coupling is diagonal: its entry at node m sits
+        # in the row of pair (i, m), if that is an unknown's, and in the
+        # column of the unknown that pair (j, m) is gathered from
+        if self._pick is None:
+            row = column = np.arange(k * n)
+        else:
+            column, row = self._gather, np.full(k * n, -1)
+            row[self._pick] = np.arange(self._pick.size)
+        rows, cols = np.broadcast_arrays(row.reshape(k, 1, n),
+                                         column.reshape(1, k, n))
+        coupled = (rows >= 0) & ~np.eye(k, dtype=bool)[:, :, None]
+        keep &= rows >= 0
+        order = self.size
         log.debug("assembled Jacobian of order %d: %d of %d couplings below "
-                  "round-off dropped", k * n, D.size - keep.sum(),
-                  k * (k - 1) * n)
-        # block (i, j) of the coupling is diagonal: entry m of it sits at
-        # row i n + m, column j n + m
-        index = np.arange(k * n, dtype=np.int32).reshape(k, n)
-        rows, cols = np.broadcast_arrays(index[:, None], index)
+                  "round-off dropped", order,
+                  np.count_nonzero(coupled & ~keep), np.count_nonzero(coupled))
         return (sp.csc_matrix((D[keep], (rows[keep], cols[keep])),
-                              shape=(k * n, k * n))
-                + sp.block_diag([self.A] * k, format="csc"))
+                              shape=(order, order))
+                + sp.block_diag([block.A for block in self._layout],
+                                format="csc"))
 
     def linearize(self, x):
         """The Newton-step solver of the Jacobian J at x: this system, whose
         ``solve(b)`` returns s with J s ~ b (see the module docstring).
 
-        Block (i, j) of J is diag(D[i, j]), plus the Laplacian A when
-        i = j.  The linearization keeps x and D = ``_coupling(x)``; it
+        Node-wise, block (i, j) of J is diag(D[i, j]), plus the Laplacian A
+        when i = j.  The linearization keeps x and D = ``_coupling(x)``; it
         keeps the block LUs of an earlier one while the last GMRES solve
         took at most ``KRYLOV_REFACTOR`` iterations (a miss that ran out
         of iterations leaves it at ``newton.KRYLOV_MAXITER``), and
-        otherwise refactors them.  After the solve's second miss it keeps
-        x alone.  Factoring raises RuntimeError when a block is singular.
+        otherwise refactors them: one per block of unknowns, its Laplacian
+        plus diag(D[i, i]) on its nodes.  After the solve's second miss it
+        keeps x alone.  Factoring raises RuntimeError when a block is
+        singular.
         """
         self._x = x
         if self._direct:
@@ -312,10 +409,19 @@ class _System:
                   self._iterations)
         if not held:
             self._blocks = None  # released before the new ones are made
-            self._blocks = [factorize(self.A + sp.diags(self._D[i, i]))
-                            for i in range(self.k)]
+            self._blocks = [factorize(block.A + sp.diags(self._diagonal(block)))
+                            for block in self._layout]
             self._iterations = 0
         return self
+
+    def _diagonal(self, block):
+        """The coupling's diagonal on the unknowns of `block`: D[i, i] at its
+        nodes, plus each D[i, j] that a fold moves onto it."""
+        i = block.species
+        d = self._D[i, i][block.nodes]
+        for j, where in block.diagonal:
+            d = d + np.where(where, self._D[i, j][block.nodes], 0.0)
+        return d
 
     def release(self):
         """Drop the linearization: its iterate, coupling, block LUs, GMRES
@@ -325,17 +431,22 @@ class _System:
 
     def apply(self, v):
         """J v at the linearization's iterate, J not assembled."""
-        return (self._laplacian(v) + np.einsum(
-            "ijm,jm->im", self._D, v.reshape(self.k, self.n))).ravel()
+        u = self._nodewise(v)
+        return self._unknowns(self._laplacian(u)
+                              + np.einsum("ijm,jm->im", self._D, u))
 
     def _sweep(self, c):
-        """One forward block Gauss-Seidel sweep: solve block i on its held
-        LU, then take its coupling off the right-hand sides below."""
-        z = c.reshape(self.k, self.n).copy()
-        for i, lu in enumerate(self._blocks):
-            z[i] = lu.solve(z[i])
-            z[i + 1:] -= self._D[i + 1:, i] * z[i]
-        return z.ravel()
+        """One forward block Gauss-Seidel sweep: solve a block on its held
+        LU, then take its coupling off the right-hand sides of the blocks
+        below, through every species gathered from it."""
+        z = c.copy()
+        for b, (block, lu) in enumerate(zip(self._layout, self._blocks)):
+            z_b = z[block.unknowns] = lu.solve(z[block.unknowns])
+            for below in self._layout[b + 1:]:
+                for j, index in block.members:
+                    z[below.unknowns] -= (self._D[below.species, j]
+                                          * z_b[index])[below.nodes]
+        return z
 
     def solve(self, b):
         """The Newton step s with J s ~ b: one preconditioned GMRES cycle;
@@ -356,70 +467,156 @@ class _System:
         return factorize(self.jacobian(self._x)).solve(b)
 
     def stack(self, U: StateField):
-        """Stacked vector of the state U on the system's nodes; raises
-        ValueError unless U has one component per species."""
+        """Stacked unknowns of the state U; raises ValueError unless U has
+        one component per species."""
         if U.k != self.k:
             raise ValueError("species list and state size disagree")
-        return np.concatenate([u.values[self.nodes] for u in U])
+        return self._unknowns(np.concatenate([u.values[self.nodes] for u in U]))
 
     def unstack(self, x) -> StateField:
         """The state of the stacked x, zero outside the region; a folded
         system copies each representative's value to its whole orbit."""
-        v = x.reshape(self.k, self.n)
+        v = self._nodewise(x)
         if self._orbit is not None:
             v = v[:, self._orbit]
         return StateField([ScalarField(self.domain, self.domain.insert(u, self.mask))
                            for u in v])
 
+    def _species_map(self, mirror):
+        """The permutation of this system's species under the region's
+        ``domain.Mirror`` `mirror`: its species map when that permutes
+        0, ..., k-1 (so the region's balls host exactly this system's
+        species), else the identity."""
+        if mirror.species is not None and len(mirror.species) == self.k:
+            return mirror.species
+        return tuple(range(self.k))
+
     def _fold(self, mirrors):
-        """A copy of this system on one representative node per orbit of
-        `mirrors` (``GridDomain.fold``): its operator is A_f, its
-        unknowns, baselines and caps live on the representatives, its
-        residual norms weigh each representative by its orbit size, and
-        its ``unstack`` fills every orbit."""
-        nodes, A, orbit, w = self.domain.fold(self.mask, mirrors)
-        keep = nodes[self.mask]
+        """A copy of this system on one unknown per orbit of (species, node)
+        pairs under `mirrors`, keys of the region's mirrors, each acting on
+        the species by ``_species_map``.
+
+        The mirrors that keep every species in place fold the node-wise
+        layout onto one representative node per orbit (``GridDomain.fold``):
+        its operator is A_f, its baselines and caps live on the
+        representatives, and ``unstack`` fills every orbit.  Of each orbit
+        of the pairs on those nodes under the mirrors that move species, the
+        pair first in the stacked order is an unknown; the layout is
+        gathered from the unknowns, and each species that keeps any gets a
+        block of them, with the Laplacian among them R A_f P.  The residual
+        norms weigh each unknown by the number of the region's (species,
+        node) pairs in its orbit.  The structure of the pairs is cached on
+        the domain.
+        """
+        found = self.domain.mirrors(self.mask)
+        maps = tuple((m, self._species_map(found[m])) for m in sorted(mirrors))
+        k, identity = self.k, tuple(range(self.k))
+        nodes, A, orbit, w = self.domain.fold(
+            self.mask, [m for m, species in maps if species == identity])
         folded = copy.copy(self)
         folded.A, folded.n, folded.nodes, folded._orbit = A, A.shape[0], nodes, orbit
-        folded._weight = np.tile(w, self.k)
+        keep = nodes[self.mask]
         folded.u0 = self.u0[:, keep]
         folded.caps = [c if np.isscalar(c) else c[keep] for c in self.caps]
+        swaps = [(m, species) for m, species in maps if species != identity]
+        if not swaps:
+            folded._weight = np.tile(w, k)
+            folded._layout = _species_blocks(k, A)
+            return folded
+        key = (self.mask.tobytes(), maps)
+        pairs = self.domain._pair_folds.get(key)
+        if pairs is None:
+            pairs = self.domain._pair_folds[key] = folded._pairs(found, swaps, w)
+        folded._weight, folded._gather, folded._pick, folded._layout = pairs
         return folded
 
-    def _line(self, mirror):
-        """The mirror line (axis, c) as an equation, e.g. 'y = 0'."""
+    def _pairs(self, found, swaps, w):
+        """The pair structure of this node-folded system along the mirrors
+        `swaps`, (key, species map) pairs of the region's mirrors `found`
+        that move species, with `w` its nodes' orbit sizes: (weight,
+        gather, pick, blocks)."""
+        k, n = self.k, self.n
+        # the group's permutations of the pairs, pair (i, m) at i n + m
+        pairs = [np.arange(k * n)]
+        representatives = np.flatnonzero(self.nodes[self.mask])
+        for m, species in swaps:
+            image = self._orbit[found[m].image[representatives]]
+            moved = (np.asarray(species)[:, None] * n + image).ravel()
+            pairs += [moved[p] for p in pairs]
+        first = np.min(pairs, axis=0)  # the first pair of each pair's orbit
+        pick = np.unique(first)
+        gather = np.searchsorted(pick, first)
+        blocks = []
+        for i in np.unique(pick // n):
+            unknowns = slice(*np.searchsorted(pick, [i * n, (i + 1) * n]))
+            nodes = pick[unknowns] - i * n
+            members = tuple((j, gather[j * n:(j + 1) * n] - unknowns.start)
+                            for j in range(k) if first[j * n] // n == i)
+            own = np.arange(nodes.size)
+            diagonal = tuple((j, index[nodes] == own)
+                             for j, index in members if j != i)
+            P = sp.csr_matrix((np.ones(n), (np.arange(n), dict(members)[i])),
+                              shape=(n, own.size))
+            blocks.append(_Block(int(i), unknowns, nodes,
+                                 (self.A[nodes] @ P).tocsr(), members, diagonal))
+        weight = np.bincount(gather, weights=np.tile(w, k))
+        return weight, gather, pick, blocks
+
+    def _line(self, mirror, species=()):
+        """The mirror line (axis, c) as an equation, e.g. 'y = 0', followed
+        by the pairs its species map `species` swaps, e.g. 'x = 3 swaps
+        species 0, 2'."""
         axis, c = mirror
-        return f"{'yx'[axis]} = {self.domain.origin[1 - axis] + 0.5 * c * self.h:g}"
+        line = f"{'yx'[axis]} = {self.domain.origin[1 - axis] + 0.5 * c * self.h:g}"
+        swaps = " and ".join(f"{i}, {j}" for i, j in enumerate(species) if i < j)
+        return f"{line} swaps species {swaps}" if swaps else line
 
     def _folded_for(self, x):
-        """This system folded along every mirror of its region under which
-        the stacked x, the baselines and the caps are invariant to
-        ``MIRROR_RTOL``, or the system itself when there is none.  Logs
-        the decision at DEBUG level."""
+        """This system folded along every mirror of its region that maps
+        the problem onto itself, or the system itself when there is none.
+
+        A mirror qualifies when the species it permutes
+        (``_species_map``) have equal parameters and the stacked x, the
+        baselines and the caps satisfy u_sigma(i) = u_i o mirror to
+        ``MIRROR_RTOL``, relative to each field's peak.  Logs the decision
+        at DEBUG level."""
         mirrors = self.domain.mirrors(self.mask)
         if not mirrors:
             log.debug("kappa %g: not folded; the region has no lattice mirror",
                       self.kappa)
             return self
-        fields = np.vstack([x.reshape(self.k, self.n), self.u0,
+        k = self.k
+        fields = np.vstack([x.reshape(k, self.n), self.u0,
                             *(c for c in self.caps if not np.isscalar(c))])
         peak = np.max(np.abs(fields), axis=1)
         scale = np.where(peak > 0.0, peak, 1.0)
-        asymmetry = {m: float(np.max(np.max(np.abs(fields - fields[:, image]),
-                                            axis=1) / scale))
-                     for m, image in mirrors.items()}
-        invariant = [m for m, a in asymmetry.items() if a <= MIRROR_RTOL]
+        asymmetry, differ = {}, {}
+        for m, mirror in mirrors.items():
+            species = self._species_map(mirror)
+            rows = (np.arange(len(fields) // k)[:, None] * k + species).ravel()
+            asymmetry[m] = float(np.max(np.max(np.abs(
+                fields - fields[rows[:, None], mirror.image]), axis=1) / scale))
+            unequal = [(i, j) for i, j in enumerate(species)
+                       if self.species[i] != self.species[j]]
+            if unequal:
+                differ[m] = "species {}, {} differ".format(*unequal[0])
+        refused = {m: differ.get(m, f"relative asymmetry {a:.3g}")
+                   for m, a in asymmetry.items()
+                   if m in differ or a > MIRROR_RTOL}
+        invariant = [m for m in mirrors if m not in refused]
         if not invariant:
             log.debug("kappa %g: not folded; largest relative asymmetry %.3g "
-                      "under %s", self.kappa, max(asymmetry.values()),
-                      ", ".join(map(self._line, mirrors)))
+                      "under %s%s", self.kappa, max(asymmetry.values()),
+                      ", ".join(map(self._line, mirrors)),
+                      "".join(f"; not along {self._line(m)}, {reason}"
+                              for m, reason in differ.items()))
             return self
         folded = self._fold(invariant)
-        log.debug("kappa %g: folded along %s: %d of %d nodes%s", self.kappa,
-                  ", ".join(map(self._line, invariant)), folded.n, self.n,
-                  "".join(f"; not along {self._line(m)}, relative asymmetry "
-                          f"{a:.3g}" for m, a in asymmetry.items()
-                          if m not in invariant))
+        log.debug("kappa %g: folded along %s: %d of %d unknowns%s", self.kappa,
+                  ", ".join(self._line(m, self._species_map(mirrors[m]))
+                            for m in invariant), folded.size, x.size,
+                  "".join(f"; not along {self._line(m)}, {reason}"
+                          for m, reason in refused.items()))
         return folded
 
     def newton(self, guess: StateField, tol, *,
@@ -428,7 +625,7 @@ class _System:
         state, its residual norm and the iterations.  `history` holds the
         residual norms of the steps that reached `guess` (the kernel's
         ``history``).  Runs on this system folded along the mirrors that
-        leave the problem invariant (``_folded_for``)."""
+        map the problem onto itself (``_folded_for``)."""
         system = self._folded_for(self.stack(guess))
         try:
             x, rnorm, iterations = damped_newton(

@@ -253,6 +253,17 @@ def test_pinned_ramp_iterations_and_violation_counts(a3_trace):
     assert [r.box_violations for r in reports] == [11066] + [0] * 16
 
 
+def test_pinned_ramp_states_mirror_exactly(a3_trace):
+    """chain3's x = 3 mirror sends species 0 to 2 and keeps species 1, and
+    every ramp solve folds along it: each pinned state's u_0 is exactly
+    the mirror image of u_2, and u_1 is exactly symmetric.  The grid is
+    symmetric about x = 3, so the image reverses the columns."""
+    for step in a3_trace.steps:
+        u0, u1, u2 = (u.values for u in step.state)
+        np.testing.assert_array_equal(u0, u2[:, ::-1])
+        np.testing.assert_array_equal(u1, u1[:, ::-1])
+
+
 def test_a8_apriori_box(chain3, chain3_phi):
     domain, species, baseline = (chain3["domain"], chain3["species"],
                                  chain3["baseline"])

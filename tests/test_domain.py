@@ -206,7 +206,10 @@ def test_chain3_mirrors_and_folds():
     assert list(mirrors) == [(0, 80), (1, 272)]
     A, index_map = dom.laplacian()
     iy, ix = np.nonzero(index_map >= 0)
-    np.testing.assert_array_equal(mirrors[(0, 80)], index_map[80 - iy, ix])
+    np.testing.assert_array_equal(mirrors[(0, 80)].image, index_map[80 - iy, ix])
+    # y = 0 keeps every ball; x = 3 swaps balls 0 and 2, and their species
+    assert [m.species for m in mirrors.values()] == [(0, 1, 2), (2, 1, 0)]
+    assert dom.mirrors() is mirrors  # cached
     ball = dom.ball_mask(1)
     assert list(dom.mirrors(ball)) == [(0, 80), (1, 272)]
     assert dom.mirrors(dom.ball_mask(0)).keys() == {(0, 80), (1, 80)}
@@ -226,5 +229,9 @@ def test_chain3_mirrors_and_folds():
     # balls 0 and 1 without their corridor: also x = 1.5, on column 88
     pair = dom.ball_mask(0) | dom.ball_mask(1)
     assert dom.mirrors(pair).keys() == {(0, 80), (1, 176)}
+    assert dom.mirrors(pair)[(1, 176)].species == (1, 0)
+    # ball 1 alone hosts species 1 only, so no map of species 0, ..., K-1
+    assert dom.mirrors(ball)[(1, 272)].species is None
+    assert dom.mirrors(dom.ball_mask(0))[(1, 80)].species == (0,)
     # ball 0 and the corridor up to x = 2: y = 0 alone
     assert dom.mirrors(dom.interior_mask & (dom.coords()[0] < 2.0)).keys() == {(0, 80)}

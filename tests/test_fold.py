@@ -1,6 +1,8 @@
 """Newton solves on the folded lattice: a solve whose region, guess,
 baselines and caps are invariant under lattice mirrors runs on one node per
-mirror orbit and gives the full lattice's result to round-off.  The full
+mirror orbit and gives the full lattice's result to round-off.  A mirror
+that swaps species folds the (species, node) pairs: on the dumbbell, x = 2
+sends species 0 to species 1, so species 1 keeps no unknowns.  The full
 lattice is forced by a mirror finder that finds none."""
 
 import logging
@@ -60,13 +62,21 @@ def dumbbell():
     return domain, species, ModelKind.barrier(baselines(domain, species))
 
 
-def test_ramp_folded_matches_full_lattice(dumbbell, monkeypatch):
+def test_ramp_folded_matches_full_lattice(dumbbell, monkeypatch, caplog):
     domain, species, model = dumbbell
     schedule = sg.ContinuationSchedule(4.0, 4.0, 8)
     orders = record_orders(monkeypatch)
-    folded = sg.continuation_run(domain, species, model, schedule)
-    # every block LU on the nodes at or below y = 0
-    assert set(orders) == {folded_order(domain, axes=(0,))}
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        folded = sg.continuation_run(domain, species, model, schedule)
+    # every step folds along both mirrors, x = 2 swapping the species: one
+    # block LU per linearization that factors, species 0's on the nodes at
+    # or below y = 0
+    n = folded_order(domain, axes=(0,))
+    assert fold_lines(caplog) == [
+        f"kappa {4 ** (s + 1)}: folded along y = 0, x = 2 swaps species 0, 1: "
+        f"{n} of {2 * domain.n_interior} unknowns" for s in range(8)]
+    factoring = [m for m in caplog.messages if "factoring block LUs" in m]
+    assert orders == [n] * len(factoring)
     made = len(orders)
     no_mirrors(monkeypatch)
     full = sg.continuation_run(domain, species, model, schedule)
@@ -81,7 +91,8 @@ def test_folded_residual_norm_and_unfold(dumbbell):
     # a state invariant under y = 0: a random one plus its mirror image
     domain, species, model = dumbbell
     system = _System(domain, species, model, 256.0)
-    [(mirror, image)] = [(m, i) for m, i in domain.mirrors().items() if m[0] == 0]
+    [(mirror, image)] = [(m, i.image) for m, i in domain.mirrors().items()
+                         if m[0] == 0]
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, system.n))
     x = (x + x[:, image]).ravel()
@@ -136,8 +147,9 @@ def test_chain3_phi_folds_on_both_axes(monkeypatch, caplog):
         folded = sg.supersolution_phi(sp, domain)
     # the 2h subgrid's solve, then h's
     assert fold_lines(caplog) == [
-        "kappa 0: folded along y = 0, x = 3: 660 of 2481 nodes",
-        f"kappa 0: folded along y = 0, x = 3: 2599 of {domain.n_interior} nodes"]
+        "kappa 0: folded along y = 0, x = 3: 660 of 2481 unknowns",
+        f"kappa 0: folded along y = 0, x = 3: 2599 of {domain.n_interior} "
+        "unknowns"]
     no_mirrors(monkeypatch)
     full = sg.supersolution_phi(sp, domain)
     assert max_rel([folded], [full]) <= 1e-14
@@ -164,3 +176,61 @@ def test_axis_midway_between_rows_folds(monkeypatch):
     assert folded.positive and full.positive
     assert folded.newton_iterations == full.newton_iterations
     assert max_rel([folded.solution], [full.solution]) <= 1e-14
+
+
+def test_unequal_species_refuse_the_swap(monkeypatch, caplog):
+    domain = dumbbell2_domain()
+    species = [SpeciesParams(lam=12.0, p=2.0), SpeciesParams(lam=12.5, p=2.0)]
+    model = ModelKind.barrier(baselines(domain, species))
+    orders = record_orders(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        sg.solve_system(model.baseline, species, model, 64.0)
+    n = folded_order(domain, axes=(0,))
+    assert fold_lines(caplog) == [
+        f"kappa 64: folded along y = 0: {2 * n} of {2 * domain.n_interior} "
+        "unknowns; not along x = 2, species 0, 1 differ"]
+    assert orders and set(orders) == {n}
+
+
+def test_start_not_swap_invariant_folds_along_y(dumbbell, monkeypatch, caplog):
+    # species 0 moves by a y-symmetric bump and species 1 does not: the
+    # start is invariant under y = 0 but no longer under x = 2's swap
+    domain, species, model = dumbbell
+    center, _ = sg.solve_system(model.baseline, species, model, 64.0)
+    bump = sg.seeded_perturbation(domain, 1, 0.02, 1)[0].values
+    start = StateField([ScalarField(domain, center[0].values + bump + bump[::-1]),
+                        center[1]])
+    orders = record_orders(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        state, _ = sg.solve_system(start, species, model, 64.0)
+    n = folded_order(domain, axes=(0,))
+    [line] = fold_lines(caplog)
+    assert line.startswith(f"kappa 64: folded along y = 0: {2 * n} of "
+                           f"{2 * domain.n_interior} unknowns; not along x = 2, "
+                           "relative asymmetry ")
+    assert orders and set(orders) <= {n, 2 * n}
+    assert n in orders
+    assert sg.h1_distance(state, center) / sg.state_h1_norm(center) <= 1e-12
+
+
+def test_domain_without_balls_folds_species_in_place(monkeypatch, caplog):
+    # a from_mask rectangle has both mirrors but no balls, so no species
+    # map: two species fold along both mirrors, each in its own place
+    mask = np.zeros((9, 12), dtype=bool)
+    mask[1:8, 1:11] = True
+    domain = sg.GridDomain.from_mask(mask, 0.1)
+    assert [m.species for m in domain.mirrors().values()] == [None, None]
+    species = [SpeciesParams(lam=60.0, p=2.0), SpeciesParams(lam=50.0, p=2.0)]
+    model = ModelKind.lotka_volterra()
+    guess = StateField([ScalarField(domain, mask * 0.8),
+                        ScalarField(domain, mask * 0.5)])
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        folded, folded_iterations = sg.solve_system(guess, species, model, 2.0)
+    q = domain.fold(None, list(domain.mirrors()))[1].shape[0]
+    assert fold_lines(caplog) == [
+        f"kappa 2: folded along y = 0.4, x = 0.55: {2 * q} of "
+        f"{2 * domain.n_interior} unknowns"]
+    no_mirrors(monkeypatch)
+    full, full_iterations = sg.solve_system(guess, species, model, 2.0)
+    assert folded_iterations == full_iterations
+    assert max_rel(folded, full) <= 1e-14

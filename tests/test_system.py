@@ -23,8 +23,9 @@ def dumbbell2_caps(dumbbell2_setup):
 @pytest.fixture(scope="module")
 def warm_solve(dumbbell2_setup, dumbbell2_trace):
     """The barrier solve at kappa = 16384 from the trace's kappa = 8192
-    state: a warm solve of two Newton steps, folded along y = 0 (the
-    dumbbell's x = 2 mirror swaps its species)."""
+    state: a warm solve of two Newton steps, folded along y = 0 and along
+    the dumbbell's x = 2 mirror, which swaps its species.  Its unknowns are
+    species 0's on the nodes at or below y = 0, one block."""
     [start] = [step.state for step in dumbbell2_trace.steps if step.kappa == 8192.0]
     model = ModelKind.barrier(dumbbell2_setup["baseline"])
     return start, dumbbell2_setup["species"], model, 16384.0
@@ -115,31 +116,28 @@ def test_residual_matches_reference_formulas(dumbbell2_setup, kind, reference):
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
-@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "caps"])
-@pytest.mark.parametrize("kind", ["lotka_volterra", "barrier", "positive_part"])
-def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
-                                             kind, truncated):
-    setup = dumbbell2_setup
-    dom, species = setup["domain"], setup["species"]
-    model = model_of(kind, setup["baseline"], dumbbell2_caps if truncated else None)
-    system = _System(dom, species, model, 64.0)
+def check_jacobian(system, caps, kind, truncated):
+    """The assembled Jacobian of `system` at a random state matches central
+    differences of its residual, and ``apply`` matches the assembled one."""
     rng = np.random.default_rng(5)
     # a random state at least 1e-3 away from the clip kink (u + u^0 = 0)
     # and, where the reaction argument moves with the state, from the cap
-    # kink (reaction argument = cap) at every node
+    # kink (reaction argument = cap) at every node; the node-wise values
+    # of a folded system are gathered from its unknowns
     clip = kind != "barrier"
-    u0 = system.stack(setup["baseline"]) if kind != "lotka_volterra" else 0.0
-    cap = system.stack(dumbbell2_caps)
-    x = rng.uniform(-1.0, 1.0, 2 * dom.n_interior)
+    u0 = system.u0
+    cap = np.stack([c.values[system.nodes] for c in caps])
+    unknown = system._nodewise(np.arange(system.size))
+    x = rng.uniform(-1.0, 1.0, system.size)
     for _ in range(10):
-        v = x + u0
-        s = np.maximum(v, 0.0) - u0 if clip else x
+        v = system._nodewise(x) + u0
+        s = np.maximum(v, 0.0) - u0 if clip else v - u0
         near = truncated & (v > 0.0 if clip else True) & (np.abs(s - cap) < 1e-3)
         if clip:
             near |= np.abs(v) < 1e-3
         if not near.any():
             break
-        x[near] += 5e-3
+        x[np.unique(unknown[near])] += 5e-3
     assert not near.any()
     direction = rng.uniform(-1.0, 1.0, x.size)
     eps = 1e-6
@@ -150,6 +148,40 @@ def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
     # the Newton steps' matrix-free product is the assembled Jacobian's
     applied = system.linearize(x).apply(direction)
     assert np.linalg.norm(applied - jv) <= 1e-12 * np.linalg.norm(jv)
+
+
+jacobian_cases = [
+    pytest.mark.parametrize("truncated", [False, True], ids=["plain", "caps"]),
+    pytest.mark.parametrize("kind", ["lotka_volterra", "barrier", "positive_part"])]
+
+
+@jacobian_cases[0]
+@jacobian_cases[1]
+def test_jacobian_matches_finite_differences(dumbbell2_setup, dumbbell2_caps,
+                                             kind, truncated):
+    setup = dumbbell2_setup
+    model = model_of(kind, setup["baseline"], dumbbell2_caps if truncated else None)
+    system = _System(setup["domain"], setup["species"], model, 64.0)
+    check_jacobian(system, dumbbell2_caps, kind, truncated)
+
+
+@jacobian_cases[0]
+@jacobian_cases[1]
+@pytest.mark.parametrize("axes", [(0,), (0, 1)], ids=["y", "swap"])
+def test_folded_jacobian_matches_finite_differences(dumbbell2_setup,
+                                                    dumbbell2_caps, axes, kind,
+                                                    truncated):
+    # folded along y = 0, and also along x = 2, which swaps the species: the
+    # swap fold's Jacobian R J G carries the couplings D[0, 1] moved to the
+    # mirror image of their node, summed onto the diagonal on x = 2
+    setup = dumbbell2_setup
+    domain = setup["domain"]
+    model = model_of(kind, setup["baseline"], dumbbell2_caps if truncated else None)
+    system = _System(domain, setup["species"], model, 64.0)
+    folded = system._fold([m for m in domain.mirrors() if m[0] in axes])
+    n = folded_order(domain, axes=(0,))
+    assert folded.size == n * (2 if axes == (0,) else 1)
+    check_jacobian(folded, dumbbell2_caps, kind, truncated)
 
 
 def trace_jacobian_case(dumbbell2_setup, dumbbell2_trace, kappa):
@@ -380,8 +412,9 @@ def test_symmetric_pair_mirror_solution(dumbbell2_setup):
     U0 = setup["baseline"]
     model = ModelKind.barrier(U0)
     U, _ = solve_system(U0, setup["species"], model, 256.0, 1e-10)
-    # domain and parameters are mirror symmetric about the corridor midpoint
-    assert np.allclose(U[0].values, U[1].values[:, ::-1], atol=1e-9)
+    # domain and parameters are mirror symmetric about the corridor midpoint,
+    # so the solve folds along that mirror and the species are exact images
+    np.testing.assert_array_equal(U[0].values, U[1].values[:, ::-1])
 
 
 def test_converged_lv_solutions_nonnegative(dumbbell2_setup):
@@ -439,7 +472,7 @@ def test_krylov_failure_carries_history(dumbbell2_setup, monkeypatch, failure,
 
     if failure == "gmres":
         monkeypatch.setattr(system_module, "right_gmres", failing_gmres)
-        singular_after(monkeypatch, 2)  # the two block LUs
+        singular_after(monkeypatch, 1)  # the swap fold's one block LU
     else:
         singular_after(monkeypatch, 0)
     U0 = dumbbell2_setup["baseline"]
@@ -473,7 +506,7 @@ def test_warm_solve_factors_blocks_once(warm_solve, monkeypatch):
     factorizations = count_calls(monkeypatch, newton, "splu")
     solve_system(start, species, model, kappa, 1e-10)
     assert len(linearizations) >= 2
-    assert len(factorizations) == len(species)
+    assert len(factorizations) == 1
 
 
 def test_forced_refactor_matches_held_blocks(warm_solve, monkeypatch):
@@ -484,7 +517,7 @@ def test_forced_refactor_matches_held_blocks(warm_solve, monkeypatch):
     factorizations = count_calls(monkeypatch, newton, "splu")
     refactored, _ = solve_system(start, species, model, kappa, 1e-10)
     assert len(linearizations) >= 2
-    assert len(factorizations) == len(species) * len(linearizations)
+    assert len(factorizations) == len(linearizations)
     assert sg.h1_distance(held, refactored) / sg.state_h1_norm(held) <= 1e-12
 
 
@@ -508,7 +541,7 @@ def test_gmres_miss_steps_on_assembled_lu(warm_solve, monkeypatch, misses,
         return right_gmres(apply, b, precondition)
 
     monkeypatch.setattr(system_module, "right_gmres", missing_gmres)
-    k, n = len(species), folded_order(start.domain, axes=(0,))
+    k, n = 1, folded_order(start.domain, axes=(0,))
     if not converges:
         orders = singular_after(monkeypatch, k)
         with pytest.raises(NonlinearSolveError,
@@ -548,7 +581,7 @@ def test_gmres_miss_logged(warm_solve, caplog, monkeypatch):
     miss = ("GMRES missed in 3 iterations; solving on the assembled "
             "Jacobian's LU")
     assert lines.count(miss) == 1
-    order = len(species) * folded_order(start.domain, axes=(0,))
+    order = folded_order(start.domain, axes=(0,))
     after = lines[lines.index(miss) + 1:]
     assert after[0].startswith(f"assembled Jacobian of order {order}: ")
     assert after[1].startswith(f"LU of order {order}: fill ")
@@ -577,7 +610,7 @@ def test_second_gmres_miss_ends_gmres(warm_solve, caplog, monkeypatch):
     monkeypatch.setattr(newton, "splu", recording_splu)
     with caplog.at_level(logging.DEBUG, logger="seglv.system"):
         state, _ = solve_system(start, species, model, kappa, 1e-10)
-    k, n = len(species), folded_order(start.domain, axes=(0,))
+    k, n = 1, folded_order(start.domain, axes=(0,))
     assert calls == 2
     assert orders[:2 * k + 2] == [n] * k + [k * n] + [n] * k + [k * n]
     assert set(orders[2 * k + 2:]) == {k * n}
@@ -705,11 +738,10 @@ def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):
     # the fold comes first; the one factoring logs a line per block LU
     # after its decision
     n = folded_order(start.domain, axes=(0,))
-    assert lines[0] == (f"kappa 16384: folded along y = 0: {n} of "
-                        f"{start.domain.n_interior} nodes; not along x = 2, "
-                        "relative asymmetry 1")
-    lus = lines[2:2 + len(species)]
-    decisions = lines[1:2] + lines[2 + len(species):]
+    assert lines[0] == (f"kappa 16384: folded along y = 0, x = 2 swaps species "
+                        f"0, 1: {n} of {2 * start.domain.n_interior} unknowns")
+    lus = lines[2:3]  # one block: species 1 is species 0's mirror image
+    decisions = lines[1:2] + lines[3:]
     assert len(decisions) == len(linearizations) >= 2
     assert decisions[0] == ("kappa 16384: factoring block LUs; last GMRES "
                             "iterations: None")
