@@ -28,6 +28,25 @@ c = f'(u0) gives the nondegeneracy margin of a state u0,
 the infimum of the Rayleigh quotient (|grad w|^2 - f'(u0) w^2) / |grad w|^2
 over the region.
 
+Both fold along the mirrors of the region that leave c invariant to
+``system.MIRROR_RTOL`` (``_top_eigenpair``), when c is positive
+somewhere.  This is exact: then nu > 0 and nu A - diag(c) is a singular
+positive semidefinite Z-matrix, irreducible on each connected component,
+so the top eigenvector is its Perron vector, positive and simple
+(Perron-Frobenius, as in Krein-Rutman), and invariant under those
+mirrors; where a mirror swaps two components, the top eigenspace holds
+the invariant sum of their Perron vectors.  With P, A_f = R A P and the
+orbit sizes w of ``GridDomain.fold`` and W = diag(w), W A_f = P^T A P is
+symmetric, and the folded pencil diag(w c_f) v = nu (W A_f) v runs through
+the same Lanczos on one LU of A_f, (W A_f)^-1 b = A_f^-1 (b / w); the
+eigenvector is P v.  A chain3 ball at h = 1/64 solves on 3276 of its
+12849 nodes.  Where c is nowhere positive the top eigenvector oscillates
+from node to node and need not be invariant, so the pencil does not fold.
+Each eigen-solve logs its fold at DEBUG level, worded like the Newton
+solves' (``system._fold_choice``).  The residual checks of
+``principal_eigenvalue`` and ``nd_margin`` run on the region's A with
+the unfolded eigenvector.
+
 Congruent balls solve once.  ``principal_eigenvalue``, ``solve_ball`` and
 ``nd_margin`` on a region that is exactly one ball's mask store their
 result on the domain, keyed by the ball's translation class (its mask
@@ -57,7 +76,7 @@ from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
 from .newton import NEWTON_TOL, _l2, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
-from .system import ModelKind, _System
+from .system import ModelKind, _asymmetry, _fold_choice, _mirror_line, _System
 
 log = logging.getLogger(__name__)
 
@@ -138,33 +157,54 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
                                         (sp_params, newton_tol, guess), compute))
 
 
-def _top_eigenpair(c, A):
-    """Largest nu of diag(c) w = nu A w, its w, and the LU solves made.
+def _top_eigenpair(stage, c, domain, region):
+    """Largest nu of diag(c) w = nu A w, A = -Lap on `region`, its w, and
+    the LU solves made.
 
-    Lanczos (ARPACK) in the A-inner product on an LU of A, started from
-    the constant vector so that runs are reproducible.  Regions with fewer
-    than 3 nodes, which ARPACK cannot take, use a dense eigensolve and
-    factor nothing.
+    The pencil folds along every mirror of the region that leaves c
+    invariant, when c is positive somewhere (see the module docstring).
+    Lanczos (ARPACK) in the (W A_f)-inner product on an LU of A_f, started
+    from the constant vector so that runs are reproducible.  Regions of
+    fewer than 3 nodes after the fold, which ARPACK cannot take, use a
+    dense eigensolve and factor nothing.  Logs the fold at DEBUG level as
+    `stage`.
     """
+    A, index = domain.laplacian(region)
+    mask = index >= 0
+    mirrors = domain.mirrors(mask)
+    asymmetry = {m: _asymmetry(c[None], mirror.image, (0,))
+                 for m, mirror in mirrors.items()}
+    invariant, note = _fold_choice(
+        domain, mirrors, asymmetry,
+        {} if np.max(c) > 0.0 else dict.fromkeys(mirrors, "c nowhere positive"))
+    if invariant:
+        nodes, A, orbit, w = domain.fold(mask, invariant)
+        log.debug("%s: folded along %s: %d of %d nodes%s", stage,
+                  ", ".join(_mirror_line(domain, m) for m in invariant),
+                  A.shape[0], orbit.size, note)
+        c, M = w * c[nodes[mask]], sp.diags(w, dtype=float) @ A
+    else:
+        log.debug("%s: %s", stage, note)
+        orbit, w, M = slice(None), 1.0, A
     n = A.shape[0]
     if n < 3:
-        nus, ws = scipy.linalg.eigh(np.diag(c), A.toarray())
-        return float(nus[-1]), ws[:, -1], 0
+        nus, vs = scipy.linalg.eigh(np.diag(c), M.toarray())
+        return float(nus[-1]), vs[orbit, -1], 0
     lu = factorize(A)
     solves = 0
 
     def solve(b):
         nonlocal solves
         solves += 1
-        return lu.solve(b)
+        return lu.solve(b / w)
 
     try:
-        nus, ws = eigsh(sp.diags(c), k=1, M=A,
+        nus, vs = eigsh(sp.diags(c), k=1, M=M,
                         Minv=LinearOperator(A.shape, matvec=solve, dtype=float),
                         which="LA", v0=np.ones(n))
     except ArpackNoConvergence as exc:
         raise EigenSolveError(f"generalized lanczos: {exc}") from exc
-    return float(nus[0]), ws[:, 0], solves
+    return float(nus[0]), vs[orbit, 0], solves
 
 
 def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
@@ -176,7 +216,8 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
     """
     def compute():
         A, index = domain.laplacian(region)
-        nu, w, _ = _top_eigenpair(np.ones(A.shape[0]), A)
+        nu, w, _ = _top_eigenpair("principal_eigenvalue", np.ones(A.shape[0]),
+                                  domain, region)
         lam = 1.0 / nu
         # on disconnected regions a repeated eigenvalue can come back as a
         # sign-changing mix of per-component eigenfields, whose modulus is an
@@ -206,7 +247,7 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
         c = f_prime(sp_params, u0.values)[index >= 0]
         if not np.any(c):
             return 1.0, 0
-        nu, w, solves = _top_eigenpair(c, A)
+        nu, w, solves = _top_eigenpair("nd_margin", c, u0.domain, region)
         Aw = A @ w
         resid = _l2(c * w - nu * Aw)
         if not resid <= eig_tol * _l2(Aw):

@@ -102,13 +102,16 @@ symmetric, since a representative on a mirror couples twice to its
 neighbour off it, so the block LUs factor their matrices as they are.
 The chain3 ramp factors one block of order 5166 and one of 2599 per
 linearization (three of 10077 on the full lattice); a ball solve and the global profile
-fold along both axes, onto a quarter of the nodes.  Nothing else folds:
-a start that fails the test (a probe trial that falls back to damped
-Newton), ``solve_near``'s center LU and chord rounds, the eigen-solves of
-``scalar`` and the public ``residual``.  Each Newton solve logs one DEBUG
-line: the mirrors it folds along, each with the species it swaps, and "q
-of N unknowns", or "not folded" with the largest relative asymmetry
-found; a mirror it does not fold along is named with its reason.
+fold along both axes, onto a quarter of the nodes.  The eigen-solves of
+``scalar`` fold their pencils by the same test (``_fold_choice``) on one
+field.  Nothing else folds: a start that fails the test (a probe trial
+that falls back to damped Newton), ``solve_near``'s center LU and chord
+rounds, and the public ``residual``.  The baselines and caps are tested
+once per model and region, the guess on every solve.  Each Newton solve
+logs one DEBUG line: the mirrors it folds along, each with the species it
+swaps, and "q of N unknowns", or "not folded" with the largest relative
+asymmetry found; a mirror it does not fold along is named with its
+reason.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -127,7 +130,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -160,6 +163,55 @@ KRYLOV_REFACTOR = 10
 MIRROR_RTOL = 4096 * np.finfo(float).eps
 
 
+def _asymmetry(fields, image, species):
+    """The relative asymmetry of `fields` under a mirror of their region.
+
+    `fields` is (F k, n): F groups of k species rows on the region's n
+    nodes, `image` the mirror's node map (``domain.Mirror``) and `species`
+    its permutation of the k species.  Returns the largest max-norm
+    difference between a row u_i and the row u_sigma(i) of its group at
+    the mirror images, relative to the peak of u_i (1 for a zero row)."""
+    k = len(species)
+    rows = (np.arange(len(fields) // k)[:, None] * k + species).ravel()
+    peak = np.max(np.abs(fields), axis=1)
+    scale = np.where(peak > 0.0, peak, 1.0)
+    return float(np.max(np.max(np.abs(fields - fields[rows[:, None], image]),
+                               axis=1) / scale))
+
+
+def _mirror_line(domain, mirror, species=()):
+    """The mirror line (axis, c) of `domain` as an equation, e.g. 'y = 0',
+    followed by the pairs its species map `species` swaps, e.g. 'x = 3
+    swaps species 0, 2'."""
+    axis, c = mirror
+    line = f"{'yx'[axis]} = {domain.origin[1 - axis] + 0.5 * c * domain.h:g}"
+    swaps = " and ".join(f"{i}, {j}" for i, j in enumerate(species) if i < j)
+    return f"{line} swaps species {swaps}" if swaps else line
+
+
+def _fold_choice(domain, mirrors, asymmetry, differ):
+    """The keys of a region's `mirrors` (``GridDomain.mirrors``) that a
+    problem folds along, and the DEBUG note on that choice.
+
+    Mirror m qualifies when `differ` holds no reason against it and the
+    problem's relative asymmetry under it, `asymmetry[m]` (``_asymmetry``),
+    is at most ``MIRROR_RTOL``.  When none does, the note is the decision,
+    "not folded; " and why; otherwise it names each mirror left out,
+    "; not along <line>, <reason>", to end the folded solve's line."""
+    if not mirrors:
+        return [], "not folded; the region has no lattice mirror"
+    refused = {m: differ.get(m, f"relative asymmetry {a:.3g}")
+               for m, a in asymmetry.items() if m in differ or a > MIRROR_RTOL}
+    invariant = [m for m in mirrors if m not in refused]
+    note = "".join(f"; not along {_mirror_line(domain, m)}, {reason}"
+                   for m, reason in (refused if invariant else differ).items())
+    if invariant:
+        return invariant, note
+    lines = ", ".join(_mirror_line(domain, m) for m in mirrors)
+    return invariant, ("not folded; largest relative asymmetry "
+                       f"{max(asymmetry.values()):.3g} under {lines}{note}")
+
+
 @dataclass(frozen=True)
 class ModelKind:
     """Model selector; barrier and positive_part carry the baseline tuple.
@@ -175,6 +227,10 @@ class ModelKind:
     kind: str
     baseline: StateField | None = None
     caps: StateField | None = None
+    # the mirror asymmetries of the baselines and caps on each region, keyed
+    # by its mask (``_System._folded_for``)
+    _fixed_asymmetry: dict = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -266,6 +322,7 @@ class _System:
             raise DomainMismatchError("truncation caps live on a different domain")
         self.caps = ([np.inf] * k if model.caps is None
                      else [u.values[mask] for u in model.caps])
+        self._fixed_asymmetry = model._fixed_asymmetry
         # the nodes of the node-wise layout: the region's, or on a folded
         # system (``_fold``) its representatives; a fold that moves species
         # also gathers the layout from fewer unknowns and picks their rows
@@ -562,61 +619,44 @@ class _System:
         weight = np.bincount(gather, weights=np.tile(w, k))
         return weight, gather, pick, blocks
 
-    def _line(self, mirror, species=()):
-        """The mirror line (axis, c) as an equation, e.g. 'y = 0', followed
-        by the pairs its species map `species` swaps, e.g. 'x = 3 swaps
-        species 0, 2'."""
-        axis, c = mirror
-        line = f"{'yx'[axis]} = {self.domain.origin[1 - axis] + 0.5 * c * self.h:g}"
-        swaps = " and ".join(f"{i}, {j}" for i, j in enumerate(species) if i < j)
-        return f"{line} swaps species {swaps}" if swaps else line
-
     def _folded_for(self, x):
         """This system folded along every mirror of its region that maps
         the problem onto itself, or the system itself when there is none.
 
-        A mirror qualifies when the species it permutes
+        A mirror qualifies (``_fold_choice``) when the species it permutes
         (``_species_map``) have equal parameters and the stacked x, the
         baselines and the caps satisfy u_sigma(i) = u_i o mirror to
-        ``MIRROR_RTOL``, relative to each field's peak.  Logs the decision
-        at DEBUG level."""
+        ``MIRROR_RTOL``, relative to each field's peak (``_asymmetry``).
+        The baselines' and caps' asymmetries are fixed for the model and
+        are found once per region (cached on ``ModelKind``); the guess's
+        is found on every call.  Logs the decision at DEBUG level."""
         mirrors = self.domain.mirrors(self.mask)
-        if not mirrors:
-            log.debug("kappa %g: not folded; the region has no lattice mirror",
-                      self.kappa)
-            return self
-        k = self.k
-        fields = np.vstack([x.reshape(k, self.n), self.u0,
-                            *(c for c in self.caps if not np.isscalar(c))])
-        peak = np.max(np.abs(fields), axis=1)
-        scale = np.where(peak > 0.0, peak, 1.0)
-        asymmetry, differ = {}, {}
-        for m, mirror in mirrors.items():
-            species = self._species_map(mirror)
-            rows = (np.arange(len(fields) // k)[:, None] * k + species).ravel()
-            asymmetry[m] = float(np.max(np.max(np.abs(
-                fields - fields[rows[:, None], mirror.image]), axis=1) / scale))
+        maps = {m: self._species_map(mirror) for m, mirror in mirrors.items()}
+        key = self.mask.shape, self.mask.tobytes()
+        fixed = self._fixed_asymmetry.get(key)
+        if fixed is None:
+            fields = np.vstack([self.u0, *(c for c in self.caps
+                                           if not np.isscalar(c))])
+            fixed = self._fixed_asymmetry[key] = {
+                m: _asymmetry(fields, mirror.image, maps[m])
+                for m, mirror in mirrors.items()}
+        guess = x.reshape(self.k, self.n)
+        asymmetry = {m: max(fixed[m], _asymmetry(guess, mirror.image, maps[m]))
+                     for m, mirror in mirrors.items()}
+        differ = {}
+        for m, species in maps.items():
             unequal = [(i, j) for i, j in enumerate(species)
                        if self.species[i] != self.species[j]]
             if unequal:
                 differ[m] = "species {}, {} differ".format(*unequal[0])
-        refused = {m: differ.get(m, f"relative asymmetry {a:.3g}")
-                   for m, a in asymmetry.items()
-                   if m in differ or a > MIRROR_RTOL}
-        invariant = [m for m in mirrors if m not in refused]
+        invariant, note = _fold_choice(self.domain, mirrors, asymmetry, differ)
         if not invariant:
-            log.debug("kappa %g: not folded; largest relative asymmetry %.3g "
-                      "under %s%s", self.kappa, max(asymmetry.values()),
-                      ", ".join(map(self._line, mirrors)),
-                      "".join(f"; not along {self._line(m)}, {reason}"
-                              for m, reason in differ.items()))
+            log.debug("kappa %g: %s", self.kappa, note)
             return self
         folded = self._fold(invariant)
         log.debug("kappa %g: folded along %s: %d of %d unknowns%s", self.kappa,
-                  ", ".join(self._line(m, self._species_map(mirrors[m]))
-                            for m in invariant), folded.size, x.size,
-                  "".join(f"; not along {self._line(m)}, {reason}"
-                          for m, reason in refused.items()))
+                  ", ".join(_mirror_line(self.domain, m, maps[m])
+                            for m in invariant), folded.size, x.size, note)
         return folded
 
     def newton(self, guess: StateField, tol, *,

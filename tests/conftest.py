@@ -102,6 +102,19 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def record_orders(monkeypatch):
+    """Wrap newton.splu so that each LU appends the order of its matrix to
+    the returned list."""
+    orders, splu = [], newton.splu
+
+    def recording_splu(J, *args, **kwargs):
+        orders.append(J.shape[0])
+        return splu(J, *args, **kwargs)
+
+    monkeypatch.setattr(newton, "splu", recording_splu)
+    return orders
+
+
 def singular_after(monkeypatch, count):
     """Wrap newton.splu so that every LU after the first `count` raises
     RuntimeError, as SuperLU does on a singular matrix; returns the list of

@@ -102,29 +102,32 @@ def test_cli_determinism_byte_identical(tmp_path):
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     """`seglv continue` writes the same bytes at 1 and 2 BLAS threads.
 
-    The dumbbell2 example at h = 1/32, 3 steps, runs in two concurrent
-    subprocesses, one per OPENBLAS_NUM_THREADS.  A reduction left to BLAS
-    splits across threads and changes its last bits with their number.  On
-    a one-core host both runs reduce alike and the test shows nothing.
+    Two example configs, cut short and without images, each run in two
+    concurrent subprocesses, one per OPENBLAS_NUM_THREADS: dumbbell2 at
+    h = 1/32 for 3 steps and chain3 at h = 1/64 for 4.  A reduction left to
+    BLAS splits across threads and changes its last bits with their
+    number.  On a one-core host both runs reduce alike and the test shows
+    nothing.
     """
     repo = Path(__file__).resolve().parents[1]
-    doc = json.loads((repo / "configs" / "dumbbell2.json").read_text())
-    doc["domain"]["h"] = 1 / 32
-    doc["schedule"]["steps"] = 3
-    doc["output"]["emit_images"] = False
-    cfg = tmp_path / "dumbbell2.json"
-    cfg.write_text(json.dumps(doc))
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=str(repo / "src"))
-        out = tmp_path / f"threads{threads}"
-        runs.append((out, subprocess.Popen(
-            [sys.executable, "-m", "seglv.cli", "continue", str(cfg),
-             "--output", str(out)], env=env, stdout=subprocess.DEVNULL)))
-    for _, process in runs:
-        assert process.wait(timeout=300) == 0
-    assert_same_outputs(*(out for out, _ in runs))
+    for name, h, steps in (("dumbbell2", 1 / 32, 3), ("chain3", 1 / 64, 4)):
+        doc = json.loads((repo / "configs" / f"{name}.json").read_text())
+        doc["domain"]["h"] = h
+        doc["schedule"]["steps"] = steps
+        doc["output"]["emit_images"] = False
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(repo / "src"))
+            out = tmp_path / f"{name}_threads{threads}"
+            runs.append((out, subprocess.Popen(
+                [sys.executable, "-m", "seglv.cli", "continue", str(cfg),
+                 "--output", str(out)], env=env, stdout=subprocess.DEVNULL)))
+        for _, process in runs:
+            assert process.wait(timeout=300) == 0
+        assert_same_outputs(*(out for out, _ in runs))
 
 
 def test_cli_verbose_logs_to_stderr(tmp_path, capsys):

@@ -11,26 +11,15 @@ import numpy as np
 import pytest
 
 import seglv as sg
-from seglv import newton
 from seglv import ModelKind, ScalarField, SpeciesParams, StateField
+from seglv import system as system_module
 from seglv.system import _System
 
-from conftest import dumbbell2_domain, folded_order
+from conftest import dumbbell2_domain, folded_order, record_orders
 
 
 def no_mirrors(monkeypatch):
     monkeypatch.setattr(sg.GridDomain, "mirrors", lambda self, region=None: {})
-
-
-def record_orders(monkeypatch):
-    orders, splu = [], newton.splu
-
-    def recording_splu(J, *args, **kwargs):
-        orders.append(J.shape[0])
-        return splu(J, *args, **kwargs)
-
-    monkeypatch.setattr(newton, "splu", recording_splu)
-    return orders
 
 
 def fold_lines(caplog):
@@ -85,6 +74,27 @@ def test_ramp_folded_matches_full_lattice(dumbbell, monkeypatch, caplog):
     assert ([s.newton_iterations for s in folded.steps]
             == [s.newton_iterations for s in full.steps])
     assert max_rel(folded.final_state(), full.final_state()) <= 1e-14
+
+
+def test_baselines_tested_once_per_model(dumbbell, monkeypatch):
+    # the baselines' asymmetry under each of the two mirrors is found on the
+    # first solve of a model and kept; the guess's on every solve
+    domain, species, model = dumbbell
+    model = ModelKind.barrier(model.baseline)
+    rows, asymmetry = [], system_module._asymmetry
+
+    def counting(fields, *args):
+        rows.append(len(fields))
+        return asymmetry(fields, *args)
+
+    monkeypatch.setattr(system_module, "_asymmetry", counting)
+    for kappa in (16.0, 64.0, 256.0):
+        sg.solve_system(model.baseline, species, model, kappa)
+    assert len(rows) == 2 + 3 * 2
+    # a new model tests its baselines again
+    sg.solve_system(model.baseline, species, ModelKind.barrier(model.baseline),
+                    16.0)
+    assert len(rows) == 8 + 2 + 2
 
 
 def test_folded_residual_norm_and_unfold(dumbbell):

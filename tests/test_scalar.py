@@ -15,7 +15,7 @@ from seglv import newton
 from seglv import scalar as scalar_module
 from seglv import system as system_module
 from conftest import (count_calls, dumbbell2_domain, folded_order, rebuilt,
-                      singular_after)
+                      record_orders, singular_after)
 
 
 def test_single_node_eigenvalue(tiny3):
@@ -50,6 +50,14 @@ def test_eigenvalue_domain_monotonicity(ball16):
     assert lam_small > lam_full
 
 
+def eigen_lines(caplog):
+    """The DEBUG lines of the eigen-solves' fold decisions."""
+    return [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"
+            and r.getMessage().startswith(("principal_eigenvalue: ",
+                                           "nd_margin: "))
+            and "reusing" not in r.getMessage()]
+
+
 @pytest.fixture(scope="module")
 def chain3_domain():
     """Three unit balls joined by width-0.2 corridors at h = 1/32."""
@@ -59,14 +67,44 @@ def chain3_domain():
     return sg.build_domain(balls, corridors, (-1.25, -1.25, 7.25, 1.25), 1 / 32)
 
 
-def test_eigenvalue_resolves_clustered_spectrum(chain3_domain):
+def test_eigenvalue_resolves_clustered_spectrum(chain3_domain, caplog):
     # the lowest three eigenvalues sit at 5.631, 5.650, 5.650
-    lam, e = principal_eigenvalue(None, chain3_domain)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        lam, e = principal_eigenvalue(None, chain3_domain)
+    assert eigen_lines(caplog) == [
+        "principal_eigenvalue: folded along y = 0, x = 3: 2599 of 10077 nodes"]
     A, _ = chain3_domain.laplacian()
     reference = float(eigsh(A.tocsc(), k=1, sigma=0)[0][0])
     assert lam == pytest.approx(reference, rel=1e-8)
     assert lam == pytest.approx(5.63141991579, rel=1e-10)
     assert e.values.min() >= 0.0
+
+
+def test_dumbbell_eigenvalue_against_dense_oracle(monkeypatch, caplog):
+    # two unit balls joined by a width-0.5 corridor at h = 1/8: lambda_2 =
+    # 5.3674 sits 6e-4 above lambda_1 = 5.3668 and is odd under the swap
+    # mirror x = 1.5, so only lambda_1 lies in the folded subspace
+    balls = [sg.BallSpec((0.0, 0.0), 1.0, 0), sg.BallSpec((3.0, 0.0), 1.0, 1)]
+    domain = sg.build_domain(balls, [sg.CorridorSpec(0, 1, 0.5)],
+                             (-1.25, -1.25, 4.25, 1.25), 1 / 8)
+    A, _ = domain.laplacian()
+    dense, vectors = scipy.linalg.eigh(A.toarray())
+    assert dense[1] - dense[0] < 1e-3
+    image = domain.mirrors()[(1, 44)].image
+    np.testing.assert_allclose(vectors[image, 1], -vectors[:, 1], atol=1e-8)
+    orders = record_orders(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        lam, e = principal_eigenvalue(None, domain)
+    q = folded_order(domain)
+    assert eigen_lines(caplog) == [
+        f"principal_eigenvalue: folded along y = 0, x = 1.5: {q} of "
+        f"{domain.n_interior} nodes"]
+    assert orders == [q]
+    assert lam == pytest.approx(dense[0], rel=1e-12)
+    v = np.abs(vectors[:, 0])
+    v /= domain.h * np.sqrt(np.sum(v * v))
+    np.testing.assert_allclose(e.values[domain.interior_mask], v,
+                               atol=1e-8 * v.max())
 
 
 def test_eigenfield_spans_disconnected_domain():
@@ -316,22 +354,15 @@ def test_congruent_ball_reuses_the_first_balls_results(monkeypatch, caplog):
 def test_balls_of_different_radii_share_nothing(monkeypatch):
     domain = dumbbell2_domain(radii=(1.0, 0.9))
     sp = SpeciesParams(lam=12.0, p=2.0)
-    orders, splu = [], newton.splu
-
-    def recording_splu(J, *args, **kwargs):
-        orders.append(J.shape[0])
-        return splu(J, *args, **kwargs)
-
-    monkeypatch.setattr(newton, "splu", recording_splu)
+    orders = record_orders(monkeypatch)
     for ball in range(2):
         made = len(orders)
         _ball_stages(domain, ball, sp)
         # an LU each for lambda_1 and the ND margin, one or more for the
-        # solve, which folds along the ball's mirrors
+        # solve, all folded along the ball's mirrors
         region = domain.ball_mask(ball)
         assert len(orders) - made >= 3
-        assert set(orders[made:]) == {np.count_nonzero(region),
-                                      folded_order(domain, region)}
+        assert set(orders[made:]) == {folded_order(domain, region)}
 
 
 def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
@@ -408,6 +439,74 @@ def test_nd_margin_matches_dense_pencil(ball16):
     report = nd_margin(u0, sp, region)
     assert report.margin == pytest.approx(1.0 - nu_max, abs=1e-10)
     assert report.rayleigh_iterations > 0
+
+
+def test_nd_margin_folds_along_the_mirror_u0_keeps(ball16, monkeypatch, caplog):
+    # a baseline tilted in x keeps y = 0 but breaks x = 0: the pencil folds
+    # along y = 0 alone and matches the dense one
+    domain = rebuilt(ball16)
+    region = domain.species_ball_mask(0)
+    guess, lam1 = positive_branch_guess(domain, region)
+    sp = SpeciesParams(lam=2 * lam1, p=2.0)
+    u0 = solve_ball(sp, region, domain, guess).solution
+    X, _ = domain.coords()
+    tilted = ScalarField(domain, u0.values * (1.0 + 0.1 * X))
+    A, _ = domain.laplacian(region)
+    c = sg.f_prime(sp, tilted.values)[region]
+    nu_max = scipy.linalg.eigh(np.diag(c), A.toarray(), eigvals_only=True)[-1]
+    orders = record_orders(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        report = nd_margin(tilted, sp, region)
+    q = folded_order(domain, region, axes=(0,))
+    [line] = eigen_lines(caplog)
+    assert line.startswith(f"nd_margin: folded along y = 0: {q} of "
+                           f"{np.count_nonzero(region)} nodes; not along "
+                           "x = 0, relative asymmetry ")
+    assert orders == [q]
+    assert report.margin == pytest.approx(1.0 - nu_max, abs=1e-10)
+
+
+def test_nd_margin_of_nowhere_positive_c_not_folded(monkeypatch, caplog):
+    # f'(2) < 0 on every node of a 6 x 8 rectangle: the top eigenvector of
+    # the pencil oscillates from node to node, odd under both mirrors, which
+    # run midway between rows and between columns, so the pencil must not
+    # fold
+    mask = np.zeros((8, 10), dtype=bool)
+    mask[1:7, 1:9] = True
+    domain = sg.GridDomain.from_mask(mask, 0.1)
+    sp = SpeciesParams(lam=10.0, p=2.0)
+    u0 = ScalarField(domain, 2.0 * mask)
+    A, _ = domain.laplacian()
+    c = sg.f_prime(sp, u0.values)[mask]
+    nus, vectors = scipy.linalg.eigh(np.diag(c), A.toarray())
+    for mirror in domain.mirrors().values():
+        np.testing.assert_allclose(vectors[mirror.image, -1], -vectors[:, -1],
+                                   atol=1e-8)
+    orders = record_orders(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        report = nd_margin(u0, sp, None)
+    assert eigen_lines(caplog) == [
+        "nd_margin: not folded; largest relative asymmetry 0 under y = 0.35, "
+        "x = 0.45; not along y = 0.35, c nowhere positive; not along x = 0.45, "
+        "c nowhere positive"]
+    assert orders == [domain.n_interior]
+    assert report.margin == pytest.approx(1.0 - nus[-1], rel=1e-10)
+
+
+def test_eigen_solve_off_every_mirror_not_folded(ball16, caplog):
+    X, Y = ball16.coords()
+    region = ball16.interior_mask & (X > -0.5)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        principal_eigenvalue(region, ball16)
+    assert eigen_lines(caplog) == [
+        "principal_eigenvalue: folded along y = 0: "
+        f"{folded_order(ball16, region)} of {np.count_nonzero(region)} nodes"]
+    region &= Y < 0.5
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        principal_eigenvalue(region, ball16)
+    assert eigen_lines(caplog) == [
+        "principal_eigenvalue: not folded; the region has no lattice mirror"]
 
 
 def test_nd_margin_failures_raise(ball16, monkeypatch):
@@ -704,12 +803,15 @@ def test_phi_with_empty_subgrid(caplog):
             supersolution_phi(SpeciesParams(lam=12.0, p=2.0), dom)
     assert phi.values[dom.interior_mask] == pytest.approx([1 - 16 / 20],
                                                           rel=1e-14)
+    # the second call's lambda_1 then folds its one node onto itself
     lines = [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"]
-    assert len(lines) == 2
-    for line in lines:
+    assert len(lines) == 3
+    for line in lines[:2]:
         assert line.startswith("global profile: 2h subgrid of 0 interior "
                                "nodes, Newton iterations None; h solve from "
                                "u = 1, ")
+    assert lines[2] == ("principal_eigenvalue: folded along y = 0.5, x = 0.5: "
+                        "1 of 1 nodes")
 
 
 def _bad_region(domain, kind):
