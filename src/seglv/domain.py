@@ -80,6 +80,123 @@ class Mirror(NamedTuple):
     image: np.ndarray
     species: tuple[int, ...] | None
 
+    def permutation(self, k):
+        """The mirror's map of k species: ``species`` when that permutes
+        0, ..., k-1 (so the region's balls host exactly these species),
+        else the identity."""
+        if self.species is not None and len(self.species) == k:
+            return self.species
+        return tuple(range(k))
+
+
+class Block(NamedTuple):
+    """The unknowns of one species in a ``Fold``: one per layout node,
+    unless a mirror makes the species another one's image (no block) or
+    its own (one per orbit).
+
+    ``unknowns`` is their slice of the stacked vector, ``nodes`` their
+    layout nodes (an index, or a whole slice) and ``A`` the Laplacian among
+    them.  ``members`` pairs every species gathered from these unknowns
+    with the index, into the block, of its value at each layout node.
+    ``diagonal`` pairs each such species j other than the block's own with
+    the mask of the unknowns that species j's value at the same node is
+    gathered from: the nodes that are their own images.
+    """
+
+    species: int
+    unknowns: slice
+    nodes: np.ndarray | slice
+    A: sp.csr_matrix
+    members: tuple
+    diagonal: tuple
+
+
+class Fold(NamedTuple):
+    """The (species, node) pairs of k species on a region, one unknown per
+    orbit of a group of its mirrors (``GridDomain.fold``).
+
+    The node-wise layout holds the q nodes of the ``nodes`` mask, one per
+    orbit of the mirrors that keep every species in place, and ``A`` is
+    the Laplacian among them, A_f = R A P.  ``orbit`` is the row in A_f of
+    each region node's representative (P v = v[orbit]) and ``w`` the orbit
+    sizes.  The stacked unknowns are the layout pairs that are first of
+    their orbit: ``pick`` holds their indices i q + r in the (k, q) layout
+    and ``gather`` the unknown of every layout pair, both None when no
+    mirror moves a species, so that every layout pair is an unknown.
+    ``weight`` counts the region's pairs in each unknown's orbit (None
+    without mirrors, where each counts one), and ``blocks`` holds the
+    unknowns of each species that keeps any.
+    """
+
+    nodes: np.ndarray
+    A: sp.csr_matrix
+    orbit: np.ndarray
+    w: np.ndarray
+    pick: np.ndarray | None
+    gather: np.ndarray | None
+    weight: np.ndarray | None
+    blocks: tuple
+
+    @property
+    def size(self):
+        """The number of unknowns."""
+        if self.pick is None:
+            return len(self.blocks) * self.A.shape[0]
+        return self.pick.size
+
+
+def _fold(A, mask, k, mirrors):
+    """The ``Fold`` of k species on the region `mask`, of Laplacian A,
+    along its ``Mirror``s `mirrors` (see ``GridDomain.fold``)."""
+    n, same = A.shape[0], np.arange(k)
+    # every product of the mirrors, as its maps of the nodes and the species
+    group = [(np.arange(n), same)]
+    for mirror in mirrors:
+        species = np.asarray(mirror.permutation(k))
+        group += [(mirror.image[image], species[s]) for image, s in group]
+    # each node's representative: the first node of its orbit under the
+    # products that keep every species in place
+    rep = np.min([image for image, s in group if (s == same).all()], axis=0)
+    keep = rep == np.arange(n)
+    orbit = np.cumsum(keep)[rep] - 1
+    q = int(keep.sum())
+    nodes = np.zeros_like(mask)
+    nodes[mask] = keep
+    if mirrors:  # the product reorders the entries of A, even for P = I
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), orbit)), shape=(n, q))
+        A = (A[np.flatnonzero(keep)] @ P).tocsr()
+    # the layout index of the first pair, i n + m, of every pair's orbit
+    first = np.min([s[:, None] * n + image for image, s in group], axis=0)
+    unknown = first // n * q + orbit[first % n]
+    picked = np.zeros(k * q, dtype=bool)
+    picked[unknown] = True
+    pick = np.flatnonzero(picked)
+    index = np.cumsum(picked)[unknown] - 1  # each pair's unknown
+    gather = index[:, keep].ravel()
+    if pick.size == k * q:
+        blocks = tuple(Block(i, slice(i * q, (i + 1) * q), slice(None), A,
+                             ((i, slice(None)),), ()) for i in range(k))
+        pick = gather = None
+    else:
+        blocks = []
+        for i in np.unique(pick // q):
+            unknowns = slice(*np.searchsorted(pick, [i * q, (i + 1) * q]))
+            rows = pick[unknowns] - i * q
+            members = tuple((j, gather[j * q:(j + 1) * q] - unknowns.start)
+                            for j in range(k) if unknown[j, 0] // q == i)
+            own = np.arange(rows.size)
+            diagonal = tuple((j, where[rows] == own)
+                             for j, where in members if j != i)
+            P = sp.csr_matrix((np.ones(q), (np.arange(q), dict(members)[i])),
+                              shape=(q, own.size))
+            blocks.append(Block(int(i), unknowns, rows, (A[rows] @ P).tocsr(),
+                                members, diagonal))
+    w = np.bincount(orbit)
+    for arr in (nodes, orbit, w):
+        arr.setflags(write=False)
+    weight = np.bincount(index.ravel()) if mirrors else None
+    return Fold(nodes, A, orbit, w, pick, gather, weight, tuple(blocks))
+
 
 class GridDomain:
     """Uniform grid with an interior mask and per-node region labels.
@@ -88,10 +205,11 @@ class GridDomain:
     ``(x0 + ix*h, y0 + iy*h)``.  ``ball_label`` holds the index of the ball
     containing each node (-1 for none); nodes where a corridor overlaps a
     ball are labeled ball so that ball regions cover the disks completely.
-    Instances are immutable after construction and safe to share; the
-    Laplacians, the regions' mirrors (``mirrors``), their folds (``fold``),
-    the folds of ``system`` on (species, node) pairs and the per-ball
-    results of ``scalar`` (``ball_class``) are cached on the instance.
+    Instances are immutable after construction and safe to share; three
+    caches keyed by region live on the instance: the Laplacians
+    (``laplacian``), the lattice mirrors (``mirrors``) and the folds of k
+    species along them (``fold``), one per (region, k, mirrors).  The
+    per-ball results of ``scalar`` (``ball_class``) are cached there too.
     """
 
     def __init__(self, h, origin, interior_mask, ball_label, corridor_flag,
@@ -121,8 +239,7 @@ class GridDomain:
             arr.setflags(write=False)
         self._lap_cache: dict[bytes, tuple[sp.csr_matrix, np.ndarray]] = {}
         self._mirror_cache: dict[bytes, dict] = {}
-        self._fold_cache: dict[tuple, tuple] = {}
-        self._pair_folds: dict[tuple, tuple] = {}
+        self._fold_cache: dict[tuple, Fold] = {}
         self._ball_results: dict[tuple, tuple] = {}
 
     # -- coordinates -------------------------------------------------------
@@ -285,43 +402,37 @@ class GridDomain:
             return None
         return tuple(species[i] for i in ordered)
 
-    def fold(self, region, mirrors):
-        """The Laplacian of `region` on one node per orbit of `mirrors`.
+    def fold(self, region, k, mirrors):
+        """The ``Fold`` of k species on `region` along `mirrors`, keys of
+        ``mirrors(region)``.
 
-        `mirrors` holds keys of ``mirrors(region)``.  Each orbit is
-        represented by its first node in C order, the one with index
-        i <= c - i along every mirror.  With P the (n, q) map that copies a
-        representative's value to its whole orbit and R the (q, n)
-        selection of the representatives' rows, returns (nodes, A_f, orbit,
-        w): the (ny, nx) mask of the q representatives, A_f = R A P in CSR
-        over them in C order, the row in A_f of each region node's
-        representative (so P v = v[orbit]) and the orbit sizes (1, 2 or 4).
-        A vector invariant under the mirrors is P v, and A P v = P A_f v.
-        A_f is not symmetric: a representative on a mirror couples twice to
-        its neighbour off the line, which couples once back.  Results are
-        cached.
+        Each mirror maps the (species, node) pair (i, m) to (sigma(i), m'),
+        with sigma its map of k species (``Mirror.permutation``) and m'
+        the image of node m; the mirrors generate a group of such maps.  The
+        layout folds the nodes along the group's maps that keep every
+        species, onto the first node in C order of each orbit, the one
+        with index i <= c - i along each such mirror.  With P the (n, q)
+        map that copies a representative's value to its whole orbit and R
+        the (q, n) selection of the representatives' rows, A_f = R A P in
+        CSR over them in C order; a vector invariant under those mirrors
+        is P v, and A P v = P A_f v.  A_f is not symmetric: a
+        representative on a mirror couples twice to its neighbour off the
+        line, which couples once back.  Of each orbit of the pairs, the one
+        first in the stacked order i n + m of the region's pairs is an
+        unknown; the order of the unknowns is that order.  Each species
+        that keeps unknowns gets a block of them, its Laplacian R A_f P
+        among them.  Without mirrors the layout is the region and A_f its
+        Laplacian.  Results are cached.
         """
         A, index_map = self.laplacian(region)
         mask = index_map >= 0
-        key = (mask.tobytes(), tuple(sorted(mirrors)))
+        key = (mask.tobytes(), k, tuple(sorted(mirrors)))
         hit = self._fold_cache.get(key)
-        if hit is not None:
-            return hit
-        rep = list(np.nonzero(mask))
-        for axis, c in mirrors:
-            rep[axis] = np.minimum(rep[axis], c - rep[axis])
-        nodes = np.zeros_like(mask)
-        nodes[rep[0], rep[1]] = True
-        numbering = np.cumsum(nodes).reshape(nodes.shape) - 1
-        orbit = numbering[rep[0], rep[1]]
-        n, q = orbit.size, int(nodes.sum())
-        P = sp.csr_matrix((np.ones(n), (np.arange(n), orbit)), shape=(n, q))
-        A_f = (A[index_map[nodes]] @ P).tocsr()
-        w = np.bincount(orbit, minlength=q)
-        for arr in (nodes, orbit, w):
-            arr.setflags(write=False)
-        self._fold_cache[key] = (nodes, A_f, orbit, w)
-        return nodes, A_f, orbit, w
+        if hit is None:
+            found = self.mirrors(mask)
+            hit = self._fold_cache[key] = _fold(A, mask, k,
+                                                [found[m] for m in key[2]])
+        return hit
 
     @classmethod
     def from_mask(cls, mask, h, origin=(0.0, 0.0)):

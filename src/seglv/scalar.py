@@ -35,15 +35,18 @@ positive semidefinite Z-matrix, irreducible on each connected component,
 so the top eigenvector is its Perron vector, positive and simple
 (Perron-Frobenius, as in Krein-Rutman), and invariant under those
 mirrors; where a mirror swaps two components, the top eigenspace holds
-the invariant sum of their Perron vectors.  With P, A_f = R A P and the
-orbit sizes w of ``GridDomain.fold`` and W = diag(w), W A_f = P^T A P is
+the invariant sum of their Perron vectors.  The fold is the Newton
+solves' construction with one species (``GridDomain.fold`` with k = 1),
+the same cached object a ball's Newton solve uses.  With its P,
+A_f = R A P and orbit sizes w, and W = diag(w), W A_f = P^T A P is
 symmetric, and the folded pencil diag(w c_f) v = nu (W A_f) v runs through
 the same Lanczos on one LU of A_f, (W A_f)^-1 b = A_f^-1 (b / w); the
 eigenvector is P v.  A chain3 ball at h = 1/64 solves on 3276 of its
 12849 nodes.  Where c is nowhere positive the top eigenvector oscillates
 from node to node and need not be invariant, so the pencil does not fold.
-Each eigen-solve logs its fold at DEBUG level, worded like the Newton
-solves' (``system._fold_choice``).  The residual checks of
+The Newton solves' decision (``system._fold_choice``) chooses the
+mirrors and words the DEBUG line that each eigen-solve logs.  The
+residual checks of
 ``principal_eigenvalue`` and ``nd_margin`` run on the region's A with
 the unfolded eigenvector.
 
@@ -76,7 +79,7 @@ from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
 from .newton import NEWTON_TOL, _l2, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
-from .system import ModelKind, _asymmetry, _fold_choice, _mirror_line, _System
+from .system import ModelKind, _fold_choice, _System
 
 log = logging.getLogger(__name__)
 
@@ -169,23 +172,15 @@ def _top_eigenpair(stage, c, domain, region):
     dense eigensolve and factor nothing.  Logs the fold at DEBUG level as
     `stage`.
     """
-    A, index = domain.laplacian(region)
-    mask = index >= 0
-    mirrors = domain.mirrors(mask)
-    asymmetry = {m: _asymmetry(c[None], mirror.image, (0,))
-                 for m, mirror in mirrors.items()}
-    invariant, note = _fold_choice(
-        domain, mirrors, asymmetry,
-        {} if np.max(c) > 0.0 else dict.fromkeys(mirrors, "c nowhere positive"))
-    if invariant:
-        nodes, A, orbit, w = domain.fold(mask, invariant)
-        log.debug("%s: folded along %s: %d of %d nodes%s", stage,
-                  ", ".join(_mirror_line(domain, m) for m in invariant),
-                  A.shape[0], orbit.size, note)
-        c, M = w * c[nodes[mask]], sp.diags(w, dtype=float) @ A
-    else:
-        log.debug("%s: %s", stage, note)
-        orbit, w, M = slice(None), 1.0, A
+    mask = domain.laplacian(region)[1] >= 0
+    refusal = None if np.max(c) > 0.0 else "c nowhere positive"
+    invariant, note = _fold_choice(domain, mask, c[None], lambda _: refusal,
+                                   "nodes")
+    log.debug("%s: %s", stage, note)
+    fold = domain.fold(mask, 1, invariant)
+    A, w, orbit = fold.A, fold.w, fold.orbit
+    c = w * c[fold.nodes[mask]]
+    M = sp.diags(w, dtype=float) @ A if invariant else A
     n = A.shape[0]
     if n < 3:
         nus, vs = scipy.linalg.eigh(np.diag(c), M.toarray())

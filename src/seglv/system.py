@@ -71,47 +71,54 @@ satisfy u_sigma(i) = u_i o mirror to ``MIRROR_RTOL``.  The solution then
 lies in the fixed-point subspace of the group that the mirrors generate
 on (species, node) pairs (Golubitsky, Stewart & Schaeffer,
 *Singularities and Groups in Bifurcation Theory II*, Springer 1988), and
-the solve keeps one unknown per orbit of pairs (``_fold``):
+the solve keeps one unknown per orbit of pairs.  One construction gives
+every fold, cached on the domain once per region, species count and set
+of mirrors (``GridDomain.fold``):
 
-* the mirrors that keep every species fold the nodes, onto one
+* the group's maps that keep every species fold the nodes onto one
   representative per orbit, with A_f = R A P in place of A (P copies a
-  representative to its orbit, R takes the representatives' rows;
-  ``GridDomain.fold``);
-* on those nodes, a mirror that moves species leaves the first pair of
-  each orbit: on chain3, species 0 on the 5166 nodes at or below y = 0,
-  species 1 on the 2599 of those at or left of x = 3, and species 2 none,
-  since it is species 0's image.
+  representative to its orbit, R takes the representatives' rows);
+* of each orbit of pairs on those nodes, the first in the stacked order
+  is an unknown: on chain3, species 0 on the 5166 nodes at or below
+  y = 0, species 1 on the 2599 of those at or left of x = 3, and species
+  2 none, since it is species 0's image.
 
 The residual, the coupling D and the reaction stay node-wise on the k
 species of the folded nodes: one gather G makes that (k, n) array from
-the unknowns, and one selection takes the unknowns' rows back.  This is
-exact.  The reaction and the coupling act node by node, so at an
-equivariant state the residual is equivariant, and so is the Newton step
-of an equivariant problem: the folded Jacobian is R J G.  Each species
-that keeps unknowns is a block: its Laplacian among them (A_f folded once
-more by the mirrors that fix the species) plus the coupling's diagonal on
-them, D[i, i] and every D[i, j] that the permutation moves onto the
-diagonal, where a node is its own image.  The other moved couplings,
-D[0, 2] at (m, pi m) on chain3, live in ``apply``, in the sweep (through
-every species gathered from a block) and in the assembled ``jacobian``.
-The residual's norms weigh each unknown by the number of the region's
-pairs in its orbit, so every tolerance, Armijo and halving test sees the
-full lattice's norm (GMRES takes its relative tolerance on the folded
-vectors), and the returned fields are exactly equivariant.  A_f is not
-symmetric, since a representative on a mirror couples twice to its
-neighbour off it, so the block LUs factor their matrices as they are.
-The chain3 ramp factors one block of order 5166 and one of 2599 per
-linearization (three of 10077 on the full lattice); a ball solve and the global profile
-fold along both axes, onto a quarter of the nodes.  The eigen-solves of
-``scalar`` fold their pencils by the same test (``_fold_choice``) on one
-field.  Nothing else folds: a start that fails the test (a probe trial
-that falls back to damped Newton), ``solve_near``'s center LU and chord
-rounds, and the public ``residual``.  The baselines and caps are tested
-once per model and region, the guess on every solve.  Each Newton solve
-logs one DEBUG line: the mirrors it folds along, each with the species it
-swaps, and "q of N unknowns", or "not folded" with the largest relative
-asymmetry found; a mirror it does not fold along is named with its
-reason.
+the unknowns, and one selection takes the unknowns' rows back; neither is
+needed when no mirror moves a species.  This is exact.  The reaction and
+the coupling act node by node, so at an equivariant state the residual
+is equivariant, and so is the Newton step of an equivariant problem: the
+folded Jacobian is R J G.  Each species that keeps unknowns is a block:
+its Laplacian among them (A_f folded once more by the mirrors that fix
+the species) plus the coupling's diagonal on them, D[i, i] and every
+D[i, j] that the permutation moves onto the diagonal, where a node is its
+own image.  The other moved couplings, D[0, 2] at (m, pi m) on chain3,
+live in ``apply``, in the sweep (through every species gathered from a
+block) and in the assembled ``jacobian``.  The residual's norms weigh
+each unknown by the number of the region's pairs in its orbit, so every
+tolerance, Armijo and halving test sees the full lattice's norm (GMRES
+takes its relative tolerance on the folded vectors), and the returned
+fields are exactly equivariant.  A_f is not symmetric, since a
+representative on a mirror couples twice to its neighbour off it, so the
+block LUs factor their matrices as they are.  The chain3 ramp factors
+one block of order 5166 and one of 2599 per linearization (three of
+10077 on the full lattice); a ball solve and the global profile fold
+along both axes, onto a quarter of the nodes.  An unfolded system is the
+construction without mirrors: one block per species on all the region's
+nodes.
+
+The eigen-solves of ``scalar`` take the same construction with k = 1,
+and one decision serves them and the Newton solves (``_fold_choice``):
+the asymmetry of the problem's rows under each mirror, the mirrors
+refused, and the DEBUG note.  Nothing else folds: a start that fails the
+test (a probe trial that falls back to damped Newton), ``solve_near``'s
+center LU and chord rounds, and the public ``residual``.  The baselines
+and caps are tested once per model and region, the guess on every solve.
+Each Newton solve logs one DEBUG line: the mirrors it folds along, each
+with the species it swaps, and "q of N unknowns", or "not folded" with
+the largest relative asymmetry found; a mirror it does not fold along is
+named with its reason.
 
 Many solves of one problem from nearby starts (the multistart uniqueness
 probe) go through ``solve_near``: it factors the assembled block Jacobian
@@ -131,7 +138,6 @@ import copy
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,27 +195,42 @@ def _mirror_line(domain, mirror, species=()):
     return f"{line} swaps species {swaps}" if swaps else line
 
 
-def _fold_choice(domain, mirrors, asymmetry, differ):
-    """The keys of a region's `mirrors` (``GridDomain.mirrors``) that a
-    problem folds along, and the DEBUG note on that choice.
+def _fold_choice(domain, mask, fields, differ, unit, fixed=None):
+    """The keys of the mirrors of the region `mask` (``GridDomain.mirrors``)
+    that a problem folds along, and the DEBUG note on that choice.
 
-    Mirror m qualifies when `differ` holds no reason against it and the
-    problem's relative asymmetry under it, `asymmetry[m]` (``_asymmetry``),
-    is at most ``MIRROR_RTOL``.  When none does, the note is the decision,
-    "not folded; " and why; otherwise it names each mirror left out,
-    "; not along <line>, <reason>", to end the folded solve's line."""
+    `fields` holds the problem's rows of k species on the region's nodes,
+    and each mirror acts on the species by its map of k species
+    (``Mirror.permutation``).  Mirror m qualifies when `differ`, given
+    that map, returns no reason against it, and the relative asymmetry
+    (``_asymmetry``) of `fields` under it, or `fixed[m]` when larger, is
+    at most ``MIRROR_RTOL``.  The note on a fold is "folded along <lines>:
+    q of N <unit>", q the unknowns of ``GridDomain.fold`` and N the
+    entries of `fields`, and it names each mirror left out, "; not along
+    <line>, <reason>".  When none qualifies it is "not folded; " and why.
+    """
+    mirrors = domain.mirrors(mask)
     if not mirrors:
         return [], "not folded; the region has no lattice mirror"
-    refused = {m: differ.get(m, f"relative asymmetry {a:.3g}")
-               for m, a in asymmetry.items() if m in differ or a > MIRROR_RTOL}
+    k = len(fields)
+    maps = {m: mirror.permutation(k) for m, mirror in mirrors.items()}
+    asymmetry = {m: _asymmetry(fields, mirror.image, maps[m])
+                 for m, mirror in mirrors.items()}
+    if fixed:
+        asymmetry = {m: max(fixed[m], a) for m, a in asymmetry.items()}
+    reasons = {m: differ(species) for m, species in maps.items()}
+    refused = {m: reasons[m] or f"relative asymmetry {a:.3g}"
+               for m, a in asymmetry.items() if reasons[m] or a > MIRROR_RTOL}
     invariant = [m for m in mirrors if m not in refused]
     note = "".join(f"; not along {_mirror_line(domain, m)}, {reason}"
-                   for m, reason in (refused if invariant else differ).items())
-    if invariant:
-        return invariant, note
-    lines = ", ".join(_mirror_line(domain, m) for m in mirrors)
-    return invariant, ("not folded; largest relative asymmetry "
-                       f"{max(asymmetry.values()):.3g} under {lines}{note}")
+                   for m, reason in refused.items() if invariant or reasons[m])
+    if not invariant:
+        lines = ", ".join(_mirror_line(domain, m) for m in mirrors)
+        return invariant, ("not folded; largest relative asymmetry "
+                           f"{max(asymmetry.values()):.3g} under {lines}{note}")
+    lines = ", ".join(_mirror_line(domain, m, maps[m]) for m in invariant)
+    size = domain.fold(mask, k, invariant).size
+    return invariant, f"folded along {lines}: {size} of {fields.size} {unit}{note}"
 
 
 @dataclass(frozen=True)
@@ -257,42 +278,13 @@ class ModelKind:
         return cls("positive_part", baseline, caps)
 
 
-class _Block(NamedTuple):
-    """The unknowns of one species that a system solves for: all of its
-    nodes, unless a fold makes the species another one's mirror image
-    (none) or its own (one per orbit).
-
-    ``unknowns`` is their slice of the stacked vector, ``nodes`` their nodes
-    in the node-wise layout (an index, or a whole slice) and ``A`` the
-    Laplacian among them.  ``members`` pairs every species gathered from
-    these unknowns with the index, into the block, of its value at each
-    node.  ``diagonal`` pairs each such species j other than the block's
-    own with the mask of the unknowns that species j's value at the same
-    node is gathered from: the nodes that are their own images, where the
-    coupling D[i, j] adds onto the diagonal.
-    """
-
-    species: int
-    unknowns: slice
-    nodes: np.ndarray | slice
-    A: sp.csr_matrix
-    members: tuple
-    diagonal: tuple
-
-
-def _species_blocks(k, A):
-    """One block per species of k, on all nodes of the Laplacian A."""
-    n = A.shape[0]
-    return [_Block(i, slice(i * n, (i + 1) * n), slice(None), A,
-                   ((i, slice(None)),), ()) for i in range(k)]
-
-
 class _System:
     """Interior-vector view of one model at fixed kappa.
 
     Every formula works node-wise on a (k, n) array: the k species on the
-    n nodes of `region` (default: the whole interior), with zero Dirichlet
-    data outside it, or on a folded system (``_fold``) on the region's n
+    n nodes of the layout of ``fold`` (``GridDomain.fold``): the nodes of
+    `region` (default: the whole interior), with zero Dirichlet data
+    outside it, or on a folded system (``_fold``) the region's n
     representatives of node orbits.  The stacked vector x of unknowns is
     that array's ravel, unless the fold sends species to one another's
     mirror images: then it holds one entry per orbit of (species, node)
@@ -323,28 +315,23 @@ class _System:
         self.caps = ([np.inf] * k if model.caps is None
                      else [u.values[mask] for u in model.caps])
         self._fixed_asymmetry = model._fixed_asymmetry
-        # the nodes of the node-wise layout: the region's, or on a folded
-        # system (``_fold``) its representatives; a fold that moves species
-        # also gathers the layout from fewer unknowns and picks their rows
-        self.nodes = mask
-        self._orbit = self._weight = self._gather = self._pick = None
-        self._layout = _species_blocks(k, self.A)
+        self.fold = domain.fold(mask, k, ())
         self.release()
 
     @property
     def size(self):
         """The number of unknowns."""
-        return self.k * self.n if self._pick is None else self._pick.size
+        return self.fold.size
 
     def _nodewise(self, x):
         """The (k, n) node-wise array of the stacked unknowns x."""
-        return (x if self._gather is None else x[self._gather]).reshape(
-            self.k, self.n)
+        gather = self.fold.gather
+        return (x if gather is None else x[gather]).reshape(self.k, self.n)
 
     def _unknowns(self, a):
         """The rows of the unknowns in the node-wise (k, n) array a, stacked."""
         a = a.ravel()
-        return a if self._pick is None else a[self._pick]
+        return a if self.fold.pick is None else a[self.fold.pick]
 
     def _reaction(self, fn, s):
         """Per-species truncated reaction term (or derivative) at the (k, n)
@@ -379,9 +366,10 @@ class _System:
     def _norm(self, r):
         """h times the L2 norm of the stacked r over the whole region: a
         folded system weighs each unknown by the size of its orbit."""
-        if self._weight is None:
+        weight = self.fold.weight
+        if weight is None:
             return self.h * _l2(r)
-        return self.h * math.sqrt(float(np.sum(self._weight * (r * r))))
+        return self.h * math.sqrt(float(np.sum(weight * (r * r))))
 
     def _coupling(self, x):
         """(k, k, n) diagonals of the Jacobian's coupling blocks at x."""
@@ -423,11 +411,12 @@ class _System:
         # block (i, j) of the coupling is diagonal: its entry at node m sits
         # in the row of pair (i, m), if that is an unknown's, and in the
         # column of the unknown that pair (j, m) is gathered from
-        if self._pick is None:
+        pick = self.fold.pick
+        if pick is None:
             row = column = np.arange(k * n)
         else:
-            column, row = self._gather, np.full(k * n, -1)
-            row[self._pick] = np.arange(self._pick.size)
+            column, row = self.fold.gather, np.full(k * n, -1)
+            row[pick] = np.arange(pick.size)
         rows, cols = np.broadcast_arrays(row.reshape(k, 1, n),
                                          column.reshape(1, k, n))
         coupled = (rows >= 0) & ~np.eye(k, dtype=bool)[:, :, None]
@@ -438,7 +427,7 @@ class _System:
                   np.count_nonzero(coupled & ~keep), np.count_nonzero(coupled))
         return (sp.csc_matrix((D[keep], (rows[keep], cols[keep])),
                               shape=(order, order))
-                + sp.block_diag([block.A for block in self._layout],
+                + sp.block_diag([block.A for block in self.fold.blocks],
                                 format="csc"))
 
     def linearize(self, x):
@@ -467,7 +456,7 @@ class _System:
         if not held:
             self._blocks = None  # released before the new ones are made
             self._blocks = [factorize(block.A + sp.diags(self._diagonal(block)))
-                            for block in self._layout]
+                            for block in self.fold.blocks]
             self._iterations = 0
         return self
 
@@ -497,9 +486,10 @@ class _System:
         LU, then take its coupling off the right-hand sides of the blocks
         below, through every species gathered from it."""
         z = c.copy()
-        for b, (block, lu) in enumerate(zip(self._layout, self._blocks)):
+        blocks = self.fold.blocks
+        for b, (block, lu) in enumerate(zip(blocks, self._blocks)):
             z_b = z[block.unknowns] = lu.solve(z[block.unknowns])
-            for below in self._layout[b + 1:]:
+            for below in blocks[b + 1:]:
                 for j, index in block.members:
                     z[below.unknowns] -= (self._D[below.species, j]
                                           * z_b[index])[below.nodes]
@@ -528,136 +518,62 @@ class _System:
         one component per species."""
         if U.k != self.k:
             raise ValueError("species list and state size disagree")
-        return self._unknowns(np.concatenate([u.values[self.nodes] for u in U]))
+        return self._unknowns(np.concatenate([u.values[self.fold.nodes]
+                                              for u in U]))
 
     def unstack(self, x) -> StateField:
         """The state of the stacked x, zero outside the region; a folded
         system copies each representative's value to its whole orbit."""
-        v = self._nodewise(x)
-        if self._orbit is not None:
-            v = v[:, self._orbit]
+        v = self._nodewise(x)[:, self.fold.orbit]
         return StateField([ScalarField(self.domain, self.domain.insert(u, self.mask))
                            for u in v])
 
-    def _species_map(self, mirror):
-        """The permutation of this system's species under the region's
-        ``domain.Mirror`` `mirror`: its species map when that permutes
-        0, ..., k-1 (so the region's balls host exactly this system's
-        species), else the identity."""
-        if mirror.species is not None and len(mirror.species) == self.k:
-            return mirror.species
-        return tuple(range(self.k))
-
     def _fold(self, mirrors):
         """A copy of this system on one unknown per orbit of (species, node)
-        pairs under `mirrors`, keys of the region's mirrors, each acting on
-        the species by ``_species_map``.
-
-        The mirrors that keep every species in place fold the node-wise
-        layout onto one representative node per orbit (``GridDomain.fold``):
-        its operator is A_f, its baselines and caps live on the
-        representatives, and ``unstack`` fills every orbit.  Of each orbit
-        of the pairs on those nodes under the mirrors that move species, the
-        pair first in the stacked order is an unknown; the layout is
-        gathered from the unknowns, and each species that keeps any gets a
-        block of them, with the Laplacian among them R A_f P.  The residual
-        norms weigh each unknown by the number of the region's (species,
-        node) pairs in its orbit.  The structure of the pairs is cached on
-        the domain.
-        """
-        found = self.domain.mirrors(self.mask)
-        maps = tuple((m, self._species_map(found[m])) for m in sorted(mirrors))
-        k, identity = self.k, tuple(range(self.k))
-        nodes, A, orbit, w = self.domain.fold(
-            self.mask, [m for m, species in maps if species == identity])
+        pairs under `mirrors`, keys of the region's mirrors
+        (``GridDomain.fold``): its operator is A_f, its baselines and caps
+        live on the layout's representatives, and ``unstack`` fills every
+        orbit."""
+        fold = self.domain.fold(self.mask, self.k, mirrors)
         folded = copy.copy(self)
-        folded.A, folded.n, folded.nodes, folded._orbit = A, A.shape[0], nodes, orbit
-        keep = nodes[self.mask]
+        folded.fold, folded.A, folded.n = fold, fold.A, fold.A.shape[0]
+        keep = fold.nodes[self.mask]
         folded.u0 = self.u0[:, keep]
         folded.caps = [c if np.isscalar(c) else c[keep] for c in self.caps]
-        swaps = [(m, species) for m, species in maps if species != identity]
-        if not swaps:
-            folded._weight = np.tile(w, k)
-            folded._layout = _species_blocks(k, A)
-            return folded
-        key = (self.mask.tobytes(), maps)
-        pairs = self.domain._pair_folds.get(key)
-        if pairs is None:
-            pairs = self.domain._pair_folds[key] = folded._pairs(found, swaps, w)
-        folded._weight, folded._gather, folded._pick, folded._layout = pairs
         return folded
 
-    def _pairs(self, found, swaps, w):
-        """The pair structure of this node-folded system along the mirrors
-        `swaps`, (key, species map) pairs of the region's mirrors `found`
-        that move species, with `w` its nodes' orbit sizes: (weight,
-        gather, pick, blocks)."""
-        k, n = self.k, self.n
-        # the group's permutations of the pairs, pair (i, m) at i n + m
-        pairs = [np.arange(k * n)]
-        representatives = np.flatnonzero(self.nodes[self.mask])
-        for m, species in swaps:
-            image = self._orbit[found[m].image[representatives]]
-            moved = (np.asarray(species)[:, None] * n + image).ravel()
-            pairs += [moved[p] for p in pairs]
-        first = np.min(pairs, axis=0)  # the first pair of each pair's orbit
-        pick = np.unique(first)
-        gather = np.searchsorted(pick, first)
-        blocks = []
-        for i in np.unique(pick // n):
-            unknowns = slice(*np.searchsorted(pick, [i * n, (i + 1) * n]))
-            nodes = pick[unknowns] - i * n
-            members = tuple((j, gather[j * n:(j + 1) * n] - unknowns.start)
-                            for j in range(k) if first[j * n] // n == i)
-            own = np.arange(nodes.size)
-            diagonal = tuple((j, index[nodes] == own)
-                             for j, index in members if j != i)
-            P = sp.csr_matrix((np.ones(n), (np.arange(n), dict(members)[i])),
-                              shape=(n, own.size))
-            blocks.append(_Block(int(i), unknowns, nodes,
-                                 (self.A[nodes] @ P).tocsr(), members, diagonal))
-        weight = np.bincount(gather, weights=np.tile(w, k))
-        return weight, gather, pick, blocks
+    def _differ(self, species):
+        """Why this system cannot fold along a mirror of species map
+        `species`: the first pair it swaps whose parameters differ, or
+        None."""
+        unequal = [(i, j) for i, j in enumerate(species)
+                   if self.species[i] != self.species[j]]
+        return "species {}, {} differ".format(*unequal[0]) if unequal else None
 
     def _folded_for(self, x):
         """This system folded along every mirror of its region that maps
         the problem onto itself, or the system itself when there is none.
 
         A mirror qualifies (``_fold_choice``) when the species it permutes
-        (``_species_map``) have equal parameters and the stacked x, the
+        have equal parameters (``_differ``) and the stacked x, the
         baselines and the caps satisfy u_sigma(i) = u_i o mirror to
         ``MIRROR_RTOL``, relative to each field's peak (``_asymmetry``).
         The baselines' and caps' asymmetries are fixed for the model and
         are found once per region (cached on ``ModelKind``); the guess's
         is found on every call.  Logs the decision at DEBUG level."""
-        mirrors = self.domain.mirrors(self.mask)
-        maps = {m: self._species_map(mirror) for m, mirror in mirrors.items()}
         key = self.mask.shape, self.mask.tobytes()
         fixed = self._fixed_asymmetry.get(key)
         if fixed is None:
             fields = np.vstack([self.u0, *(c for c in self.caps
                                            if not np.isscalar(c))])
             fixed = self._fixed_asymmetry[key] = {
-                m: _asymmetry(fields, mirror.image, maps[m])
-                for m, mirror in mirrors.items()}
-        guess = x.reshape(self.k, self.n)
-        asymmetry = {m: max(fixed[m], _asymmetry(guess, mirror.image, maps[m]))
-                     for m, mirror in mirrors.items()}
-        differ = {}
-        for m, species in maps.items():
-            unequal = [(i, j) for i, j in enumerate(species)
-                       if self.species[i] != self.species[j]]
-            if unequal:
-                differ[m] = "species {}, {} differ".format(*unequal[0])
-        invariant, note = _fold_choice(self.domain, mirrors, asymmetry, differ)
-        if not invariant:
-            log.debug("kappa %g: %s", self.kappa, note)
-            return self
-        folded = self._fold(invariant)
-        log.debug("kappa %g: folded along %s: %d of %d unknowns%s", self.kappa,
-                  ", ".join(_mirror_line(self.domain, m, maps[m])
-                            for m in invariant), folded.size, x.size, note)
-        return folded
+                m: _asymmetry(fields, mirror.image, mirror.permutation(self.k))
+                for m, mirror in self.domain.mirrors(self.mask).items()}
+        invariant, note = _fold_choice(self.domain, self.mask,
+                                       x.reshape(self.k, self.n), self._differ,
+                                       "unknowns", fixed)
+        log.debug("kappa %g: %s", self.kappa, note)
+        return self._fold(invariant) if invariant else self
 
     def newton(self, guess: StateField, tol, *,
                history=()) -> tuple[StateField, float, int]:

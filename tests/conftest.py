@@ -79,7 +79,7 @@ def folded_order(domain, region=None, axes=(0, 1)):
     """Node count of `region` folded along its lattice mirrors across the
     array axes `axes` (0 for a line y = const, 1 for x = const)."""
     mirrors = [m for m in domain.mirrors(region) if m[0] in axes]
-    return domain.fold(region, mirrors)[1].shape[0]
+    return domain.fold(region, 1, mirrors).A.shape[0]
 
 
 def random_field(domain, rng, scale=1.0):

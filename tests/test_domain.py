@@ -216,11 +216,12 @@ def test_chain3_mirrors_and_folds():
     for region, axes, order in ((None, [(0, 80)], 5166),
                                 (None, list(mirrors), 2599),
                                 (ball, list(mirrors), 833)):
-        nodes, A_f, orbit, w = dom.fold(region, axes)
-        assert A_f.shape == (order, order) and nodes.sum() == order
+        fold = dom.fold(region, 1, axes)
+        A_f, orbit, w = fold.A, fold.orbit, fold.w
+        assert A_f.shape == (order, order) and fold.nodes.sum() == order
         assert w.sum() == orbit.size == np.count_nonzero(
             dom.interior_mask if region is None else region)
-        assert dom.fold(region, axes)[1] is A_f  # cached
+        assert dom.fold(region, 1, axes) is fold  # cached
         A, _ = dom.laplacian(region)
         v = np.random.default_rng(order).standard_normal(order)
         # A P v = P A_f v

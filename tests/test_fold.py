@@ -3,19 +3,27 @@ baselines and caps are invariant under lattice mirrors runs on one node per
 mirror orbit and gives the full lattice's result to round-off.  A mirror
 that swaps species folds the (species, node) pairs: on the dumbbell, x = 2
 sends species 0 to species 1, so species 1 keeps no unknowns.  The full
-lattice is forced by a mirror finder that finds none."""
+lattice is forced by a mirror finder that finds none.  The construction of
+the folds (``GridDomain.fold``) is checked against orbits found by brute
+force, and is built once per region, species count and mirrors."""
 
+import itertools
 import logging
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seglv as sg
 from seglv import ModelKind, ScalarField, SpeciesParams, StateField
+from seglv import domain as domain_module
 from seglv import system as system_module
 from seglv.system import _System
 
 from conftest import dumbbell2_domain, folded_order, record_orders
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def no_mirrors(monkeypatch):
@@ -173,7 +181,8 @@ def test_axis_midway_between_rows_folds(monkeypatch):
     mask[1, 1] = mask[1, 9] = mask[6, 1] = mask[6, 9] = False
     domain = sg.GridDomain.from_mask(mask, 0.1)
     assert list(domain.mirrors()) == [(0, 7), (1, 10)]
-    nodes, A_f, orbit, w = domain.fold(None, [(0, 7), (1, 10)])
+    fold = domain.fold(None, 1, [(0, 7), (1, 10)])
+    A_f, orbit, w = fold.A, fold.orbit, fold.w
     assert A_f.shape == (14, 14) and sorted(set(w)) == [2, 4]
     A, _ = domain.laplacian()
     v = np.random.default_rng(2).standard_normal(14)
@@ -236,7 +245,7 @@ def test_domain_without_balls_folds_species_in_place(monkeypatch, caplog):
                         ScalarField(domain, mask * 0.5)])
     with caplog.at_level(logging.DEBUG, logger="seglv.system"):
         folded, folded_iterations = sg.solve_system(guess, species, model, 2.0)
-    q = domain.fold(None, list(domain.mirrors()))[1].shape[0]
+    q = domain.fold(None, 1, list(domain.mirrors())).A.shape[0]
     assert fold_lines(caplog) == [
         f"kappa 2: folded along y = 0.4, x = 0.55: {2 * q} of "
         f"{2 * domain.n_interior} unknowns"]
@@ -244,3 +253,156 @@ def test_domain_without_balls_folds_species_in_place(monkeypatch, caplog):
     full, full_iterations = sg.solve_system(guess, species, model, 2.0)
     assert folded_iterations == full_iterations
     assert max_rel(folded, full) <= 1e-14
+
+
+def chain3_domain(h):
+    balls = [sg.BallSpec((3.0 * i, 0.0), 1.0, i) for i in range(3)]
+    corridors = [sg.CorridorSpec(0, 1, 0.2), sg.CorridorSpec(1, 2, 0.2)]
+    return sg.build_domain(balls, corridors, (-1.25, -1.25, 7.25, 1.25), h)
+
+
+def subsets(items):
+    return [list(subset) for size in range(len(items) + 1)
+            for subset in itertools.combinations(items, size)]
+
+
+def oracle_orbits(domain, mask, k, mirrors):
+    """The orbits of the (species, node) pairs of k species on the region
+    `mask` under `mirrors`, by brute force: every subset of the mirrors
+    applied as an explicit permutation of the pairs, pair (i, m) at
+    i n + m.  Returns the first pair of each pair's orbit (k n of them),
+    and each node's orbit under the subsets that keep every species."""
+    coords = list(zip(*np.nonzero(mask)))
+    row = {c: m for m, c in enumerate(coords)}
+    n = len(coords)
+    found = domain.mirrors(mask)
+    permutations, node_maps = [], []
+    for subset in subsets(mirrors):
+        species = list(range(k))
+        images = []
+        for iy, ix in coords:
+            node = [iy, ix]
+            for axis, c in subset:
+                node[axis] = c - node[axis]
+            images.append(row[tuple(node)])
+        for m in subset:
+            sigma = found[m].species
+            if sigma is not None and len(sigma) == k:
+                species = [sigma[i] for i in species]
+        permutations.append([species[i] * n + images[m]
+                             for i in range(k) for m in range(n)])
+        if species == list(range(k)):
+            node_maps.append(images)
+    first = [min(p[pair] for p in permutations) for pair in range(k * n)]
+    return first, [{images[m] for images in node_maps} for m in range(n)]
+
+
+def check_fold(domain, region, k, mirrors):
+    A, index_map = domain.laplacian(region)
+    mask = index_map >= 0
+    first, node_orbits = oracle_orbits(domain, mask, k, mirrors)
+    n = len(node_orbits)
+    fold = domain.fold(region, k, mirrors)
+    # node layout: one node per orbit under the species-keeping subsets,
+    # its first in C order, with the orbit sizes as node weights
+    reps = sorted({min(orbit) for orbit in node_orbits})
+    q = len(reps)
+    assert np.flatnonzero(fold.nodes[mask]).tolist() == reps
+    assert fold.orbit.tolist() == [reps.index(min(o)) for o in node_orbits]
+    assert fold.w.tolist() == [len(node_orbits[r]) for r in reps]
+    # the unknowns: each pair orbit's first pair, in the stacked order
+    unknowns = sorted(set(first))
+    pick = (np.arange(k * q) if fold.pick is None else fold.pick).tolist()
+    assert [p // q * n + reps[p % q] for p in pick] == unknowns
+    assert fold.size == len(unknowns)
+    count = Counter(first)
+    assert (fold.weight is None) == (not mirrors)
+    weight = np.ones(k * n, dtype=int) if fold.weight is None else fold.weight
+    assert weight.tolist() == [count[u] for u in unknowns]
+    assert weight.sum() == k * n
+    position = {u: b for b, u in enumerate(unknowns)}
+    gather = [position[first[i * n + r]] for i in range(k) for r in reps]
+    assert (fold.gather is None) == (gather == list(range(k * q)))
+    if fold.gather is not None:
+        assert fold.gather.tolist() == gather
+    # each block: species i's unknowns and the Laplacian R A P among them
+    assert [b.species for b in fold.blocks] == sorted({u // n for u in unknowns})
+    for block in fold.blocks:
+        i, start = block.species, block.unknowns.start
+        own = unknowns[block.unknowns]
+        assert [u // n for u in own] == [i] * len(own)
+        rows = [u - i * n for u in own]
+        P = np.zeros((n, len(own)))
+        for m in range(n):
+            P[m, position[first[i * n + m]] - start] = 1.0
+        np.testing.assert_array_equal(block.A.toarray(), (A @ P)[rows])
+        # the species gathered from the block, where each layout node's
+        # value sits in it, and where that value is the block's own unknown
+        members = {j: [position[first[j * n + r]] - start for r in reps]
+                   for j in range(k) if first[j * n] // n == i}
+        assert [j for j, _ in block.members] == list(members)
+        for j, where in block.members:
+            assert np.arange(q)[where].tolist() == members[j]
+        assert [j for j, _ in block.diagonal] == [j for j in members if j != i]
+        for j, diagonal in block.diagonal:
+            assert diagonal.tolist() == [position[first[j * n + m]] - start == b
+                                         for b, m in enumerate(rows)]
+
+
+ORACLE_CASES = {
+    "dumbbell2": (dumbbell2_domain, False, 2),
+    "chain3": (lambda: chain3_domain(1 / 16), False, 3),
+    "chain3_ball": (lambda: chain3_domain(1 / 16), True, 1),
+    "unit_square": (lambda: sg.unit_square_domain(12), False, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_fold_matches_brute_force_orbits(case):
+    # every subset of the region's two mirrors, the empty one included: on
+    # chain3 y = 0 keeps every species and x = 3 swaps species 0 and 2, and
+    # the unit square has no balls, so its mirrors keep species in place
+    make, ball, k = ORACLE_CASES[case]
+    domain = make()
+    region = domain.ball_mask(1) if ball else None
+    mirrors = sorted(domain.mirrors(region))
+    assert len(mirrors) == 2
+    for subset in subsets(mirrors):
+        check_fold(domain, region, k, subset)
+
+
+def test_one_fold_construction_per_key(tmp_path, monkeypatch):
+    # the eigen-solves, the ball solves and the ramp on dumbbell2 share the
+    # domain's folds: each (region, k, mirrors) is built once
+    config = sg.load_config(CONFIGS / "dumbbell2.json")
+    config.output.directory = str(tmp_path)
+    requested, built = [], []
+    fold, construct = sg.GridDomain.fold, domain_module._fold
+
+    def recording_fold(self, region, k, mirrors):
+        mask = self.laplacian(region)[1] >= 0
+        key = (self, mask.tobytes(), k, tuple(sorted(mirrors)))
+        requested.append(key)
+        made = len(built)
+        result = fold(self, region, k, mirrors)
+        if len(built) > made:
+            built[-1] = key
+        return result
+
+    def counting(*args):
+        built.append(None)
+        return construct(*args)
+
+    monkeypatch.setattr(sg.GridDomain, "fold", recording_fold)
+    monkeypatch.setattr(domain_module, "_fold", counting)
+    summary = sg.run(config, until="continuation")
+    assert summary.continuation_failure is None
+    assert Counter(built) == Counter(set(requested))
+    # ball 0's fold along both of its mirrors serves its eigen-solves and its
+    # Newton solve, and ball 1 takes ball 0's results; the ramp folds the
+    # two species along y = 0 and x = 1.5
+    domain = requested[0][0]
+    ball = (domain.ball_mask(0).tobytes(), 1)
+    uses = Counter(key[1:3] + (len(key[3]),) for key in requested)
+    assert uses[ball + (2,)] >= 4
+    assert uses[(domain.interior_mask.tobytes(), 2, 2)] >= 6

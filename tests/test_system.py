@@ -126,7 +126,7 @@ def check_jacobian(system, caps, kind, truncated):
     # of a folded system are gathered from its unknowns
     clip = kind != "barrier"
     u0 = system.u0
-    cap = np.stack([c.values[system.nodes] for c in caps])
+    cap = np.stack([c.values[system.fold.nodes] for c in caps])
     unknown = system._nodewise(np.arange(system.size))
     x = rng.uniform(-1.0, 1.0, system.size)
     for _ in range(10):
