@@ -22,6 +22,8 @@ _GRAY = np.array([str(level) for level in range(256)], dtype=object)
 
 
 def _fmt(x: float) -> str:
+    """x as decimal text of 17 significant digits, which reads back as the
+    same float: the values of field files and the kappa of trace names."""
     return format(float(x), ".17g")
 
 

@@ -22,7 +22,7 @@ from .continuation import continuation_run
 from .diagnostics import uniqueness_probe
 from .domain import build_domain, unit_square_domain
 from .errors import NDFailure, PipelineError
-from .fileio import emit_field, emit_image, emit_json
+from .fileio import _fmt, emit_field, emit_image, emit_json
 from .operators import ScalarField, StateField, norm, solve_spd
 from .scalar import nd_margin, positive_branch_guess, solve_ball, supersolution_phi
 from .system import ModelKind
@@ -42,10 +42,6 @@ class RunSummary:
     continuation_failure: str | None = None
     uniqueness: dict | None = None
     failure: dict | None = None
-
-
-def _fmt_kappa(kappa: float) -> str:
-    return format(float(kappa), ".17g")
 
 
 def _write_summary(summary: RunSummary, outdir: Path):
@@ -151,7 +147,7 @@ def _stage_continuation(config, state, summary, outdir):
     state["trace"] = trace
     outdir.mkdir(parents=True, exist_ok=True)
     for step in trace.steps:
-        tag = _fmt_kappa(step.kappa)
+        tag = _fmt(step.kappa)
         record = {"kappa": step.kappa,
                   "newton_iterations": step.newton_iterations,
                   "diagnostics": step.diagnostics.to_json_dict()}

@@ -3,19 +3,20 @@ nondegeneracy margin of baseline states.
 
 The scalar problem  -Lap u = f(u)  on a node subset R (a single ball, or
 the whole connected domain for the global profile) is the competition
-system of ``system`` with one species and a zero baseline, whose coupling
-vanishes, and is solved by that system's damped Newton solve, folded
-along the mirrors of R that leave the guess invariant (``system``): a
-ball of chain3 and its global profile solve on a quarter of their nodes,
-and the result is exactly mirror-invariant.  On a ball
-the positive branch is reliably selected by seeding with half the
-principal Dirichlet eigenfield.  The global profile is solved on two
-grids (``supersolution_phi``): from the supersolution u = 1 on the 2h
-subgrid, then on h from that profile's bilinear interpolant, which is
-safe because the positive solution is unique; u = 1 on h is the
-fallback.  A positive result whose Rayleigh quotient lies below lambda
-certifies by itself that lambda exceeds the domain's lambda_1, so the
-whole-domain eigenvalue is computed only when that certificate fails.
+system of ``system`` with one species and a zero baseline, whose
+coupling vanishes, and is solved by that system's damped Newton solve
+(``system._newton``), which builds its one system on the fold of R along
+the mirrors that leave the guess invariant: a ball of chain3 and its
+global profile solve on a quarter of their nodes, and the result is
+exactly mirror-invariant.  On a ball the positive branch is reliably
+selected by seeding with half the principal Dirichlet eigenfield.  The
+global profile is solved on two grids (``supersolution_phi``): from the
+supersolution u = 1 on the 2h subgrid, then on h from that profile's
+bilinear interpolant, which is safe because the positive solution is
+unique; u = 1 on h is the fallback.  A positive result whose Rayleigh
+quotient lies below lambda certifies by itself that lambda exceeds the
+domain's lambda_1, so the whole-domain eigenvalue is computed only when
+that certificate fails.
 
 Both eigenproblems take the largest nu of diag(c) w = nu A w, A = -Lap on
 the region, from Lanczos (ARPACK mode 2, M = A) on one sparse LU of A of
@@ -79,7 +80,7 @@ from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
 from .newton import NEWTON_TOL, _l2, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
-from .system import ModelKind, _fold_choice, _System
+from .system import ModelKind, _fold_choice, _newton
 
 log = logging.getLogger(__name__)
 
@@ -145,16 +146,17 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     and flagged non-positive.
     """
     def compute():
-        system = _System(domain, [sp_params],
-                         ModelKind.barrier(StateField.zeros(domain, 1)), 0.0, region)
         try:
-            (u,), rnorm, iterations = system.newton(StateField([guess]), newton_tol)
+            (u,), rnorm, iterations = _newton(
+                domain, [sp_params], ModelKind.barrier(StateField.zeros(domain, 1)),
+                0.0, StateField([guess]), newton_tol, region)
         except NonlinearSolveError as exc:
             exc.last_iterate = exc.last_iterate[0]
             raise
         if norm(u, "Linf") <= 1e3 * newton_tol:
             u, rnorm = ScalarField.zeros(domain), 0.0  # f(0) = 0
-        return u, iterations, rnorm, bool(np.min(u.values[system.mask]) > 0.0)
+        inside = domain.laplacian(region)[1] >= 0
+        return u, iterations, rnorm, bool(np.min(u.values[inside]) > 0.0)
 
     return ScalarSolveReport(*_per_ball("solve_ball", domain, region,
                                         (sp_params, newton_tol, guess), compute))

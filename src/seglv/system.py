@@ -59,10 +59,10 @@ ends, before it allocates the result: a result allocated above live LUs
 leaves their freed memory unreturnable.
 
 A Newton solve whose problem is invariant under lattice mirrors runs on
-the folded lattice (``_System.newton``; Bossavit, Comput. Methods Appl.
-Mech. Engrg. 56, 1986).  A region's mirrors are the horizontal and
-vertical lines, on a node line or midway between two, that map its mask
-onto itself (``GridDomain.mirrors``).  Each comes with a species map sigma
+the folded lattice (``_newton``; Bossavit, Comput. Methods Appl. Mech.
+Engrg. 56, 1986).  A region's mirrors are the horizontal and vertical
+lines, on a node line or midway between two, that map its mask onto
+itself (``GridDomain.mirrors``).  Each comes with a species map sigma
 read from the images of the region's balls: chain3's x = 3 sends ball 0
 onto ball 2, so sigma = (2, 1, 0), while y = 0 keeps every species in
 place.  The solve folds along each mirror whose permuted species have
@@ -106,7 +106,8 @@ one block of order 5166 and one of 2599 per linearization (three of
 10077 on the full lattice); a ball solve and the global profile fold
 along both axes, onto a quarter of the nodes.  An unfolded system is the
 construction without mirrors: one block per species on all the region's
-nodes.
+nodes.  A solve makes its fold decision on the region's nodes before any
+system exists and then builds its one system on the chosen layout.
 
 The eigen-solves of ``scalar`` take the same construction with k = 1,
 and one decision serves them and the Newton solves (``_fold_choice``):
@@ -134,7 +135,6 @@ without them the center LU of the chain3 probe has a third less fill.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, field
@@ -183,6 +183,14 @@ def _asymmetry(fields, image, species):
     scale = np.where(peak > 0.0, peak, 1.0)
     return float(np.max(np.max(np.abs(fields - fields[rows[:, None], image]),
                                axis=1) / scale))
+
+
+def _nodal(U: StateField, k, nodes):
+    """The (k, n) values of the state U at the n nodes of the mask `nodes`;
+    raises ValueError unless U has k components, one per species."""
+    if U.k != k:
+        raise ValueError("species list and state size disagree")
+    return np.stack([u.values[nodes] for u in U])
 
 
 def _mirror_line(domain, mirror, species=()):
@@ -249,7 +257,7 @@ class ModelKind:
     baseline: StateField | None = None
     caps: StateField | None = None
     # the mirror asymmetries of the baselines and caps on each region, keyed
-    # by its mask (``_System._folded_for``)
+    # by its mask (``_invariant_mirrors``)
     _fixed_asymmetry: dict = field(default_factory=dict, init=False,
                                    repr=False, compare=False)
 
@@ -264,6 +272,24 @@ class ModelKind:
         if overlap.any():
             raise ValueError(f"{self.kind} baseline components overlap at "
                              f"{int(overlap.sum())} nodes")
+
+    def _at(self, domain, k, nodes):
+        """(u0, caps): the k baselines as a (k, n) array and the k caps at
+        the n nodes of the mask `nodes` of `domain`; raises
+        DomainMismatchError when the baselines or the caps live on another
+        domain."""
+        if self.baseline is not None and self.baseline.domain is not domain:
+            raise DomainMismatchError("baseline lives on a different domain")
+        if self.caps is not None and self.caps.domain is not domain:
+            raise DomainMismatchError("truncation caps live on a different domain")
+        if self.kind == "lotka_volterra":
+            # the plain model may carry a baseline as a warm-start hint, but
+            # its residual is the kind with zero baseline
+            u0 = np.zeros((k, np.count_nonzero(nodes)))
+        else:
+            u0 = np.stack([u.values[nodes] for u in self.baseline])
+        return u0, ([np.inf] * k if self.caps is None
+                    else [u.values[nodes] for u in self.caps])
 
     @classmethod
     def lotka_volterra(cls, baseline=None):
@@ -282,40 +308,31 @@ class _System:
     """Interior-vector view of one model at fixed kappa.
 
     Every formula works node-wise on a (k, n) array: the k species on the
-    n nodes of the layout of ``fold`` (``GridDomain.fold``): the nodes of
-    `region` (default: the whole interior), with zero Dirichlet data
-    outside it, or on a folded system (``_fold``) the region's n
-    representatives of node orbits.  The stacked vector x of unknowns is
-    that array's ravel, unless the fold sends species to one another's
-    mirror images: then it holds one entry per orbit of (species, node)
-    pairs, the node-wise array is gathered from it and each residual takes
-    its rows back.
+    n nodes of the layout of ``fold``, the ``GridDomain.fold`` of `region`
+    (default: the whole interior, zero Dirichlet data outside it) along
+    `mirrors`, keys of the region's mirrors.  Without mirrors these are
+    the region's nodes, else its n representatives of node orbits, and
+    the operator, baselines and caps live on them.  The stacked vector x
+    of unknowns is that array's ravel, unless the fold sends species to
+    one another's mirror images: then it holds one entry per orbit of
+    (species, node) pairs, the node-wise array is gathered from it and
+    each residual takes its rows back.  Raises DomainMismatchError when
+    the model's baselines or caps live on another domain.
     """
 
-    def __init__(self, domain, species, model: ModelKind, kappa, region=None):
+    def __init__(self, domain, species, model: ModelKind, kappa, region=None,
+                 mirrors=()):
         self.domain = domain
         self.species = species
         self.kappa = float(kappa)
         self.k = k = len(species)
-        self.A, index_map = domain.laplacian(region)
-        self.mask = mask = index_map >= 0
-        self.n = n = self.A.shape[0]
+        self.mask = domain.laplacian(region)[1] >= 0
+        self.fold = fold = domain.fold(self.mask, k, mirrors)
+        self.A = fold.A
+        self.n = fold.A.shape[0]
         self.h = domain.h
         self.clip = model.kind != "barrier"
-        if model.baseline is not None and model.baseline.domain is not domain:
-            raise DomainMismatchError("baseline lives on a different domain")
-        if model.kind == "lotka_volterra":
-            # the plain model may carry a baseline as a warm-start hint, but
-            # its residual is the kind with zero baseline
-            self.u0 = np.zeros((k, n))
-        else:
-            self.u0 = np.stack([u.values[mask] for u in model.baseline])
-        if model.caps is not None and model.caps.domain is not domain:
-            raise DomainMismatchError("truncation caps live on a different domain")
-        self.caps = ([np.inf] * k if model.caps is None
-                     else [u.values[mask] for u in model.caps])
-        self._fixed_asymmetry = model._fixed_asymmetry
-        self.fold = domain.fold(mask, k, ())
+        self.u0, self.caps = model._at(domain, k, fold.nodes)
         self.release()
 
     @property
@@ -516,10 +533,7 @@ class _System:
     def stack(self, U: StateField):
         """Stacked unknowns of the state U; raises ValueError unless U has
         one component per species."""
-        if U.k != self.k:
-            raise ValueError("species list and state size disagree")
-        return self._unknowns(np.concatenate([u.values[self.fold.nodes]
-                                              for u in U]))
+        return self._unknowns(_nodal(U, self.k, self.fold.nodes))
 
     def unstack(self, x) -> StateField:
         """The state of the stacked x, zero outside the region; a folded
@@ -528,69 +542,60 @@ class _System:
         return StateField([ScalarField(self.domain, self.domain.insert(u, self.mask))
                            for u in v])
 
-    def _fold(self, mirrors):
-        """A copy of this system on one unknown per orbit of (species, node)
-        pairs under `mirrors`, keys of the region's mirrors
-        (``GridDomain.fold``): its operator is A_f, its baselines and caps
-        live on the layout's representatives, and ``unstack`` fills every
-        orbit."""
-        fold = self.domain.fold(self.mask, self.k, mirrors)
-        folded = copy.copy(self)
-        folded.fold, folded.A, folded.n = fold, fold.A, fold.A.shape[0]
-        keep = fold.nodes[self.mask]
-        folded.u0 = self.u0[:, keep]
-        folded.caps = [c if np.isscalar(c) else c[keep] for c in self.caps]
-        return folded
 
-    def _differ(self, species):
-        """Why this system cannot fold along a mirror of species map
-        `species`: the first pair it swaps whose parameters differ, or
-        None."""
-        unequal = [(i, j) for i, j in enumerate(species)
-                   if self.species[i] != self.species[j]]
+def _invariant_mirrors(domain, species, model: ModelKind, guess: StateField,
+                       mask):
+    """The keys of the mirrors of the region `mask` that map the problem of
+    a Newton solve from `guess` onto itself, and the DEBUG note on that
+    choice (``_fold_choice``).
+
+    A mirror qualifies when the species it permutes have equal parameters
+    and the guess, the baselines and the caps satisfy u_sigma(i) = u_i o
+    mirror to ``MIRROR_RTOL``, relative to each field's peak
+    (``_asymmetry``).  The baselines' and caps' asymmetries are fixed for
+    the model and are found once per region (cached on ``ModelKind``); the
+    guess's is found on every call.  Raises DomainMismatchError for
+    baselines or caps on another domain, then ValueError unless the guess
+    has one component per species."""
+    k = len(species)
+    u0, caps = model._at(domain, k, mask)
+    x = _nodal(guess, k, mask)
+    key = mask.shape, mask.tobytes()
+    fixed = model._fixed_asymmetry.get(key)
+    if fixed is None:
+        fields = np.vstack([u0, *(c for c in caps if not np.isscalar(c))])
+        fixed = model._fixed_asymmetry[key] = {
+            m: _asymmetry(fields, mirror.image, mirror.permutation(k))
+            for m, mirror in domain.mirrors(mask).items()}
+
+    def differ(sigma):
+        # the first pair that the species map swaps whose parameters differ
+        unequal = [(i, j) for i, j in enumerate(sigma) if species[i] != species[j]]
         return "species {}, {} differ".format(*unequal[0]) if unequal else None
 
-    def _folded_for(self, x):
-        """This system folded along every mirror of its region that maps
-        the problem onto itself, or the system itself when there is none.
+    return _fold_choice(domain, mask, x, differ, "unknowns", fixed)
 
-        A mirror qualifies (``_fold_choice``) when the species it permutes
-        have equal parameters (``_differ``) and the stacked x, the
-        baselines and the caps satisfy u_sigma(i) = u_i o mirror to
-        ``MIRROR_RTOL``, relative to each field's peak (``_asymmetry``).
-        The baselines' and caps' asymmetries are fixed for the model and
-        are found once per region (cached on ``ModelKind``); the guess's
-        is found on every call.  Logs the decision at DEBUG level."""
-        key = self.mask.shape, self.mask.tobytes()
-        fixed = self._fixed_asymmetry.get(key)
-        if fixed is None:
-            fields = np.vstack([self.u0, *(c for c in self.caps
-                                           if not np.isscalar(c))])
-            fixed = self._fixed_asymmetry[key] = {
-                m: _asymmetry(fields, mirror.image, mirror.permutation(self.k))
-                for m, mirror in self.domain.mirrors(self.mask).items()}
-        invariant, note = _fold_choice(self.domain, self.mask,
-                                       x.reshape(self.k, self.n), self._differ,
-                                       "unknowns", fixed)
-        log.debug("kappa %g: %s", self.kappa, note)
-        return self._fold(invariant) if invariant else self
 
-    def newton(self, guess: StateField, tol, *,
-               history=()) -> tuple[StateField, float, int]:
-        """Damped Newton from `guess`; see ``solve_system``.  Returns the
-        state, its residual norm and the iterations.  `history` holds the
-        residual norms of the steps that reached `guess` (the kernel's
-        ``history``).  Runs on this system folded along the mirrors that
-        map the problem onto itself (``_folded_for``)."""
-        system = self._folded_for(self.stack(guess))
-        try:
-            x, rnorm, iterations = damped_newton(
-                system.stack(guess), system.residual, system.linearize, tol,
-                as_iterate=system.unstack, history=history)
-        finally:
-            # released before the result is allocated
-            system.release()
-        return system.unstack(x), rnorm, iterations
+def _newton(domain, species, model: ModelKind, kappa, guess: StateField, tol,
+            region=None, *, history=()) -> tuple[StateField, float, int]:
+    """Damped Newton from `guess` on `region` (default: the whole
+    interior); see ``solve_system``.  Returns the state, its residual norm
+    and the iterations.  `history` holds the residual norms of the steps
+    that reached `guess` (the kernel's ``history``).  The solve builds one
+    system, on the fold along the mirrors that map the problem onto itself
+    (``_invariant_mirrors``), and logs that decision at DEBUG level."""
+    mirrors, note = _invariant_mirrors(domain, species, model, guess,
+                                       domain.laplacian(region)[1] >= 0)
+    log.debug("kappa %g: %s", kappa, note)
+    system = _System(domain, species, model, kappa, region, mirrors)
+    try:
+        x, rnorm, iterations = damped_newton(
+            system.stack(guess), system.residual, system.linearize, tol,
+            as_iterate=system.unstack, history=history)
+    finally:
+        # released before the result is allocated
+        system.release()
+    return system.unstack(x), rnorm, iterations
 
 
 def residual(U: StateField, species, model: ModelKind, kappa) -> StateField:
@@ -614,8 +619,8 @@ def solve_system(guess: StateField, species, model: ModelKind, kappa,
     block or the assembled Jacobian of a missed step is singular, or the
     kernel's step budget runs out.
     """
-    system = _System(guess.domain, species, model, kappa)
-    state, _, iterations = system.newton(guess, tol)
+    state, _, iterations = _newton(guess.domain, species, model, kappa, guess,
+                                   tol)
     return state, iterations
 
 
@@ -680,7 +685,8 @@ def solve_near(center: StateField, starts, species, model: ModelKind, kappa,
         state = system.unstack(X[:, j])
         if j in fallback:
             try:
-                state, _, _ = system.newton(state, tol, history=histories[j])
+                state, _, _ = _newton(center.domain, species, model, kappa,
+                                      state, tol, history=histories[j])
             except NonlinearSolveError as exc:
                 state = exc
         outcomes.append(state)

@@ -5,7 +5,8 @@ that swaps species folds the (species, node) pairs: on the dumbbell, x = 2
 sends species 0 to species 1, so species 1 keeps no unknowns.  The full
 lattice is forced by a mirror finder that finds none.  The construction of
 the folds (``GridDomain.fold``) is checked against orbits found by brute
-force, and is built once per region, species count and mirrors."""
+force, and is built once per region, species count and mirrors; a solve
+that folds builds no fold without mirrors."""
 
 import itertools
 import logging
@@ -115,7 +116,7 @@ def test_folded_residual_norm_and_unfold(dumbbell):
     x = rng.standard_normal((2, system.n))
     x = (x + x[:, image]).ravel()
     state = system.unstack(x)
-    folded = system._fold([mirror])
+    folded = _System(domain, species, model, 256.0, None, [mirror])
     assert folded.n == folded_order(domain, axes=(0,)) < system.n
     r, rnorm, rhs = system.residual(x)
     r_f, rnorm_f, rhs_f = folded.residual(folded.stack(state))
@@ -406,3 +407,40 @@ def test_one_fold_construction_per_key(tmp_path, monkeypatch):
     uses = Counter(key[1:3] + (len(key[3]),) for key in requested)
     assert uses[ball + (2,)] >= 4
     assert uses[(domain.interior_mask.tobytes(), 2, 2)] >= 6
+
+
+def test_folding_solves_build_no_mirror_free_fold(tmp_path, monkeypatch):
+    # chain3's ramp at h = 1/32 and its global profile at h = 1/64: every
+    # Newton solve folds, so it builds no fold without mirrors, and each
+    # mirrored fold is built once; the public residual is mirror-free
+    config = sg.load_config(CONFIGS / "chain3.json")
+    config.output.directory = str(tmp_path)
+    config.output.emit_images = False
+    built, constructing = [], []
+    fold, construct = sg.GridDomain.fold, domain_module._fold
+
+    def recording_fold(self, region, k, mirrors):
+        mask = self.laplacian(region)[1] >= 0
+        constructing.append((self, mask.tobytes(), k, tuple(sorted(mirrors))))
+        try:
+            return fold(self, region, k, mirrors)
+        finally:
+            constructing.pop()
+
+    def counting(*args):
+        built.append(constructing[-1])
+        return construct(*args)
+
+    monkeypatch.setattr(sg.GridDomain, "fold", recording_fold)
+    monkeypatch.setattr(domain_module, "_fold", counting)
+    summary = sg.run(config, until="continuation")
+    assert summary.continuation_failure is None
+    d = config.domain
+    domain = sg.build_domain(d.balls, d.corridors, d.bbox, d.h / 2)
+    sp = config.species[0]
+    phi = sg.supersolution_phi(sp, domain)
+    assert built and all(key[3] for key in built)
+    assert max(Counter(built).values()) == 1
+    sg.residual(StateField([phi]), [sp],
+                ModelKind.barrier(StateField.zeros(domain, 1)), 0.0)
+    assert built[-1] == (domain, domain.interior_mask.tobytes(), 1, ())

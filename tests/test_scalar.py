@@ -300,21 +300,14 @@ def test_ball_solve_releases_held_lu(dumbbell2, dumbbell2_ball, monkeypatch):
         factors_at_insert.append([held._blocks for held in helds])
         return insert(self, vec, region)
 
-    fold = system_module._System._fold
-
-    def recording_fold(self, mirrors):
-        helds.append(fold(self, mirrors))
-        return helds[-1]
-
     monkeypatch.setattr(system_module._System, "__init__", recording_init)
-    monkeypatch.setattr(system_module._System, "_fold", recording_fold)
     monkeypatch.setattr(sg.GridDomain, "insert", recording_insert)
     factorizations = count_calls(monkeypatch, newton, "splu")
     solve_ball(sp, region, domain, guess)
-    # the ball's system and its fold, which holds the LU
-    assert len(helds) == 2 and factorizations
+    # the ball's one system, on its fold, holds the LU
+    assert len(helds) == 1 and factorizations
     # the result field is built after the LU is released
-    assert factors_at_insert == [[None, None]]
+    assert factors_at_insert == [[None]]
 
 
 def _ball_stages(domain, ball, sp):

@@ -8,7 +8,7 @@ from seglv import newton
 from seglv import system as system_module
 from seglv import (ModelKind, NonlinearSolveError, ScalarField, SpeciesParams,
                    StateField, norm, residual, solve_near, solve_system)
-from seglv.system import _System
+from seglv.system import _newton, _System
 
 from conftest import count_calls, folded_order, singular_after
 
@@ -83,6 +83,21 @@ def test_model_kind_validation(dumbbell2_setup):
                            (ModelKind.barrier(U0, elsewhere), "truncation caps")):
         with pytest.raises(sg.DomainMismatchError, match=message):
             solve_system(U0, dumbbell2_setup["species"], model, 4.0)
+
+
+def test_foreign_model_fields_raise_before_the_species_count(dumbbell2_setup):
+    # the baselines first, then the caps, then a guess of the wrong size
+    U0, species = dumbbell2_setup["baseline"], dumbbell2_setup["species"]
+    elsewhere = StateField.zeros(sg.unit_square_domain(4), 2)
+    one = StateField([U0[0]])
+    for model, error, message in (
+            (ModelKind.barrier(elsewhere, elsewhere), sg.DomainMismatchError,
+             "baseline lives"),
+            (ModelKind.barrier(U0, elsewhere), sg.DomainMismatchError,
+             "truncation caps"),
+            (ModelKind.barrier(U0), ValueError, "species list")):
+        with pytest.raises(error, match=message):
+            solve_system(one, species, model, 4.0)
 
 
 def test_overlapping_baselines_rejected(dumbbell2_setup):
@@ -177,8 +192,8 @@ def test_folded_jacobian_matches_finite_differences(dumbbell2_setup,
     setup = dumbbell2_setup
     domain = setup["domain"]
     model = model_of(kind, setup["baseline"], dumbbell2_caps if truncated else None)
-    system = _System(domain, setup["species"], model, 64.0)
-    folded = system._fold([m for m in domain.mirrors() if m[0] in axes])
+    folded = _System(domain, setup["species"], model, 64.0, None,
+                     [m for m in domain.mirrors() if m[0] in axes])
     n = folded_order(domain, axes=(0,))
     assert folded.size == n * (2 if axes == (0,) else 1)
     check_jacobian(folded, dumbbell2_caps, kind, truncated)
@@ -711,7 +726,7 @@ def test_solve_releases_held_blocks(warm_solve, monkeypatch, converges):
     solving, held_at_unstack = [], []
 
     def recording_unstack(self, x):
-        # the solving system: this one's fold along y = 0
+        # the solving system: the fold along y = 0, not this mirror-free one
         solving.append(self)
         held_at_unstack.append(self._blocks)
         return unstack(self, x)
@@ -720,12 +735,12 @@ def test_solve_releases_held_blocks(warm_solve, monkeypatch, converges):
     if not converges:
         monkeypatch.setattr(newton, "MAX_NEWTON", 1)
         with pytest.raises(NonlinearSolveError, match="budget exhausted"):
-            system.newton(start, 1e-10)
+            _newton(start.domain, species, model, kappa, start, 1e-10)
     else:
-        system.newton(start, 1e-10)
+        _newton(start.domain, species, model, kappa, start, 1e-10)
         # the result is allocated after the block LUs are released
         assert held_at_unstack[-1] is None
-    assert solving[-1] is not system and solving[-1]._blocks is None
+    assert solving[-1].fold is not system.fold and solving[-1]._blocks is None
 
 
 def test_refactor_decisions_logged(warm_solve, caplog, monkeypatch):

@@ -2,9 +2,9 @@
 
 A code line is a physical line that holds part of a Python token, not
 counting comments, blank lines and docstrings: a string that stands alone
-as the first statement of a module, class or function.  A token that spans
-several lines (a bracketed expression, a multi-line string that is not a
-docstring) counts every line it covers.
+as the first statement of a module, class or function.  A multi-line
+string that is not a docstring counts every line it covers, and a
+bracketed expression every line that holds one of its tokens.
 
 Usage: python tools/code_lines.py [package directory, default src/seglv]
 
