@@ -111,7 +111,8 @@ class Block(NamedTuple):
     diagonal: tuple
 
 
-class Fold(NamedTuple):
+@dataclass(eq=False)
+class Fold:
     """The (species, node) pairs of k species on a region, one unknown per
     orbit of a group of its mirrors (``GridDomain.fold``).
 
@@ -125,7 +126,9 @@ class Fold(NamedTuple):
     mirror moves a species, so that every layout pair is an unknown.
     ``weight`` counts the region's pairs in each unknown's orbit (None
     without mirrors, where each counts one), and ``blocks`` holds the
-    unknowns of each species that keeps any.
+    unknowns of each species that keeps any.  ``lu`` holds an LU of A_f
+    that a principal eigen-solve leaves for the next eigen-solve on the
+    fold (``scalar._top_eigenpair``), or None.
     """
 
     nodes: np.ndarray
@@ -136,6 +139,7 @@ class Fold(NamedTuple):
     gather: np.ndarray | None
     weight: np.ndarray | None
     blocks: tuple
+    lu: object = None
 
     @property
     def size(self):
@@ -208,8 +212,10 @@ class GridDomain:
     Instances are immutable after construction and safe to share; three
     caches keyed by region live on the instance: the Laplacians
     (``laplacian``), the lattice mirrors (``mirrors``) and the folds of k
-    species along them (``fold``), one per (region, k, mirrors).  The
-    per-ball results of ``scalar`` (``ball_class``) are cached there too.
+    species along them (``fold``), one per (region, k, mirrors), each of
+    which can hold an LU of its Laplacian from one eigen-solve to the
+    next (``Fold.lu``).  The results that ``scalar`` stores per ball class (``ball_class``) and
+    for the whole interior live there too.
     """
 
     def __init__(self, h, origin, interior_mask, ball_label, corridor_flag,
@@ -326,23 +332,20 @@ class GridDomain:
         index_map = -np.ones((self.ny, self.nx), dtype=np.int64)
         index_map[mask] = np.arange(n)
         iy, ix = np.nonzero(mask)
+        # each node's row in column order: its neighbours at (iy - 1, ix)
+        # and (iy, ix - 1), itself, (iy, ix + 1) and (iy + 1, ix), -1 off
+        # the region; a region keeps off the grid border
+        stencil = np.stack([index_map[iy - 1, ix], index_map[iy, ix - 1],
+                            np.arange(n), index_map[iy, ix + 1],
+                            index_map[iy + 1, ix]], axis=1)
+        inside = stencil >= 0
         invh2 = 1.0 / (self.h * self.h)
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [np.full(n, 4.0 * invh2)]
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            jy, jx = iy + dy, ix + dx
-            ok = (jy >= 0) & (jy < self.ny) & (jx >= 0) & (jx < self.nx)
-            nb = np.full(n, -1, dtype=np.int64)
-            nb[ok] = index_map[jy[ok], jx[ok]]
-            has = nb >= 0
-            rows.append(np.arange(n)[has])
-            cols.append(nb[has])
-            vals.append(np.full(int(has.sum()), -invh2))
-        A = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
+        weights = np.array([-invh2, -invh2, 4.0 * invh2, -invh2, -invh2])
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(inside.sum(axis=1), out=indptr[1:])
+        A = sp.csr_matrix((np.broadcast_to(weights, stencil.shape)[inside],
+                           stencil[inside].astype(np.int32), indptr),
+                          shape=(n, n))
         index_map.setflags(write=False)
         self._lap_cache[key] = (A, index_map)
         return A, index_map

@@ -130,12 +130,11 @@ def _stage_phi(config, state, summary, outdir):
         return
     domain = state["domain"]
     solver = config.solver
-    # species with equal parameters share one phi
-    phis = {sp_params: supersolution_phi(sp_params, domain,
-                                         newton_tol=solver.newton_tol,
-                                         eig_tol=solver.eig_tol)
-            for sp_params in dict.fromkeys(config.species)}
-    state["caps"] = StateField([phis[sp_params] for sp_params in config.species])
+    # species with equal parameters share one solve (supersolution_phi)
+    state["caps"] = StateField([supersolution_phi(sp_params, domain,
+                                                  newton_tol=solver.newton_tol,
+                                                  eig_tol=solver.eig_tol)
+                                for sp_params in config.species])
 
 
 def _stage_continuation(config, state, summary, outdir):

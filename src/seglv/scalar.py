@@ -41,28 +41,35 @@ solves' construction with one species (``GridDomain.fold`` with k = 1),
 the same cached object a ball's Newton solve uses.  With its P,
 A_f = R A P and orbit sizes w, and W = diag(w), W A_f = P^T A P is
 symmetric, and the folded pencil diag(w c_f) v = nu (W A_f) v runs through
-the same Lanczos on one LU of A_f, (W A_f)^-1 b = A_f^-1 (b / w); the
-eigenvector is P v.  A chain3 ball at h = 1/64 solves on 3276 of its
-12849 nodes.  Where c is nowhere positive the top eigenvector oscillates
-from node to node and need not be invariant, so the pencil does not fold.
+the same Lanczos on the LU of A_f, (W A_f)^-1 b = A_f^-1 (b / w); the
+eigenvector is P v.  ``principal_eigenvalue`` on a given region (not
+None, the whole interior, on which no ND margin follows) leaves its LU on
+the fold (``Fold.lu``) and the next eigen-solve there takes it, so a
+ball's lambda_1 and the ND margin of its baseline, which fold alike,
+factor A_f once, and no ball LU is held past the margin.  A chain3 ball
+at h = 1/64 solves on 3276 of its 12849 nodes.  Where c is nowhere positive the top
+eigenvector oscillates from node to node and need not be invariant, so
+the pencil does not fold.
 The Newton solves' decision (``system._fold_choice``) chooses the
 mirrors and words the DEBUG line that each eigen-solve logs.  The
 residual checks of
 ``principal_eigenvalue`` and ``nd_margin`` run on the region's A with
 the unfolded eigenvector.
 
-Congruent balls solve once.  ``principal_eigenvalue``, ``solve_ball`` and
-``nd_margin`` on a region that is exactly one ball's mask store their
-result on the domain, keyed by the ball's translation class (its mask
-cropped to its bounding box), the function, the species, the tolerance
-and the bytes of the input field on the region; a grid translate of that
-ball calling with equal inputs gets the stored region vectors back as
-fresh fields at its own nodes, with one DEBUG line.  This is exact: a
-translate has the same CSR Laplacian and the same C-order node
-numbering, so every operation of the solve sees the same numbers in the
-same order.  A raise is never stored.  The global profile is not shared:
-its region, the whole interior of a domain of several balls, is no
-ball, and its 2h subgrid carries no ball labels.
+Congruent balls and equal global profiles solve once (``_stored``).
+``principal_eigenvalue``, ``solve_ball`` and ``nd_margin`` on a region
+that is exactly one ball's mask store their result on the domain, keyed
+by the ball's translation class (its mask cropped to its bounding box),
+the function, the species, the tolerance and the bytes of the input
+field on the region; a grid translate of that ball calling with equal
+inputs gets the stored region vectors back as fresh fields at its own
+nodes, with one DEBUG line.  This is exact: a translate has the same CSR
+Laplacian and the same C-order node numbering, so every operation of the
+solve sees the same numbers in the same order.  The whole interior,
+asked for as region None, is one more class, for these three and for
+``supersolution_phi``, which stores its profile there keyed by the
+species and both tolerances: species of equal parameters share one
+solve.  A raise is never stored.
 """
 
 from __future__ import annotations
@@ -102,26 +109,32 @@ class NDReport:
     rayleigh_iterations: int
 
 
-def _per_ball(stage, domain, region, inputs, compute):
-    """compute(), done once per translation class of a ball.
+def _stored(stage, domain, region, inputs, compute):
+    """compute(), done once per class of `region` on `domain`.
 
-    A region that is exactly one ball's mask (``GridDomain.ball_class``)
-    shares the result with every grid translate of that ball on `domain`
-    that calls `stage` with equal `inputs`; any other region computes.
-    compute() returns a tuple of numbers and ScalarFields, and the fields
-    of `inputs` and of the result are held as their values on the region:
-    the bytes of the former key the result, the latter are stored and
-    rebuilt at `region` on reuse.  A raise stores nothing.
+    Two kinds of region have a class: one ball's whole mask, shared with
+    every grid translate of that ball on `domain` (``GridDomain.ball_class``),
+    and the whole interior, asked for as region None.  A call of `stage`
+    on such a region with inputs equal to a stored call's gets that call's
+    result back; any other region computes.  compute() returns a tuple of
+    numbers and ScalarFields, and the fields of `inputs` and of the result
+    are held as their values on the region: the bytes of the former key
+    the result, the latter are stored and rebuilt at `region` as fresh
+    fields on reuse.  A raise stores nothing.
     """
-    ball = domain.ball_class(region)
-    if ball is None:
-        return compute()
-    mask = np.asarray(region, dtype=bool)
-    key = (ball, stage) + tuple(x.values[mask].tobytes() if isinstance(x, ScalarField)
-                                else x for x in inputs)
+    if region is None:
+        region_class, mask = "interior", domain.interior_mask
+    else:
+        region_class = domain.ball_class(region)
+        if region_class is None:
+            return compute()
+        mask = np.asarray(region, dtype=bool)
+    key = (region_class, stage) + tuple(
+        x.values[mask].tobytes() if isinstance(x, ScalarField) else x
+        for x in inputs)
     stored = domain._ball_results.get(key)
     if stored is not None:
-        log.debug("%s: reusing a congruent ball's result on %d nodes", stage,
+        log.debug("%s: reusing a stored result on %d nodes", stage,
                   np.count_nonzero(mask))
         return tuple(ScalarField(domain, domain.insert(x, mask))
                      if isinstance(x, np.ndarray) else x for x in stored)
@@ -158,18 +171,20 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
         inside = domain.laplacian(region)[1] >= 0
         return u, iterations, rnorm, bool(np.min(u.values[inside]) > 0.0)
 
-    return ScalarSolveReport(*_per_ball("solve_ball", domain, region,
-                                        (sp_params, newton_tol, guess), compute))
+    return ScalarSolveReport(*_stored("solve_ball", domain, region,
+                                      (sp_params, newton_tol, guess), compute))
 
 
-def _top_eigenpair(stage, c, domain, region):
+def _top_eigenpair(stage, c, domain, region, keep=False):
     """Largest nu of diag(c) w = nu A w, A = -Lap on `region`, its w, and
     the LU solves made.
 
     The pencil folds along every mirror of the region that leaves c
     invariant, when c is positive somewhere (see the module docstring).
     Lanczos (ARPACK) in the (W A_f)-inner product on an LU of A_f, started
-    from the constant vector so that runs are reproducible.  Regions of
+    from the constant vector so that runs are reproducible: the one an
+    earlier call with `keep` left on the fold (``Fold.lu``), which this
+    call takes, or a new one, left there when `keep` is set.  Regions of
     fewer than 3 nodes after the fold, which ARPACK cannot take, use a
     dense eigensolve and factor nothing.  Logs the fold at DEBUG level as
     `stage`.
@@ -187,7 +202,8 @@ def _top_eigenpair(stage, c, domain, region):
     if n < 3:
         nus, vs = scipy.linalg.eigh(np.diag(c), M.toarray())
         return float(nus[-1]), vs[orbit, -1], 0
-    lu = factorize(A)
+    lu = factorize(A) if fold.lu is None else fold.lu
+    fold.lu = lu if keep else None
     solves = 0
 
     def solve(b):
@@ -213,8 +229,10 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
     """
     def compute():
         A, index = domain.laplacian(region)
+        # a ball's LU waits for the ND margin of its baseline; no margin
+        # follows on the whole interior
         nu, w, _ = _top_eigenpair("principal_eigenvalue", np.ones(A.shape[0]),
-                                  domain, region)
+                                  domain, region, keep=region is not None)
         lam = 1.0 / nu
         # on disconnected regions a repeated eigenvalue can come back as a
         # sign-changing mix of per-component eigenfields, whose modulus is an
@@ -227,7 +245,7 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
                 f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
         return lam, ScalarField(domain, domain.insert(v, index >= 0))
 
-    return _per_ball("principal_eigenvalue", domain, region, (eig_tol,), compute)
+    return _stored("principal_eigenvalue", domain, region, (eig_tol,), compute)
 
 
 def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
@@ -252,8 +270,8 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
                 f"nd pencil residual {resid:.3e} exceeds {eig_tol:.1e} * ||A w||")
         return 1.0 - nu, solves
 
-    return NDReport(*_per_ball("nd_margin", u0.domain, region,
-                               (sp_params, eig_tol, u0), compute))
+    return NDReport(*_stored("nd_margin", u0.domain, region,
+                             (sp_params, eig_tol, u0), compute))
 
 
 def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=EIG_TOL):
@@ -350,7 +368,7 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     Numer. Anal. 23, 1986).  When the subgrid yields no start or the h
     solve from its interpolant raises, the h solve starts from u = 1; when
     that solve converges to a non-positive state, lambda_1 decides first
-    and only lambda > lambda_1 goes on from u = 1.  One DEBUG line per call
+    and only lambda > lambda_1 goes on from u = 1.  One DEBUG line per solve
     gives the subgrid's node count and Newton iterations, and each h
     solve's start and Newton iterations or "raised".
 
@@ -361,7 +379,21 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     tolerance of zero, which can pass for positive just below the
     threshold, fails that test.  Only a result that is not certified
     computes lambda_1, and at most once.
+
+    The profile is unique, so it is solved once per domain, species and
+    pair of tolerances: the result is stored on the domain (``_stored``,
+    the region class of the whole interior) and an equal call returns a
+    fresh field of the stored values without a solve.  A raise stores
+    nothing.
     """
+    return _stored("supersolution_phi", domain, None,
+                   (sp_params, newton_tol, eig_tol),
+                   lambda: (_global_profile(sp_params, domain, newton_tol,
+                                            eig_tol),))[0]
+
+
+def _global_profile(sp_params, domain, newton_tol, eig_tol):
+    """The two-level solve of ``supersolution_phi``."""
     start, sub_nodes, sub_iterations = _subgrid_start(sp_params, domain,
                                                       newton_tol)
     levels = [f"2h subgrid of {sub_nodes} interior nodes, Newton iterations "

@@ -563,10 +563,14 @@ def _invariant_mirrors(domain, species, model: ModelKind, guess: StateField,
     key = mask.shape, mask.tobytes()
     fixed = model._fixed_asymmetry.get(key)
     if fixed is None:
-        fields = np.vstack([u0, *(c for c in caps if not np.isscalar(c))])
+        # a group of zero rows, such as a scalar solve's baseline, is
+        # invariant under every mirror
+        groups = [g for g in (u0, [c for c in caps if not np.isscalar(c)])
+                  if np.any(g)]
+        fields = np.vstack(groups) if groups else None
         fixed = model._fixed_asymmetry[key] = {
             m: _asymmetry(fields, mirror.image, mirror.permutation(k))
-            for m, mirror in domain.mirrors(mask).items()}
+            for m, mirror in domain.mirrors(mask).items()} if groups else {}
 
     def differ(sigma):
         # the first pair that the species map swaps whose parameters differ

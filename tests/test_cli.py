@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -323,17 +324,31 @@ def test_runner_lotka_volterra_model(tmp_path):
                for step in summary.continuation)
 
 
-def test_runner_truncation_stage_builds_caps(tmp_path, monkeypatch):
+def truncation_config(tmp_path):
+    """BASE_CONFIG with truncation caps, cut short: the positive-part model
+    from kappa 16, factor 4, 4 steps, without probes."""
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["model"] = {"kind": "positive_part", "truncation": True}
+    # the positive-part reformulation has no nonnegative solution near the
+    # baseline until kappa clears the foreign-ball instability rate
+    doc["schedule"] = {"kappa_start": 16.0, "factor": 4.0, "steps": 4}
+    del doc["probes"]
+    path = tmp_path / "truncation.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_truncation_determinism_byte_identical(tmp_path):
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    cfg = truncation_config(tmp_path)
+    assert main(["continue", str(cfg), "--output", str(out1)]) == 0
+    assert main(["continue", str(cfg), "--output", str(out2)]) == 0
+    assert_same_outputs(out1, out2)
+
+
+def test_runner_truncation_stage_builds_caps(tmp_path, monkeypatch, caplog):
     from seglv import config as cfg_mod
     from seglv import runner
-
-    phi_calls = 0
-    supersolution_phi = runner.supersolution_phi
-
-    def counting_phi(*args, **kwargs):
-        nonlocal phi_calls
-        phi_calls += 1
-        return supersolution_phi(*args, **kwargs)
 
     models = []
     continuation_run = runner.continuation_run
@@ -342,22 +357,17 @@ def test_runner_truncation_stage_builds_caps(tmp_path, monkeypatch):
         models.append(model)
         return continuation_run(domain, species, model, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "supersolution_phi", counting_phi)
     monkeypatch.setattr(runner, "continuation_run", recording_run)
 
-    doc = json.loads(json.dumps(BASE_CONFIG))
-    doc["model"] = {"kind": "positive_part", "truncation": True}
-    # the positive-part reformulation has no nonnegative solution near the
-    # baseline until kappa clears the foreign-ball instability rate
-    doc["schedule"] = {"kappa_start": 16.0, "factor": 4.0, "steps": 4}
-    del doc["probes"]
-    cfg = cfg_mod.parse_config(json.dumps(doc))
+    cfg = cfg_mod.parse_config(truncation_config(tmp_path).read_text())
     cfg.output.directory = str(tmp_path / "out")
     cfg.output.emit_fields = False
-    summary = run(cfg, until="continuation")
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        summary = run(cfg, until="continuation")
     assert "phi" in summary.stages_completed
-    # the two species have equal parameters, so they share one phi
-    assert phi_calls == 1
+    # the two species have equal parameters, so they share one phi solve
+    assert len([r for r in caplog.records
+                if r.getMessage().startswith("global profile:")]) == 1
     [model] = models
     assert model.caps.k == 2
     per_kappa = summary.continuation
@@ -379,7 +389,7 @@ def test_runner_phi_uses_solver_budget(tmp_path, monkeypatch):
              for name in ("positive_branch_guess", "solve_ball", "nd_margin",
                           "supersolution_phi")}
     # the baseline stage calls the runner's own binding; this one is phi's,
-    # one call per level (the 2h subgrid, then h)
+    # one call per level (the 2h subgrid, then h) of its one solve
     phi_balls = count_calls(monkeypatch, scalar, "solve_ball")
     summary = run(cfg, until="phi")
     assert summary.stages_completed[-1] == "phi"
@@ -387,7 +397,7 @@ def test_runner_phi_uses_solver_budget(tmp_path, monkeypatch):
     assert calls == {"positive_branch_guess": [{"eig_tol": 2e-9}] * 2,
                      "solve_ball": [{"newton_tol": 3e-11}] * 2,
                      "nd_margin": [{"eig_tol": 2e-9}] * 2,
-                     "supersolution_phi": [both]}
+                     "supersolution_phi": [both] * 2}
     assert phi_balls == [{"newton_tol": 3e-11}] * 2
 
 

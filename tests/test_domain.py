@@ -6,14 +6,56 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 import seglv as sg
 from seglv import BallSpec, CorridorSpec, DomainError, build_domain, region_membership
+from conftest import dumbbell2_domain
 
 BBOX = (-1.5, -1.5, 8.5, 1.5)
 H = 1 / 8
 
 THREE_BALLS = [BallSpec((0.0, 0.0), 1.0, 0), BallSpec((3.0, 0.0), 1.0, 1),
                BallSpec((6.0, 0.0), 1.0, 2)]
+
+
+def coo_laplacian(dom, mask):
+    """The 5-point -Laplace on `mask` as a COO matrix of diagonal and
+    neighbour entries, converted to CSR."""
+    n = int(mask.sum())
+    index_map = -np.ones(mask.shape, dtype=np.int64)
+    index_map[mask] = np.arange(n)
+    iy, ix = np.nonzero(mask)
+    invh2 = 1.0 / dom.h ** 2
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0 * invh2)]
+    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        nb = index_map[iy + dy, ix + dx]
+        rows.append(np.flatnonzero(nb >= 0))
+        cols.append(nb[nb >= 0])
+        vals.append(np.full(rows[-1].size, -invh2))
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def _laplacian_case(name):
+    if name == "chain3":
+        corridors = [CorridorSpec(0, 1, 0.2), CorridorSpec(1, 2, 0.2)]
+        return build_domain(THREE_BALLS, corridors, (-1.25, -1.25, 7.25, 1.25),
+                            1 / 32), None
+    dom = dumbbell2_domain()
+    regions = {"dumbbell2": None, "ball": dom.ball_mask(0),
+               "not_a_ball": dom.interior_mask & ~dom.ball_mask(0)}
+    return dom, regions[name]
+
+
+@pytest.mark.parametrize("name", ["chain3", "dumbbell2", "ball", "not_a_ball"])
+def test_laplacian_matches_coo_assembly(name):
+    dom, region = _laplacian_case(name)
+    A, index_map = dom.laplacian(region)
+    B = coo_laplacian(dom, index_map >= 0)
+    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_three_disjoint_balls_three_components():

@@ -22,7 +22,7 @@ from seglv import domain as domain_module
 from seglv import system as system_module
 from seglv.system import _System
 
-from conftest import dumbbell2_domain, folded_order, record_orders
+from conftest import dumbbell2_domain, folded_order, rebuilt, record_orders
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -170,7 +170,11 @@ def test_chain3_phi_folds_on_both_axes(monkeypatch, caplog):
         f"kappa 0: folded along y = 0, x = 3: 2599 of {domain.n_interior} "
         "unknowns"]
     no_mirrors(monkeypatch)
-    full = sg.supersolution_phi(sp, domain)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="seglv.system"):
+        full = sg.supersolution_phi(sp, rebuilt(domain))
+    assert fold_lines(caplog) == ["kappa 0: not folded; the region has no "
+                                  "lattice mirror"] * 2
     assert max_rel([folded], [full]) <= 1e-14
 
 

@@ -331,7 +331,7 @@ def test_congruent_ball_reuses_the_first_balls_results(monkeypatch, caplog):
     assert factorizations == []
     nodes = np.count_nonzero(shared.ball_mask(1))
     assert [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"] == [
-        f"{stage}: reusing a congruent ball's result on {nodes} nodes"
+        f"{stage}: reusing a stored result on {nodes} nodes"
         for stage in ("principal_eigenvalue", "solve_ball", "nd_margin")]
     own_guess, own_lam1, own_report, own_nd = _ball_stages(alone, 1, sp)
     assert factorizations
@@ -348,14 +348,38 @@ def test_balls_of_different_radii_share_nothing(monkeypatch):
     domain = dumbbell2_domain(radii=(1.0, 0.9))
     sp = SpeciesParams(lam=12.0, p=2.0)
     orders = record_orders(monkeypatch)
+    eigen_solves = count_calls(monkeypatch, scalar_module, "_top_eigenpair")
     for ball in range(2):
-        made = len(orders)
+        made, run = len(orders), len(eigen_solves)
         _ball_stages(domain, ball, sp)
-        # an LU each for lambda_1 and the ND margin, one or more for the
-        # solve, all folded along the ball's mirrors
+        # an eigen-solve each for lambda_1 and the ND margin, on one LU of
+        # A_f, and one or more LUs for the solve, all folded along the
+        # ball's mirrors
         region = domain.ball_mask(ball)
-        assert len(orders) - made >= 3
+        assert len(eigen_solves) - run == 2
+        assert len(orders) - made >= 2
         assert set(orders[made:]) == {folded_order(domain, region)}
+
+
+def test_eigen_solves_share_the_folds_lu(ball16, monkeypatch):
+    # lambda_1 factors A_f of the ball's fold and leaves the LU there; the
+    # ND margin takes it, to the bits of a margin that factors its own
+    domain, alone = rebuilt(ball16), rebuilt(ball16)
+    region = domain.species_ball_mask(0)
+    sp = SpeciesParams(lam=12.0, p=2.0)
+    orders = record_orders(monkeypatch)
+    guess, _ = positive_branch_guess(domain, region)
+    assert orders == [folded_order(domain, region)]
+    u0 = solve_ball(sp, region, domain, guess).solution
+    made = len(orders)
+    report = nd_margin(u0, sp, region)
+    assert len(orders) == made and report.rayleigh_iterations > 0
+    # the margin took the LU: none is held past it
+    assert all(fold.lu is None for fold in domain._fold_cache.values())
+    own = nd_margin(ScalarField(alone, u0.values), sp, region)
+    assert len(orders) == made + 1
+    assert (report.margin, report.rayleigh_iterations) == (
+        own.margin, own.rayleigh_iterations)
 
 
 def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
@@ -363,23 +387,43 @@ def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
     region = domain.species_ball_mask(0)
     sp = SpeciesParams(lam=12.0, p=2.0)
     u0 = solve_ball(sp, region, domain, positive_branch_guess(domain, region)[0])
-    factorizations = count_calls(monkeypatch, newton, "splu")
+    eigen_solves = count_calls(monkeypatch, scalar_module, "_top_eigenpair")
     for _ in range(2):
         with pytest.raises(EigenSolveError, match="residual"):
             nd_margin(u0.solution, sp, region, eig_tol=1e-18)
-    assert len(factorizations) == 2
+    assert len(eigen_solves) == 2
 
 
-def test_phi_is_not_shared(monkeypatch):
-    # the interior of two balls is no ball: each call solves both levels
+def test_phi_is_solved_once_per_domain(monkeypatch, caplog):
+    # an equal call takes the stored profile; each level's solve factors once
     domain = dumbbell2_domain()
     sp = SpeciesParams(lam=12.0, p=2.0)
     factorizations = count_calls(monkeypatch, newton, "splu")
     first = supersolution_phi(sp, domain)
     assert len(factorizations) == 2
-    second = supersolution_phi(sp, domain)
-    assert len(factorizations) == 4
-    np.testing.assert_array_equal(first.values, second.values)
+    with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
+        second = supersolution_phi(SpeciesParams(lam=12.0, p=2.0), domain)
+    assert len(factorizations) == 2
+    assert [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"] == [
+        f"supersolution_phi: reusing a stored result on {domain.n_interior} nodes"]
+    assert second is not first and second.domain is domain
+    np.testing.assert_array_equal(second.values, first.values)
+    # a caller's edit of a returned field does not reach the store
+    second.values.setflags(write=True)
+    second.values[domain.interior_mask] = 0.0
+    np.testing.assert_array_equal(supersolution_phi(sp, domain).values,
+                                  first.values)
+    # another lambda or Newton tolerance solves again
+    supersolution_phi(SpeciesParams(lam=12.5, p=2.0), domain)
+    supersolution_phi(sp, domain, newton_tol=1e-9)
+    assert len(factorizations) == 6
+    # a raise is not stored: the repeat solves and raises again
+    below = SpeciesParams(lam=1.0, p=2.0)
+    for _ in range(2):
+        made = len(factorizations)
+        with pytest.raises(PhiUnavailable):
+            supersolution_phi(below, domain)
+        assert len(factorizations) > made
 
 
 def test_isolation_predicate(ball16):
@@ -584,6 +628,7 @@ def test_supersolution_unavailable_below_threshold(ball16):
 
 
 def test_positive_phi_makes_no_eigen_solve(chain3_domain, monkeypatch):
+    chain3_domain = rebuilt(chain3_domain)
     eigen_solves = count_calls(monkeypatch, scalar_module, "principal_eigenvalue")
     phi = supersolution_phi(SpeciesParams(lam=11.3394, p=2.0), chain3_domain)
     assert phi.values[chain3_domain.interior_mask].min() > 0
@@ -603,7 +648,9 @@ def test_phi_just_below_clustered_threshold_unavailable(chain3_domain,
 
 def test_uncertified_positive_phi_above_threshold_returned(chain3_domain,
                                                            monkeypatch):
-    # the same uncertified state is the profile when lambda_1 lies below lambda
+    # the same uncertified state is the profile when lambda_1 lies below
+    # lambda; a fresh domain keeps this profile off the shared one
+    chain3_domain = rebuilt(chain3_domain)
     monkeypatch.setattr(scalar_module, "principal_eigenvalue",
                         lambda region, domain, eig_tol: (5.63, None))
     phi = supersolution_phi(SpeciesParams(lam=5.6314, p=2.0), chain3_domain)
@@ -641,6 +688,7 @@ def test_phi_work_count(chain3_domain, monkeypatch):
     # one LU held for each level's whole solve, the 2h subgrid's and then
     # h's, and every LU solve is a GMRES iteration: none is spent on norms,
     # a first Krylov vector or lambda_1
+    chain3_domain = rebuilt(chain3_domain)
     lus, counts = [], {"iterations": 0}
     splu, right_gmres = newton.splu, system_module.right_gmres
 
@@ -712,7 +760,7 @@ def _forced_solve_ball(failing_call=None, kind=None):
          "h_from_interpolant_non_positive"])
 def test_phi_falls_back_to_plain_start(dumbbell2_setup, monkeypatch,
                                        failing_call, kind):
-    sp, dom = dumbbell2_setup["species"][0], dumbbell2_setup["domain"]
+    sp, dom = dumbbell2_setup["species"][0], rebuilt(dumbbell2_setup["domain"])
     plain = _plain_phi(sp, dom)
     forced, domains = _forced_solve_ball(failing_call, kind)
     monkeypatch.setattr(scalar_module, "solve_ball", forced)
@@ -745,10 +793,10 @@ def test_phi_logs_both_levels(dumbbell2_setup, monkeypatch, caplog):
     # every h solve is named, the discarded one from the interpolant too
     sp, dom = dumbbell2_setup["species"][0], dumbbell2_setup["domain"]
     with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
-        supersolution_phi(sp, dom)
+        supersolution_phi(sp, rebuilt(dom))
         forced, _ = _forced_solve_ball(1, "raise")
         monkeypatch.setattr(scalar_module, "solve_ball", forced)
-        supersolution_phi(sp, dom)
+        supersolution_phi(sp, rebuilt(dom))
     direct, retried = [r.getMessage() for r in caplog.records
                        if r.name == "seglv.scalar"]
     subgrid = r"global profile: 2h subgrid of \d+ interior nodes, Newton iterations \d+"
