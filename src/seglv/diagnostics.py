@@ -9,6 +9,12 @@ nonnegative nodal hat functions span that cone, so the checks reduce to
 nodewise sign conditions on the discrete residuals.  Violations below the
 given tolerance (conventionally 10x the nonlinear solver tolerance) count
 as solver noise, not violations.
+
+Both residuals use the interior matrix A of every solve.  The super
+residual needs no hat field of its own: uhat_i = u_i - sum_{j != i} u_j
+and fhat_i = f_i(u_i) - sum_{j != i} f_j(u_j) are the same signed sums,
+and A is linear, so A uhat_i - fhat_i = r_i - sum_{j != i} r_j with
+r_j = A u_j - f_j(u_j), exactly up to the order of rounding.
 """
 
 from __future__ import annotations
@@ -19,9 +25,8 @@ import numpy as np
 
 from .errors import NonlinearSolveError
 from .newton import NEWTON_TOL, factorize
-from .operators import (ScalarField, StateField, apply_laplacian, inner, norm,
-                        state_h1_norm)
-from .reaction import f_eval, hat_rhs, hat_transform, potential_eval
+from .operators import ScalarField, StateField, inner, norm, state_h1_norm
+from .reaction import f_eval, potential_eval
 from .system import ModelKind, solve_near
 
 
@@ -89,17 +94,21 @@ def inequality_check(U: StateField, species, tol):
 
     Returns (sub, super) lists of per-species ViolationStats: sub counts
     interior nodes where A u_i - f_i(u_i) > tol, super counts nodes where
-    A uhat_i - fhat_i < -tol.
+    A uhat_i - fhat_i < -tol.  A is the interior matrix of every solve
+    (``GridDomain.laplacian``).  Each species' residual r_i = A u_i -
+    f_i(u_i) is formed once; the super residual is r_i - sum_{j != i} r_j,
+    which is A uhat_i - fhat_i by the linearity of A and of the hat sums
+    (``hat_transform``, ``hat_rhs``).  Raises ValueError unless there is
+    one species per component.
     """
-    mask = U.domain.interior_mask
+    A, _ = U.domain.laplacian()
+    r = [A @ v - f_eval(sp, v)
+         for v, sp in zip((u.interior() for u in U), species, strict=True)]
     sub, sup = [], []
-    for i in range(U.k):
-        r = apply_laplacian(U[i]).values - f_eval(species[i], U[i].values)
-        r = r[mask]
-        bad = r > tol
-        sub.append(ViolationStats(int(bad.sum()), float(r.max()) if bad.any() else 0.0))
-        rh = (apply_laplacian(hat_transform(U, i)).values
-              - hat_rhs(U, species, i).values)[mask]
+    for i, r_i in enumerate(r):
+        bad = r_i > tol
+        sub.append(ViolationStats(int(bad.sum()), float(r_i.max()) if bad.any() else 0.0))
+        rh = r_i - sum(r_j for j, r_j in enumerate(r) if j != i)
         bad = rh < -tol
         sup.append(ViolationStats(int(bad.sum()), float(-rh.min()) if bad.any() else 0.0))
     return sub, sup
@@ -121,12 +130,14 @@ def noninvasion(U: StateField) -> np.ndarray:
 
 
 def energy(U: StateField, species) -> float:
-    """J(U) = sum_i ( 0.5 |grad u_i|^2 - int F_i(u_i) ), discretized."""
+    """J(U) = sum_i ( 0.5 |grad u_i|^2 - int F_i(u_i) ), discretized.
+
+    Raises ValueError unless there is one species per component."""
     h2 = U.domain.h ** 2
     total = 0.0
-    for i, u in enumerate(U):
+    for u, sp in zip(U, species, strict=True):
         total += 0.5 * norm(u, "H1_seminorm") ** 2
-        total -= h2 * float(np.sum(potential_eval(species[i], u.values)))
+        total -= h2 * float(np.sum(potential_eval(sp, u.values)))
     return total
 
 
@@ -167,16 +178,18 @@ def box_violation_count(U: StateField, tol, baseline=None, phi=None) -> int:
     """Nodes violating the a-priori box -u_i^0 - tol <= u_i <= phi_i + tol.
 
     The lower bound is checked when a baseline is given, the upper when the
-    truncation profiles are given.
+    truncation profiles are given.  Raises ValueError unless each given
+    tuple has one field per component.
     """
     mask = U.domain.interior_mask
+    v = [u.values[mask] for u in U]
     count = 0
-    for i, u in enumerate(U):
-        v = u.values[mask]
-        if baseline is not None:
-            count += int(np.sum(v < -baseline[i].values[mask] - tol))
-        if phi is not None:
-            count += int(np.sum(v > phi[i].values[mask] + tol))
+    if baseline is not None:
+        count += sum(int(np.sum(v_i < -b.values[mask] - tol))
+                     for v_i, b in zip(v, baseline, strict=True))
+    if phi is not None:
+        count += sum(int(np.sum(v_i > c.values[mask] + tol))
+                     for v_i, c in zip(v, phi, strict=True))
     return count
 
 

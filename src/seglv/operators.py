@@ -3,8 +3,10 @@
 Fields are value-semantic wrappers around (ny, nx) arrays that are exactly
 zero outside the interior mask, which is how the homogeneous Dirichlet
 condition is represented.  The Laplacian is the standard 5-point stencil
-with neighbors outside the mask contributing zero, so for fields u, v on
-the same domain the summation-by-parts identity
+with neighbors outside the mask contributing zero, applied as the
+domain's sparse interior matrix (``GridDomain.laplacian``), the one
+operator of every solve, so for fields u, v on the same domain the
+summation-by-parts identity
 
     inner(u, apply_laplacian(u)) == norm(u, "H1_seminorm")**2
 
@@ -131,18 +133,11 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
     """5-point -Laplace of u: (4u_p - u_N - u_S - u_E - u_W) / h^2.
 
     Neighbors outside the mask contribute zero; the output is zero at
-    non-interior nodes.
+    non-interior nodes.  Applied as the domain's interior matrix
+    (``GridDomain.laplacian``), the operator of every solve.
     """
-    v = u.values
-    h2 = u.domain.h * u.domain.h
-    out = 4.0 * v
-    out[1:, :] -= v[:-1, :]
-    out[:-1, :] -= v[1:, :]
-    out[:, 1:] -= v[:, :-1]
-    out[:, :-1] -= v[:, 1:]
-    out /= h2
-    out[~u.domain.interior_mask] = 0.0
-    return ScalarField(u.domain, out)
+    A, _ = u.domain.laplacian()
+    return ScalarField.from_interior(u.domain, A @ u.interior())
 
 
 def inner(u: ScalarField, v: ScalarField) -> float:

@@ -5,9 +5,11 @@ nonlinearity that is positive on (0, 1) and nonpositive beyond 1, so the
 constant 1 is a natural supersolution scale.  |s|^(p-1) s is evaluated as
 sign(s) * |s|^p so oddness is exact for non-integer p.
 
-The hat field of species i is u_i minus the sum of all other densities;
-its right-hand side is evaluated literally from the full state as
-f_i(u_i) - sum_{j != i} f_j(u_j).
+The hat field of species i is u_i minus the sum of all other densities,
+and its right-hand side is f_i(u_i) - sum_{j != i} f_j(u_j).  The hat
+helpers are these definitions, and the tests' oracle for the segregation
+diagnostics, which reach the same residuals by linearity
+(``diagnostics.inequality_check``).
 """
 
 from __future__ import annotations

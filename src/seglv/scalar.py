@@ -68,7 +68,7 @@ Laplacian and the same C-order node numbering, so every operation of the
 solve sees the same numbers in the same order.  The whole interior,
 asked for as region None, is one more class, for these three and for
 ``supersolution_phi``, which stores its profile there keyed by the
-species and both tolerances: species of equal parameters share one
+species and the Newton tolerance: species of equal parameters share one
 solve.  A raise is never stored.
 """
 
@@ -381,19 +381,29 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     computes lambda_1, and at most once.
 
     The profile is unique, so it is solved once per domain, species and
-    pair of tolerances: the result is stored on the domain (``_stored``,
-    the region class of the whole interior) and an equal call returns a
-    fresh field of the stored values without a solve.  A raise stores
-    nothing.
+    Newton tolerance: the result is stored on the domain (``_stored``, the
+    region class of the whole interior) and an equal call returns a fresh
+    field of the stored values without a solve.  eig_tol only gates
+    lambda_1's residual check, so it is not part of the key; a stored
+    profile that lambda_1 took part in runs that check again at the
+    calling eig_tol (``principal_eigenvalue``).  A raise stores nothing.
     """
-    return _stored("supersolution_phi", domain, None,
-                   (sp_params, newton_tol, eig_tol),
-                   lambda: (_global_profile(sp_params, domain, newton_tol,
-                                            eig_tol),))[0]
+    solved = []
+
+    def compute():
+        solved.append(True)
+        return _global_profile(sp_params, domain, newton_tol, eig_tol)
+
+    phi, lam1_used = _stored("supersolution_phi", domain, None,
+                             (sp_params, newton_tol), compute)
+    if lam1_used and not solved:
+        principal_eigenvalue(None, domain, eig_tol=eig_tol)
+    return phi
 
 
 def _global_profile(sp_params, domain, newton_tol, eig_tol):
-    """The two-level solve of ``supersolution_phi``."""
+    """The two-level solve of ``supersolution_phi``: the profile and
+    whether lambda_1 was computed."""
     start, sub_nodes, sub_iterations = _subgrid_start(sp_params, domain,
                                                       newton_tol)
     levels = [f"2h subgrid of {sub_nodes} interior nodes, Newton iterations "
@@ -414,7 +424,7 @@ def _global_profile(sp_params, domain, newton_tol, eig_tol):
         A, _ = domain.laplacian()
         u = report.solution.values[domain.interior_mask]
         if np.sum(u * (A @ u)) < sp_params.lam * np.sum(u * u):
-            return report.solution
+            return report.solution, lam1 is not None
     if lam1 is None:
         lam1, _ = principal_eigenvalue(None, domain, eig_tol=eig_tol)
     if sp_params.lam <= lam1:
@@ -423,4 +433,4 @@ def _global_profile(sp_params, domain, newton_tol, eig_tol):
             "no positive global profile") from failure
     if failure is not None:
         raise failure
-    return report.solution
+    return report.solution, True

@@ -277,7 +277,7 @@ class ModelKind:
         """(u0, caps): the k baselines as a (k, n) array and the k caps at
         the n nodes of the mask `nodes` of `domain`; raises
         DomainMismatchError when the baselines or the caps live on another
-        domain."""
+        domain, then ValueError unless each has k components (``_nodal``)."""
         if self.baseline is not None and self.baseline.domain is not domain:
             raise DomainMismatchError("baseline lives on a different domain")
         if self.caps is not None and self.caps.domain is not domain:
@@ -287,9 +287,9 @@ class ModelKind:
             # its residual is the kind with zero baseline
             u0 = np.zeros((k, np.count_nonzero(nodes)))
         else:
-            u0 = np.stack([u.values[nodes] for u in self.baseline])
+            u0 = _nodal(self.baseline, k, nodes)
         return u0, ([np.inf] * k if self.caps is None
-                    else [u.values[nodes] for u in self.caps])
+                    else _nodal(self.caps, k, nodes))
 
     @classmethod
     def lotka_volterra(cls, baseline=None):
@@ -317,7 +317,8 @@ class _System:
     one another's mirror images: then it holds one entry per orbit of
     (species, node) pairs, the node-wise array is gathered from it and
     each residual takes its rows back.  Raises DomainMismatchError when
-    the model's baselines or caps live on another domain.
+    the model's baselines or caps live on another domain, then ValueError
+    unless they have one component per species.
     """
 
     def __init__(self, domain, species, model: ModelKind, kappa, region=None,
@@ -555,8 +556,8 @@ def _invariant_mirrors(domain, species, model: ModelKind, guess: StateField,
     (``_asymmetry``).  The baselines' and caps' asymmetries are fixed for
     the model and are found once per region (cached on ``ModelKind``); the
     guess's is found on every call.  Raises DomainMismatchError for
-    baselines or caps on another domain, then ValueError unless the guess
-    has one component per species."""
+    baselines or caps on another domain, then ValueError unless they and
+    the guess have one component per species."""
     k = len(species)
     u0, caps = model._at(domain, k, mask)
     x = _nodal(guess, k, mask)

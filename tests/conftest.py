@@ -88,6 +88,20 @@ def random_field(domain, rng, scale=1.0):
     return sg.ScalarField(domain, vals)
 
 
+def stencil_laplacian(u):
+    """Reference 5-point -Laplace of the field u on its bounding box,
+    (4u_p - u_N - u_S - u_E - u_W) / h^2 with the values outside the mask
+    (zero) as neighbours, zeroed off the interior."""
+    v = u.values
+    out = 4.0 * v
+    out[1:, :] -= v[:-1, :]
+    out[:-1, :] -= v[1:, :]
+    out[:, 1:] -= v[:, :-1]
+    out[:, :-1] -= v[:, 1:]
+    out /= u.domain.h * u.domain.h
+    return sg.ScalarField(u.domain, out)
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name so that each call to it appends its keyword
     arguments to the returned list."""

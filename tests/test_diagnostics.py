@@ -1,17 +1,20 @@
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seglv as sg
-from seglv import (ScalarField, SpeciesParams, StateField, energy,
-                   free_boundary, h1_distance, inequality_check, noninvasion,
-                   norm, overlap, uniqueness_probe)
+from seglv import (ModelKind, ScalarField, SpeciesParams, StateField,
+                   box_violation_count, energy, f_eval, free_boundary,
+                   h1_distance, hat_rhs, hat_transform, inequality_check,
+                   noninvasion, norm, overlap, uniqueness_probe)
 from seglv import newton
-from conftest import random_field
+from conftest import random_field, stencil_laplacian
 
 SP = SpeciesParams(lam=1.0, p=2.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def indicator(domain, nodes, value=1.0):
@@ -58,6 +61,90 @@ def test_inequality_check_flags_flat_oversized_state(square16):
     # interior-deep nodes: -Lap u = 0 > f(2) = -2, a genuine sub violation
     assert sub[0].count > 0
     assert sub[0].max_magnitude >= 2.0 - 1e-12
+
+
+def literal_inequality_check(U, species, tol):
+    """The inequality pair evaluated as written: the bounding-box stencil
+    on u_i and on the hat field, minus f_i and the hat right-hand side.
+    Returns (count, max magnitude) pairs for the sub and super sides."""
+    mask = U.domain.interior_mask
+    sub, sup = [], []
+    for i, sp in enumerate(species):
+        r = (stencil_laplacian(U[i]).values - f_eval(sp, U[i].values))[mask]
+        rh = (stencil_laplacian(hat_transform(U, i)).values
+              - hat_rhs(U, species, i).values)[mask]
+        bad, rbad = int(np.sum(r > tol)), int(np.sum(rh < -tol))
+        sub.append((bad, float(r.max()) if bad else 0.0))
+        sup.append((rbad, float(-rh.min()) if rbad else 0.0))
+    return sub, sup
+
+
+@pytest.fixture(scope="module")
+def chain3_first_step():
+    """The first step (kappa = 4) of the ``configs/chain3.json`` ramp and
+    its species."""
+    config = sg.load_config(CONFIGS / "chain3.json")
+    d, solver = config.domain, config.solver
+    domain = sg.build_domain(d.balls, d.corridors, d.bbox, d.h)
+    baselines = []
+    for i, sp in enumerate(config.species):
+        region = domain.species_ball_mask(i)
+        guess, _ = sg.positive_branch_guess(domain, region, eig_tol=solver.eig_tol)
+        baselines.append(sg.solve_ball(sp, region, domain, guess,
+                                       newton_tol=solver.newton_tol).solution)
+    baseline = StateField(baselines)
+    state, _ = sg.solve_system(baseline, config.species,
+                               ModelKind.barrier(baseline), 4.0, solver.newton_tol)
+    return state, config.species, 10.0 * solver.newton_tol
+
+
+def _random_three_species():
+    domain = sg.unit_square_domain(12)
+    rng = np.random.default_rng(29)
+    species = [SpeciesParams(lam=lam, p=p)
+               for lam, p in ((1.0, 2.0), (3.0, 1.5), (7.0, 3.0))]
+    return [(StateField([random_field(domain, rng, 0.3) for _ in species]),
+             species, 1e-9) for _ in range(4)]
+
+
+@pytest.mark.parametrize("case", ["random", "chain3"])
+def test_inequality_check_matches_literal_evaluation(case, request):
+    # the residuals by linearity count what the pair evaluated as written
+    # counts, with maxima equal to round-off
+    if case == "random":
+        cases = _random_three_species()
+    else:
+        cases = [request.getfixturevalue("chain3_first_step")]
+    for U, species, tol in cases:
+        sub, sup = inequality_check(U, species, tol)
+        lit_sub, lit_sup = literal_inequality_check(U, species, tol)
+        for stats, literal in ((sub, lit_sub), (sup, lit_sup)):
+            assert [s.count for s in stats] == [count for count, _ in literal]
+            for s, (_, peak) in zip(stats, literal):
+                assert s.max_magnitude == pytest.approx(peak, rel=1e-12, abs=1e-12)
+        if case == "random":
+            # violations on both sides, and nodes that violate neither
+            n = U.domain.n_interior
+            assert all(0 < s.count < n for s in sub + sup)
+    if case == "chain3":
+        assert [s.count for s in sub] == [5338, 8123, 5338]
+        assert [s.count for s in sup] == [5453, 0, 5453]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("check", ["inequality_check", "energy",
+                                   "box_baseline", "box_phi"])
+def test_diagnostics_refuse_a_species_count_mismatch(square16, check, count):
+    # a species list or a box tuple one short of or one past the state's
+    # components is refused, neither indexed past nor left partly unread
+    U = StateField.zeros(square16, 2)
+    other = StateField.zeros(square16, count)
+    calls = {"inequality_check": lambda: inequality_check(U, [SP] * count, 1e-9),
+             "energy": lambda: energy(U, [SP] * count),
+             "box_baseline": lambda: box_violation_count(U, 1e-9, baseline=other),
+             "box_phi": lambda: box_violation_count(U, 1e-9, phi=other)}
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2"):
+        calls[check]()
 
 
 def test_noninvasion_zero_state(dumbbell2):

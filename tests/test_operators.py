@@ -6,7 +6,7 @@ import pytest
 import seglv as sg
 from seglv import (ScalarField, StateField, apply_laplacian, inner, norm,
                    solve_spd)
-from conftest import random_field
+from conftest import random_field, stencil_laplacian
 
 
 def field_on(domain, center_value):
@@ -38,6 +38,20 @@ def test_single_node_norms(tiny3):
 def test_unknown_norm_kind_rejected(tiny3):
     with pytest.raises(ValueError, match="norm kind"):
         norm(field_on(tiny3, 1.0), "L3")
+
+
+def test_laplacian_is_the_solves_matrix_and_the_stencil(dumbbell2):
+    # the domain's interior matrix applied to the interior values, byte for
+    # byte, and the bounding-box stencil up to the order of rounding
+    A, _ = dumbbell2.laplacian()
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        u = random_field(dumbbell2, rng)
+        Au = apply_laplacian(u)
+        assert Au.interior().tobytes() == (A @ u.interior()).tobytes()
+        assert np.all(Au.values[~dumbbell2.interior_mask] == 0.0)
+        ref = stencil_laplacian(u).values
+        assert np.max(np.abs(Au.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_manufactured_laplacian_richardson():

@@ -395,14 +395,16 @@ def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
 
 
 def test_phi_is_solved_once_per_domain(monkeypatch, caplog):
-    # an equal call takes the stored profile; each level's solve factors once
+    # an equal call takes the stored profile, at any eigen tolerance when
+    # the profile certified itself; each level's solve factors once
     domain = dumbbell2_domain()
     sp = SpeciesParams(lam=12.0, p=2.0)
     factorizations = count_calls(monkeypatch, newton, "splu")
     first = supersolution_phi(sp, domain)
     assert len(factorizations) == 2
     with caplog.at_level(logging.DEBUG, logger="seglv.scalar"):
-        second = supersolution_phi(SpeciesParams(lam=12.0, p=2.0), domain)
+        second = supersolution_phi(SpeciesParams(lam=12.0, p=2.0), domain,
+                                   eig_tol=1e-6)
     assert len(factorizations) == 2
     assert [r.getMessage() for r in caplog.records if r.name == "seglv.scalar"] == [
         f"supersolution_phi: reusing a stored result on {domain.n_interior} nodes"]
@@ -651,10 +653,28 @@ def test_uncertified_positive_phi_above_threshold_returned(chain3_domain,
     # the same uncertified state is the profile when lambda_1 lies below
     # lambda; a fresh domain keeps this profile off the shared one
     chain3_domain = rebuilt(chain3_domain)
-    monkeypatch.setattr(scalar_module, "principal_eigenvalue",
-                        lambda region, domain, eig_tol: (5.63, None))
-    phi = supersolution_phi(SpeciesParams(lam=5.6314, p=2.0), chain3_domain)
+    checked = []
+
+    def lambda_1(region, domain, eig_tol):
+        # a lambda_1 whose residual passes the default tolerance only
+        checked.append(eig_tol)
+        if eig_tol < 1e-12:
+            raise EigenSolveError("eigenpair residual exceeds the tolerance")
+        return 5.63, None
+
+    monkeypatch.setattr(scalar_module, "principal_eigenvalue", lambda_1)
+    sp = SpeciesParams(lam=5.6314, p=2.0)
+    phi = supersolution_phi(sp, chain3_domain)
     assert phi.values[chain3_domain.interior_mask].min() > 0
+    assert checked == [scalar_module.EIG_TOL]
+    # the stored profile is reused at another tolerance without a solve, but
+    # its lambda_1 is checked there, and fails at one it does not meet
+    orders = record_orders(monkeypatch)
+    again = supersolution_phi(sp, chain3_domain, eig_tol=1e-6)
+    np.testing.assert_array_equal(again.values, phi.values)
+    with pytest.raises(EigenSolveError, match="residual"):
+        supersolution_phi(sp, chain3_domain, eig_tol=1e-18)
+    assert orders == [] and checked == [scalar_module.EIG_TOL, 1e-6, 1e-18]
 
 
 def test_phi_newton_failure_above_threshold_raises_solve_error(ball16,

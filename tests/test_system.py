@@ -100,6 +100,23 @@ def test_foreign_model_fields_raise_before_the_species_count(dumbbell2_setup):
             solve_system(one, species, model, 4.0)
 
 
+@pytest.mark.parametrize("entry", ["residual", "solve_system"])
+@pytest.mark.parametrize("which", ["baseline", "caps"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_model_fields_of_the_wrong_count_raise(dumbbell2_setup, entry, which,
+                                               count):
+    # baselines or caps of another count than the species raise the count
+    # error of a guess, from either entry, not a broadcast or numpy error
+    U0, species = dumbbell2_setup["baseline"], dumbbell2_setup["species"]
+    domain = U0.domain
+    other = StateField([U0[0]] + [ScalarField.zeros(domain)] * (count - 1))
+    model = (ModelKind.barrier(other) if which == "baseline"
+             else ModelKind.barrier(U0, caps=other))
+    call = residual if entry == "residual" else solve_system
+    with pytest.raises(ValueError, match="species list and state size disagree"):
+        call(U0, species, model, 10.0)
+
+
 def test_overlapping_baselines_rejected(dumbbell2_setup):
     U0 = dumbbell2_setup["baseline"]
     overlapping = StateField([U0[0], U0[0] + U0[1]])
