@@ -126,9 +126,7 @@ class Fold:
     mirror moves a species, so that every layout pair is an unknown.
     ``weight`` counts the region's pairs in each unknown's orbit (None
     without mirrors, where each counts one), and ``blocks`` holds the
-    unknowns of each species that keeps any.  ``lu`` holds an LU of A_f
-    that a principal eigen-solve leaves for the next eigen-solve on the
-    fold (``scalar._top_eigenpair``), or None.
+    unknowns of each species that keeps any.
     """
 
     nodes: np.ndarray
@@ -139,7 +137,6 @@ class Fold:
     gather: np.ndarray | None
     weight: np.ndarray | None
     blocks: tuple
-    lu: object = None
 
     @property
     def size(self):
@@ -202,6 +199,51 @@ def _fold(A, mask, k, mirrors):
     return Fold(nodes, A, orbit, w, pick, gather, weight, tuple(blocks))
 
 
+def _laplacian(mask, h):
+    """The 5-point -Laplace on the nodes of `mask`, spacing h, and its
+    index map (see ``GridDomain.laplacian``)."""
+    n = int(mask.sum())
+    index_map = -np.ones(mask.shape, dtype=np.int64)
+    index_map[mask] = np.arange(n)
+    iy, ix = np.nonzero(mask)
+    # each node's row in column order: its neighbours at (iy - 1, ix) and
+    # (iy, ix - 1), itself, (iy, ix + 1) and (iy + 1, ix), -1 off the
+    # region; a region keeps off the grid border
+    stencil = np.stack([index_map[iy - 1, ix], index_map[iy, ix - 1],
+                        np.arange(n), index_map[iy, ix + 1],
+                        index_map[iy + 1, ix]], axis=1)
+    inside = stencil >= 0
+    invh2 = 1.0 / (h * h)
+    weights = np.array([-invh2, -invh2, 4.0 * invh2, -invh2, -invh2])
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    A = sp.csr_matrix((np.broadcast_to(weights, stencil.shape)[inside],
+                       stencil[inside].astype(np.int32), indptr), shape=(n, n))
+    index_map.setflags(write=False)
+    return A, index_map
+
+
+def _mirrors(domain, mask, index_map):
+    """The ``Mirror``s of the region `mask` of `domain`, of index map
+    `index_map` (see ``GridDomain.mirrors``)."""
+    iy, ix = np.nonzero(mask)
+    labels = domain.ball_label[mask]
+    found = {}
+    for axis, i in ((0, iy), (1, ix)):
+        c = int(i.min() + i.max())  # the only line the extent allows
+        image = [iy, ix]
+        image[axis] = c - i
+        rows = index_map[image[0], image[1]]
+        if (rows >= 0).all():
+            # int32 halves the stored maps; no lattice that fits in memory
+            # has 2**31 nodes
+            rows = rows.astype(np.int32)
+            rows.setflags(write=False)
+            found[(axis, c)] = Mirror(rows, domain._species_map(labels,
+                                                                labels[rows]))
+    return found
+
+
 class GridDomain:
     """Uniform grid with an interior mask and per-node region labels.
 
@@ -209,13 +251,21 @@ class GridDomain:
     ``(x0 + ix*h, y0 + iy*h)``.  ``ball_label`` holds the index of the ball
     containing each node (-1 for none); nodes where a corridor overlaps a
     ball are labeled ball so that ball regions cover the disks completely.
-    Instances are immutable after construction and safe to share; three
-    caches keyed by region live on the instance: the Laplacians
-    (``laplacian``), the lattice mirrors (``mirrors``) and the folds of k
-    species along them (``fold``), one per (region, k, mirrors), each of
-    which can hold an LU of its Laplacian from one eigen-solve to the
-    next (``Fold.lu``).  The results that ``scalar`` stores per ball class (``ball_class``) and
-    for the whole interior live there too.
+    Instances are immutable after construction and safe to share.
+
+    Results computed on the domain live in one store on the instance
+    (``_result``), each under a key that starts with its kind and holds
+    only the inputs its computation reads: the Laplacian of a region
+    ("laplacian", ``laplacian``) and its lattice mirrors ("mirrors",
+    ``mirrors``), keyed by the region's mask; the fold of k species along
+    some of them ("fold", ``fold``), keyed by (mask, k, mirrors); an LU of
+    a fold's Laplacian that a principal eigen-solve leaves for the next
+    eigen-solve on that fold ("lu", ``scalar._top_eigenpair``), keyed by
+    the stored ``Fold``; and the results that ``scalar`` stores per ball
+    class (``ball_class``) and for the whole interior, under the name of
+    the function that computes them.  The store holds arrays, numbers and
+    LUs, never a field, so that no reference cycle runs through the
+    domain.
     """
 
     def __init__(self, h, origin, interior_mask, ball_label, corridor_flag,
@@ -243,10 +293,14 @@ class GridDomain:
         self.n_interior = int(interior_mask.sum())
         for arr in (self.interior_mask, self.ball_label, self.corridor_flag):
             arr.setflags(write=False)
-        self._lap_cache: dict[bytes, tuple[sp.csr_matrix, np.ndarray]] = {}
-        self._mirror_cache: dict[bytes, dict] = {}
-        self._fold_cache: dict[tuple, Fold] = {}
-        self._ball_results: dict[tuple, tuple] = {}
+        self._results: dict[tuple, object] = {}
+
+    def _result(self, key, compute):
+        """The result stored under `key`, or compute()'s, stored under it.
+        A raise stores nothing."""
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
 
     # -- coordinates -------------------------------------------------------
 
@@ -312,7 +366,8 @@ class GridDomain:
         Returns (A, index_map) where A is CSR over the region nodes in
         C order and index_map is an (ny, nx) int array sending grid nodes
         to matrix rows (-1 outside the region).  Neighbors outside the
-        region act as homogeneous Dirichlet nodes.  Results are cached.
+        region act as homogeneous Dirichlet nodes.  Results are stored
+        (``_result``).
         """
         if region is None:
             mask = self.interior_mask
@@ -324,31 +379,8 @@ class GridDomain:
                 raise DomainError("region contains non-interior nodes")
             if not mask.any():
                 raise DomainError("region is empty")
-        key = mask.tobytes()
-        hit = self._lap_cache.get(key)
-        if hit is not None:
-            return hit
-        n = int(mask.sum())
-        index_map = -np.ones((self.ny, self.nx), dtype=np.int64)
-        index_map[mask] = np.arange(n)
-        iy, ix = np.nonzero(mask)
-        # each node's row in column order: its neighbours at (iy - 1, ix)
-        # and (iy, ix - 1), itself, (iy, ix + 1) and (iy + 1, ix), -1 off
-        # the region; a region keeps off the grid border
-        stencil = np.stack([index_map[iy - 1, ix], index_map[iy, ix - 1],
-                            np.arange(n), index_map[iy, ix + 1],
-                            index_map[iy + 1, ix]], axis=1)
-        inside = stencil >= 0
-        invh2 = 1.0 / (self.h * self.h)
-        weights = np.array([-invh2, -invh2, 4.0 * invh2, -invh2, -invh2])
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(inside.sum(axis=1), out=indptr[1:])
-        A = sp.csr_matrix((np.broadcast_to(weights, stencil.shape)[inside],
-                           stencil[inside].astype(np.int32), indptr),
-                          shape=(n, n))
-        index_map.setflags(write=False)
-        self._lap_cache[key] = (A, index_map)
-        return A, index_map
+        return self._result(("laplacian", mask.tobytes()),
+                            lambda: _laplacian(mask, self.h))
 
     # -- mirror symmetry ---------------------------------------------------
 
@@ -362,31 +394,12 @@ class GridDomain:
         line for even c and midway between two for odd c.  Returns a dict
         from each mirror's key to its ``Mirror``: the image of every node
         and the species map that the region's balls give.  Results are
-        cached.
+        stored (``_result``).
         """
         _, index_map = self.laplacian(region)
         mask = index_map >= 0
-        key = mask.tobytes()
-        hit = self._mirror_cache.get(key)
-        if hit is not None:
-            return hit
-        iy, ix = np.nonzero(mask)
-        labels = self.ball_label[mask]
-        found = {}
-        for axis, i in ((0, iy), (1, ix)):
-            c = int(i.min() + i.max())  # the only line the extent allows
-            image = [iy, ix]
-            image[axis] = c - i
-            rows = index_map[image[0], image[1]]
-            if (rows >= 0).all():
-                # int32 halves the cached maps; no lattice that fits in
-                # memory has 2**31 nodes
-                rows = rows.astype(np.int32)
-                rows.setflags(write=False)
-                found[(axis, c)] = Mirror(rows, self._species_map(labels,
-                                                                  labels[rows]))
-        self._mirror_cache[key] = found
-        return found
+        return self._result(("mirrors", mask.tobytes()),
+                            lambda: _mirrors(self, mask, index_map))
 
     def _species_map(self, labels, images):
         """The species map of a mirror that sends nodes of ball labels
@@ -425,17 +438,13 @@ class GridDomain:
         unknown; the order of the unknowns is that order.  Each species
         that keeps unknowns gets a block of them, its Laplacian R A_f P
         among them.  Without mirrors the layout is the region and A_f its
-        Laplacian.  Results are cached.
+        Laplacian.  Results are stored (``_result``).
         """
         A, index_map = self.laplacian(region)
         mask = index_map >= 0
-        key = (mask.tobytes(), k, tuple(sorted(mirrors)))
-        hit = self._fold_cache.get(key)
-        if hit is None:
-            found = self.mirrors(mask)
-            hit = self._fold_cache[key] = _fold(A, mask, k,
-                                                [found[m] for m in key[2]])
-        return hit
+        mirrors = tuple(sorted(mirrors))
+        return self._result(("fold", mask.tobytes(), k, mirrors), lambda: _fold(
+            A, mask, k, [self.mirrors(mask)[m] for m in mirrors]))
 
     @classmethod
     def from_mask(cls, mask, h, origin=(0.0, 0.0)):

@@ -5,7 +5,8 @@ The scalar problem  -Lap u = f(u)  on a node subset R (a single ball, or
 the whole connected domain for the global profile) is the competition
 system of ``system`` with one species and a zero baseline, whose
 coupling vanishes, and is solved by that system's damped Newton solve
-(``system._newton``), which builds its one system on the fold of R along
+(``system._newton`` with model None, which builds no baseline field and
+no ``ModelKind``); it builds its one system on the fold of R along
 the mirrors that leave the guess invariant: a ball of chain3 and its
 global profile solve on a quarter of their nodes, and the result is
 exactly mirror-invariant.  On a ball the positive branch is reliably
@@ -38,38 +39,43 @@ so the top eigenvector is its Perron vector, positive and simple
 mirrors; where a mirror swaps two components, the top eigenspace holds
 the invariant sum of their Perron vectors.  The fold is the Newton
 solves' construction with one species (``GridDomain.fold`` with k = 1),
-the same cached object a ball's Newton solve uses.  With its P,
+the same stored object a ball's Newton solve uses.  With its P,
 A_f = R A P and orbit sizes w, and W = diag(w), W A_f = P^T A P is
 symmetric, and the folded pencil diag(w c_f) v = nu (W A_f) v runs through
 the same Lanczos on the LU of A_f, (W A_f)^-1 b = A_f^-1 (b / w); the
 eigenvector is P v.  ``principal_eigenvalue`` on a given region (not
-None, the whole interior, on which no ND margin follows) leaves its LU on
-the fold (``Fold.lu``) and the next eigen-solve there takes it, so a
-ball's lambda_1 and the ND margin of its baseline, which fold alike,
-factor A_f once, and no ball LU is held past the margin.  A chain3 ball
-at h = 1/64 solves on 3276 of its 12849 nodes.  Where c is nowhere positive the top
-eigenvector oscillates from node to node and need not be invariant, so
-the pencil does not fold.
+None, the whole interior, on which no ND margin follows) leaves its LU in
+the domain's store, keyed by the fold, and the next eigen-solve on that
+fold takes it out, so a ball's lambda_1 and the ND margin of its
+baseline, which fold alike, factor A_f once, and no ball LU is held past
+the margin.  A chain3 ball at h = 1/64 solves on 3276 of its 12849
+nodes.  Where c is nowhere positive the top eigenvector oscillates from
+node to node and need not be invariant, so the pencil does not fold.
+
 The Newton solves' decision (``system._fold_choice``) chooses the
 mirrors and words the DEBUG line that each eigen-solve logs.  The
-residual checks of
-``principal_eigenvalue`` and ``nd_margin`` run on the region's A with
-the unfolded eigenvector.
+residual checks of ``principal_eigenvalue`` and ``nd_margin`` run on the
+region's A with the unfolded eigenvector.
 
 Congruent balls and equal global profiles solve once (``_stored``).
 ``principal_eigenvalue``, ``solve_ball`` and ``nd_margin`` on a region
-that is exactly one ball's mask store their result on the domain, keyed
-by the ball's translation class (its mask cropped to its bounding box),
-the function, the species, the tolerance and the bytes of the input
-field on the region; a grid translate of that ball calling with equal
-inputs gets the stored region vectors back as fresh fields at its own
-nodes, with one DEBUG line.  This is exact: a translate has the same CSR
-Laplacian and the same C-order node numbering, so every operation of the
-solve sees the same numbers in the same order.  The whole interior,
-asked for as region None, is one more class, for these three and for
-``supersolution_phi``, which stores its profile there keyed by the
-species and the Newton tolerance: species of equal parameters share one
-solve.  A raise is never stored.
+that is exactly one ball's mask store their result in the domain's store
+(``GridDomain._result``), keyed by the function, the ball's translation
+class (its mask cropped to its bounding box) and the inputs that the
+computation reads: the species, the Newton tolerance and the bytes of
+the input field on the region.  A grid translate of that ball calling
+with equal inputs gets the stored region vectors back as fresh fields at
+its own nodes, with one DEBUG line.  This is exact: a translate has the
+same CSR Laplacian and the same C-order node numbering, so every
+operation of the solve sees the same numbers in the same order.  The
+whole interior, asked for as region None, is one more class, for these
+three and for ``supersolution_phi``, which stores its profile there
+keyed by the species and the Newton tolerance: species of equal
+parameters share one solve.  The eigen tolerance keys nothing, since
+ARPACK does not read it: the two eigen-solves store their pair with its
+residual, and each call checks that residual against its own eig_tol,
+so a stored pair is reused at any tolerance and never returned to a
+caller whose tolerance it misses.  A raise is never stored.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ from .errors import EigenSolveError, NonlinearSolveError, PhiUnavailable
 from .newton import NEWTON_TOL, _l2, factorize
 from .operators import ScalarField, StateField, norm
 from .reaction import SpeciesParams, f_prime
-from .system import ModelKind, _fold_choice, _newton
+from .system import _fold_choice, _newton
 
 log = logging.getLogger(__name__)
 
@@ -119,8 +125,9 @@ def _stored(stage, domain, region, inputs, compute):
     result back; any other region computes.  compute() returns a tuple of
     numbers and ScalarFields, and the fields of `inputs` and of the result
     are held as their values on the region: the bytes of the former key
-    the result, the latter are stored and rebuilt at `region` as fresh
-    fields on reuse.  A raise stores nothing.
+    the result in the domain's store (``GridDomain._result``), the latter
+    are stored and rebuilt at `region` as fresh fields on reuse.  A raise
+    stores nothing.
     """
     if region is None:
         region_class, mask = "interior", domain.interior_mask
@@ -129,19 +136,23 @@ def _stored(stage, domain, region, inputs, compute):
         if region_class is None:
             return compute()
         mask = np.asarray(region, dtype=bool)
-    key = (region_class, stage) + tuple(
+    key = (stage, region_class) + tuple(
         x.values[mask].tobytes() if isinstance(x, ScalarField) else x
         for x in inputs)
-    stored = domain._ball_results.get(key)
-    if stored is not None:
-        log.debug("%s: reusing a stored result on %d nodes", stage,
-                  np.count_nonzero(mask))
-        return tuple(ScalarField(domain, domain.insert(x, mask))
-                     if isinstance(x, np.ndarray) else x for x in stored)
-    result = compute()
-    domain._ball_results[key] = tuple(x.values[mask] if isinstance(x, ScalarField)
-                                      else x for x in result)
-    return result
+    computed = []
+
+    def on_region():
+        computed.append(compute())
+        return tuple(x.values[mask] if isinstance(x, ScalarField) else x
+                     for x in computed[0])
+
+    stored = domain._result(key, on_region)
+    if computed:
+        return computed[0]
+    log.debug("%s: reusing a stored result on %d nodes", stage,
+              np.count_nonzero(mask))
+    return tuple(ScalarField(domain, domain.insert(x, mask))
+                 if isinstance(x, np.ndarray) else x for x in stored)
 
 
 def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
@@ -160,9 +171,8 @@ def solve_ball(sp_params: SpeciesParams, region, domain: GridDomain,
     """
     def compute():
         try:
-            (u,), rnorm, iterations = _newton(
-                domain, [sp_params], ModelKind.barrier(StateField.zeros(domain, 1)),
-                0.0, StateField([guess]), newton_tol, region)
+            (u,), rnorm, iterations = _newton(domain, [sp_params], None, 0.0,
+                                              StateField([guess]), newton_tol, region)
         except NonlinearSolveError as exc:
             exc.last_iterate = exc.last_iterate[0]
             raise
@@ -183,11 +193,11 @@ def _top_eigenpair(stage, c, domain, region, keep=False):
     invariant, when c is positive somewhere (see the module docstring).
     Lanczos (ARPACK) in the (W A_f)-inner product on an LU of A_f, started
     from the constant vector so that runs are reproducible: the one an
-    earlier call with `keep` left on the fold (``Fold.lu``), which this
-    call takes, or a new one, left there when `keep` is set.  Regions of
-    fewer than 3 nodes after the fold, which ARPACK cannot take, use a
-    dense eigensolve and factor nothing.  Logs the fold at DEBUG level as
-    `stage`.
+    earlier call with `keep` left in the domain's store, keyed by the
+    fold, which this call takes out, or a new one, left there when `keep`
+    is set.  Regions of fewer than 3 nodes after the fold, which
+    ARPACK cannot take, use a dense eigensolve and factor nothing.  Logs
+    the fold at DEBUG level as `stage`.
     """
     mask = domain.laplacian(region)[1] >= 0
     refusal = None if np.max(c) > 0.0 else "c nowhere positive"
@@ -202,8 +212,10 @@ def _top_eigenpair(stage, c, domain, region, keep=False):
     if n < 3:
         nus, vs = scipy.linalg.eigh(np.diag(c), M.toarray())
         return float(nus[-1]), vs[orbit, -1], 0
-    lu = factorize(A) if fold.lu is None else fold.lu
-    fold.lu = lu if keep else None
+    key = ("lu", fold)
+    lu = domain._result(key, lambda: factorize(A))
+    if not keep:
+        del domain._results[key]
     solves = 0
 
     def solve(b):
@@ -226,6 +238,8 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
     lambda_1 = 1 / nu for the largest nu of w = nu A w (``_top_eigenpair``
     with c = 1); the eigenfield comes back L2-normalized and nonnegative.
     Raises EigenSolveError unless ||A e - lam e||_L2 <= eig_tol * lam.
+    The pair is stored with its residual, which each call checks against
+    its own eig_tol.
     """
     def compute():
         A, index = domain.laplacian(region)
@@ -239,13 +253,15 @@ def principal_eigenvalue(region, domain: GridDomain, *, eig_tol=EIG_TOL):
         # eigenfield too; elsewhere abs only fixes the sign and round-off dust
         v = np.abs(w)
         v /= domain.h * _l2(v)
-        resid = domain.h * _l2(A @ v - lam * v)
-        if not resid <= eig_tol * lam:
-            raise EigenSolveError(
-                f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
-        return lam, ScalarField(domain, domain.insert(v, index >= 0))
+        return (lam, ScalarField(domain, domain.insert(v, index >= 0)),
+                domain.h * _l2(A @ v - lam * v))
 
-    return _stored("principal_eigenvalue", domain, region, (eig_tol,), compute)
+    lam, eigfield, resid = _stored("principal_eigenvalue", domain, region, (),
+                                   compute)
+    if not resid <= eig_tol * lam:
+        raise EigenSolveError(
+            f"eigenpair residual {resid:.3e} exceeds {eig_tol:.1e} * lambda {lam:.6g}")
+    return lam, eigfield
 
 
 def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
@@ -256,22 +272,24 @@ def nd_margin(u0: ScalarField, sp_params: SpeciesParams, region, *,
     `rayleigh_iterations` counts the LU solves of the Lanczos run (0 on
     the dense path and for f'(u0) = 0, whose margin is 1).  Raises
     EigenSolveError unless ||f'(u0) w - nu A w|| <= eig_tol * ||A w||.
+    The margin is stored with both norms, which each call checks against
+    its own eig_tol.
     """
     def compute():
         A, index = u0.domain.laplacian(region)
         c = f_prime(sp_params, u0.values)[index >= 0]
         if not np.any(c):
-            return 1.0, 0
+            return 1.0, 0, 0.0, 0.0
         nu, w, solves = _top_eigenpair("nd_margin", c, u0.domain, region)
         Aw = A @ w
-        resid = _l2(c * w - nu * Aw)
-        if not resid <= eig_tol * _l2(Aw):
-            raise EigenSolveError(
-                f"nd pencil residual {resid:.3e} exceeds {eig_tol:.1e} * ||A w||")
-        return 1.0 - nu, solves
+        return 1.0 - nu, solves, _l2(c * w - nu * Aw), _l2(Aw)
 
-    return NDReport(*_stored("nd_margin", u0.domain, region,
-                             (sp_params, eig_tol, u0), compute))
+    margin, solves, resid, scale = _stored("nd_margin", u0.domain, region,
+                                           (sp_params, u0), compute)
+    if not resid <= eig_tol * scale:
+        raise EigenSolveError(
+            f"nd pencil residual {resid:.3e} exceeds {eig_tol:.1e} * ||A w||")
+    return NDReport(margin, solves)
 
 
 def positive_branch_guess(domain: GridDomain, region=None, *, eig_tol=EIG_TOL):
@@ -386,7 +404,8 @@ def supersolution_phi(sp_params: SpeciesParams, domain: GridDomain, *,
     field of the stored values without a solve.  eig_tol only gates
     lambda_1's residual check, so it is not part of the key; a stored
     profile that lambda_1 took part in runs that check again at the
-    calling eig_tol (``principal_eigenvalue``).  A raise stores nothing.
+    calling eig_tol on the stored lambda_1 (``principal_eigenvalue``),
+    without an eigen-solve.  A raise stores nothing.
     """
     solved = []
 

@@ -72,7 +72,7 @@ lies in the fixed-point subspace of the group that the mirrors generate
 on (species, node) pairs (Golubitsky, Stewart & Schaeffer,
 *Singularities and Groups in Bifurcation Theory II*, Springer 1988), and
 the solve keeps one unknown per orbit of pairs.  One construction gives
-every fold, cached on the domain once per region, species count and set
+every fold, stored on the domain once per region, species count and set
 of mirrors (``GridDomain.fold``):
 
 * the group's maps that keep every species fold the nodes onto one
@@ -318,11 +318,13 @@ class _System:
     (species, node) pairs, the node-wise array is gathered from it and
     each residual takes its rows back.  Raises DomainMismatchError when
     the model's baselines or caps live on another domain, then ValueError
-    unless they have one component per species.
+    unless they have one component per species.  `model` None is the
+    problem of a ``scalar`` solve: the barrier formula with a zero
+    baseline and no caps, which builds no field.
     """
 
-    def __init__(self, domain, species, model: ModelKind, kappa, region=None,
-                 mirrors=()):
+    def __init__(self, domain, species, model: ModelKind | None, kappa,
+                 region=None, mirrors=()):
         self.domain = domain
         self.species = species
         self.kappa = float(kappa)
@@ -332,8 +334,9 @@ class _System:
         self.A = fold.A
         self.n = fold.A.shape[0]
         self.h = domain.h
-        self.clip = model.kind != "barrier"
-        self.u0, self.caps = model._at(domain, k, fold.nodes)
+        self.clip = model is not None and model.kind != "barrier"
+        self.u0, self.caps = ((np.zeros((k, self.n)), [np.inf] * k) if model is None
+                              else model._at(domain, k, fold.nodes))
         self.release()
 
     @property
@@ -544,8 +547,8 @@ class _System:
                            for u in v])
 
 
-def _invariant_mirrors(domain, species, model: ModelKind, guess: StateField,
-                       mask):
+def _invariant_mirrors(domain, species, model: ModelKind | None,
+                       guess: StateField, mask):
     """The keys of the mirrors of the region `mask` that map the problem of
     a Newton solve from `guess` onto itself, and the DEBUG note on that
     choice (``_fold_choice``).
@@ -559,19 +562,20 @@ def _invariant_mirrors(domain, species, model: ModelKind, guess: StateField,
     baselines or caps on another domain, then ValueError unless they and
     the guess have one component per species."""
     k = len(species)
-    u0, caps = model._at(domain, k, mask)
+    fixed = {}  # a scalar solve's zero baseline fixes no asymmetry
+    if model is not None:
+        u0, caps = model._at(domain, k, mask)
+        key = mask.shape, mask.tobytes()
+        fixed = model._fixed_asymmetry.get(key)
+        if fixed is None:
+            # so does any group of zero rows
+            groups = [g for g in (u0, [c for c in caps if not np.isscalar(c)])
+                      if np.any(g)]
+            fields = np.vstack(groups) if groups else None
+            fixed = model._fixed_asymmetry[key] = {
+                m: _asymmetry(fields, mirror.image, mirror.permutation(k))
+                for m, mirror in domain.mirrors(mask).items()} if groups else {}
     x = _nodal(guess, k, mask)
-    key = mask.shape, mask.tobytes()
-    fixed = model._fixed_asymmetry.get(key)
-    if fixed is None:
-        # a group of zero rows, such as a scalar solve's baseline, is
-        # invariant under every mirror
-        groups = [g for g in (u0, [c for c in caps if not np.isscalar(c)])
-                  if np.any(g)]
-        fields = np.vstack(groups) if groups else None
-        fixed = model._fixed_asymmetry[key] = {
-            m: _asymmetry(fields, mirror.image, mirror.permutation(k))
-            for m, mirror in domain.mirrors(mask).items()} if groups else {}
 
     def differ(sigma):
         # the first pair that the species map swaps whose parameters differ
@@ -581,12 +585,13 @@ def _invariant_mirrors(domain, species, model: ModelKind, guess: StateField,
     return _fold_choice(domain, mask, x, differ, "unknowns", fixed)
 
 
-def _newton(domain, species, model: ModelKind, kappa, guess: StateField, tol,
-            region=None, *, history=()) -> tuple[StateField, float, int]:
+def _newton(domain, species, model: ModelKind | None, kappa, guess: StateField,
+            tol, region=None, *, history=()) -> tuple[StateField, float, int]:
     """Damped Newton from `guess` on `region` (default: the whole
     interior); see ``solve_system``.  Returns the state, its residual norm
     and the iterations.  `history` holds the residual norms of the steps
-    that reached `guess` (the kernel's ``history``).  The solve builds one
+    that reached `guess` (the kernel's ``history``), and `model` None is a
+    ``scalar`` solve's problem (``_System``).  The solve builds one
     system, on the fold along the mirrors that map the problem onto itself
     (``_invariant_mirrors``), and logs that decision at DEBUG level."""
     mirrors, note = _invariant_mirrors(domain, species, model, guess,

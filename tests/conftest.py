@@ -67,12 +67,19 @@ def dumbbell2_trace(dumbbell2_setup):
 
 
 def rebuilt(domain):
-    """A new GridDomain on the grid and regions of `domain`, with empty
-    caches, so that a ball solve on it takes no stored result of a
+    """A new GridDomain on the grid and regions of `domain`, with an empty
+    store, so that a ball solve on it takes no stored result of a
     congruent ball."""
     return sg.GridDomain(domain.h, domain.origin, domain.interior_mask,
                          domain.ball_label, domain.corridor_flag,
                          domain.balls, domain.corridors)
+
+
+def stored_keys(domain, kind):
+    """The keys under which `domain` stores results of one kind ("lu",
+    "fold", "laplacian", "mirrors" or the name of a ``scalar`` function),
+    each without its kind."""
+    return [key[1:] for key in domain._results if key[0] == kind]
 
 
 def folded_order(domain, region=None, axes=(0, 1)):

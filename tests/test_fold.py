@@ -378,11 +378,22 @@ def test_fold_matches_brute_force_orbits(case):
 
 def test_one_fold_construction_per_key(tmp_path, monkeypatch):
     # the eigen-solves, the ball solves and the ramp on dumbbell2 share the
-    # domain's folds: each (region, k, mirrors) is built once
+    # domain's folds: each (region, k, mirrors) is built once, and each
+    # region's Laplacian and mirrors once
     config = sg.load_config(CONFIGS / "dumbbell2.json")
     config.output.directory = str(tmp_path)
     requested, built = [], []
     fold, construct = sg.GridDomain.fold, domain_module._fold
+    assembled, searched = [], []
+    laplacian, mirrors = domain_module._laplacian, domain_module._mirrors
+
+    def assembling(mask, h):
+        assembled.append(mask.tobytes())
+        return laplacian(mask, h)
+
+    def searching(domain, mask, index_map):
+        searched.append(mask.tobytes())
+        return mirrors(domain, mask, index_map)
 
     def recording_fold(self, region, k, mirrors):
         mask = self.laplacian(region)[1] >= 0
@@ -400,6 +411,8 @@ def test_one_fold_construction_per_key(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sg.GridDomain, "fold", recording_fold)
     monkeypatch.setattr(domain_module, "_fold", counting)
+    monkeypatch.setattr(domain_module, "_laplacian", assembling)
+    monkeypatch.setattr(domain_module, "_mirrors", searching)
     summary = sg.run(config, until="continuation")
     assert summary.continuation_failure is None
     assert Counter(built) == Counter(set(requested))
@@ -411,6 +424,9 @@ def test_one_fold_construction_per_key(tmp_path, monkeypatch):
     uses = Counter(key[1:3] + (len(key[3]),) for key in requested)
     assert uses[ball + (2,)] >= 4
     assert uses[(domain.interior_mask.tobytes(), 2, 2)] >= 6
+    # the interior and ball 0 are the regions: ball 1 computes nothing
+    regions = [domain.interior_mask.tobytes(), ball[0]]
+    assert Counter(assembled) == Counter(searched) == Counter(regions)
 
 
 def test_folding_solves_build_no_mirror_free_fold(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from seglv import newton
 from seglv import scalar as scalar_module
 from seglv import system as system_module
 from conftest import (count_calls, dumbbell2_domain, folded_order, rebuilt,
-                      record_orders, singular_after)
+                      record_orders, singular_after, stored_keys)
 
 
 def test_single_node_eigenvalue(tiny3):
@@ -370,12 +370,13 @@ def test_eigen_solves_share_the_folds_lu(ball16, monkeypatch):
     orders = record_orders(monkeypatch)
     guess, _ = positive_branch_guess(domain, region)
     assert orders == [folded_order(domain, region)]
+    assert len(stored_keys(domain, "lu")) == 1
     u0 = solve_ball(sp, region, domain, guess).solution
     made = len(orders)
     report = nd_margin(u0, sp, region)
     assert len(orders) == made and report.rayleigh_iterations > 0
     # the margin took the LU: none is held past it
-    assert all(fold.lu is None for fold in domain._fold_cache.values())
+    assert stored_keys(domain, "lu") == []
     own = nd_margin(ScalarField(alone, u0.values), sp, region)
     assert len(orders) == made + 1
     assert (report.margin, report.rayleigh_iterations) == (
@@ -383,6 +384,10 @@ def test_eigen_solves_share_the_folds_lu(ball16, monkeypatch):
 
 
 def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
+    # no margin that fails its tolerance is returned, but the pencil's pair
+    # is stored with its residual: ARPACK's pair is a deterministic function
+    # of the key, so solving it again could not meet a tolerance that the
+    # stored residual misses, and the second call raises without a solve
     domain = rebuilt(ball16)
     region = domain.species_ball_mask(0)
     sp = SpeciesParams(lam=12.0, p=2.0)
@@ -391,7 +396,33 @@ def test_failed_nd_margin_is_not_stored(ball16, monkeypatch):
     for _ in range(2):
         with pytest.raises(EigenSolveError, match="residual"):
             nd_margin(u0.solution, sp, region, eig_tol=1e-18)
-    assert len(eigen_solves) == 2
+    assert len(eigen_solves) == 1
+
+
+@pytest.mark.parametrize("stage", ["principal_eigenvalue", "nd_margin"])
+def test_stored_eigenpair_is_checked_at_each_eig_tol(ball16, monkeypatch, stage):
+    # eig_tol gates only the residual check, so it keys nothing: a call at
+    # another tolerance takes the stored pair and checks its residual there
+    domain = rebuilt(ball16)
+    region = domain.species_ball_mask(0)
+    if stage == "nd_margin":
+        sp = SpeciesParams(lam=12.0, p=2.0)
+        guess, _ = positive_branch_guess(domain, region)
+        u0 = solve_ball(sp, region, domain, guess).solution
+
+        def call(eig_tol):
+            report = nd_margin(u0, sp, region, eig_tol=eig_tol)
+            return np.float64(report.margin).tobytes(), report.rayleigh_iterations
+    else:
+        def call(eig_tol):
+            lam, eigfield = principal_eigenvalue(region, domain, eig_tol=eig_tol)
+            return np.float64(lam).tobytes(), eigfield.values.tobytes()
+    eigen_solves = count_calls(monkeypatch, scalar_module, "_top_eigenpair")
+    first = call(1e-8)
+    assert call(1e-6) == first
+    with pytest.raises(EigenSolveError, match="residual"):
+        call(1e-18)
+    assert len(eigen_solves) == 1 and len(stored_keys(domain, stage)) == 1
 
 
 def test_phi_is_solved_once_per_domain(monkeypatch, caplog):
